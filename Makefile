@@ -1,10 +1,12 @@
-# Targets mirror the CI pipeline (.github/workflows/ci.yml): a green
-# `make ci` locally means a green pipeline.
+# The job list is written here and only here: every CI job
+# (.github/workflows/ci.yml) is one `make <target>` call, so a green
+# `make ci` locally means a green pipeline, and package lists,
+# allocation budgets and analyzer names cannot drift between the two.
 
 GO ?= go
 
 # platform covers the event pipeline and every materialized view
-# (events.go, trendindex, voteindex, followindex); rankheap covers both
+# (events.go, trendindex, voteindex, pageindex); rankheap covers both
 # the bounded TopK and the non-monotone Exact structure; eventlog and
 # replica cover the durability/replication layer (WAL group commit,
 # streaming apply, snapshot bootstrap); faultinject/httpguard/chaos
@@ -30,7 +32,7 @@ LEADER_ALLOC_BUDGET = 64
 DISC_ALLOC_BUDGET = 64
 HIT_ALLOC_BUDGET = 0
 
-.PHONY: build test race chaos crash-recovery bench bench-budget bench-compare lint fuzz-smoke fmt ci
+.PHONY: build test race chaos crash-recovery bench bench-budget bench-compare lint fuzz-smoke fmt loc ci
 
 build:
 	$(GO) build ./...
@@ -41,14 +43,10 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 
-# The scripted fault-injection suite (internal/chaos): nine
-# deterministic schedules — disk full during rotation, sticky fsync
-# flipping /readyz, partition mid-stream, flapping primary during
-# bootstrap, serve-stale, drain-flushes-WAL, plus three gateway
-# schedules (replica killed mid-request, primary flap during write
-# load, whole-pool lag excursion) — each asserting no event loss,
-# byte-identical convergence, and zero failed reads while any backend
-# is healthy. Also part of `race`.
+# The scripted fault-injection suite: deterministic schedules, each
+# asserting no event loss, byte-identical convergence, and zero failed
+# reads while any backend is healthy (internal/chaos/doc.go lists
+# them). Also part of `race`.
 chaos:
 	$(GO) test -race -count=1 -v ./internal/chaos/
 
@@ -102,9 +100,9 @@ bench-compare:
 		-current $(CURDIR)/BENCH_serve.tmp.json
 	rm -f $(CURDIR)/BENCH_serve.tmp.json
 
-# The project's own five-analyzer suite (internal/lint: rangewalk,
-# viewpurity, cachecoherence, lockscope, wirecompat) runs through the
-# go vet -vettool protocol. The tool is built once into bin/ and the
+# The project's own analyzer suite (internal/lint: viewpurity,
+# cachecoherence, lockscope, wirecompat) runs through the go vet
+# -vettool protocol. The tool is built once into bin/ and the
 # go command caches per-package vet results against its hash, so
 # repeat runs only re-analyze changed packages.
 VETTOOL = $(CURDIR)/bin/dissenter-vet
@@ -127,4 +125,15 @@ fuzz-smoke:
 fmt:
 	gofmt -w .
 
-ci: build lint test race chaos bench bench-budget fuzz-smoke
+# Design weight, tracked like latency: non-test Go lines per package
+# directory, then the total. Test files, analyzer fixtures (testdata)
+# and the bench/ harness are not design weight; .bench_build is the
+# benchmark's module cache.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' \
+		-not -path '*/testdata/*' -not -path './.bench_build/*' | xargs wc -l | \
+	awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; \
+		      close("sort -k2"); printf "%7d total\n", t }'
+
+ci: build lint test race chaos crash-recovery fuzz-smoke bench bench-budget

@@ -37,9 +37,6 @@ import (
 	"flag"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"dissenter/internal/gateway"
@@ -79,30 +76,23 @@ func main() {
 		Logf:             log.Printf,
 	})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	// One synchronous round before serving, so the first request routes
 	// on probed state instead of the never-probed tier; then the
-	// background prober takes over.
-	gw.ProbeNow(ctx)
-	go gw.Run(ctx)
+	// background prober takes over until the process exits (requests
+	// still draining keep routing on fresh state).
+	gw.ProbeNow(context.Background())
+	go gw.Run(context.Background())
 
-	health := httpguard.NewHealth(httpguard.Check{Name: "backends", Probe: gw.ReadyCheck})
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", health.Healthz)
-	mux.HandleFunc("/readyz", health.Readyz)
-	mux.HandleFunc("/gateway/status", gw.ServeStatus)
-	if *pprofOn {
-		httpguard.MountPprof(mux)
-		log.Printf("pprof mounted at /debug/pprof/")
+	root := httpguard.Root{
+		Addr:        *addr,
+		Health:      httpguard.NewHealth(httpguard.Check{Name: "backends", Probe: gw.ReadyCheck}),
+		MaxInflight: *maxInflight,
+		Pprof:       *pprofOn,
+		Exempt:      map[string]http.Handler{"/gateway/status": http.HandlerFunc(gw.ServeStatus)},
+		App:         gw,
 	}
-	mux.Handle("/", httpguard.Admission(*maxInflight, time.Second, gw))
-
 	log.Printf("gateway on %s: primary %s, %d replica(s)", *addr, *primary, len(replicas))
-	if err := httpguard.ListenAndServe(ctx, *addr, mux, httpguard.ServeOptions{
-		Health: health,
-		Logf:   log.Printf,
-	}); err != nil {
-		log.Fatalf("serve: %v", err)
+	if err := root.Run(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -39,8 +39,9 @@
 // drain has begun. Requests (outside the health and replication
 // mounts) pass admission control — past -max-inflight concurrent
 // requests they are shed with 503 + Retry-After rather than queued.
-// SIGINT/SIGTERM drain gracefully: readiness flips first, in-flight
-// requests finish, then the persister flushes its WAL and exits.
+// SIGINT/SIGTERM drain gracefully: readiness flips first, replication
+// streams end, in-flight requests finish, then the persister flushes
+// its WAL (exit status: httpguard.Root.Run).
 //
 // Three sessions are pre-registered: "nsfw-probe" (NSFW view enabled)
 // and "off-probe" (offensive view enabled) for the differential crawl,
@@ -49,18 +50,11 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"sort"
-	"strings"
-	"syscall"
-	"time"
 
 	"dissenter/internal/dissenterweb"
 	"dissenter/internal/eventlog"
@@ -87,7 +81,7 @@ func main() {
 	out := synth.Generate(synth.NewConfig(*scale, *seed))
 	db := out.DB
 
-	health := httpguard.NewHealth()
+	var checks []httpguard.Check
 	var pers *eventlog.Persister
 	if *dataDir != "" {
 		restored, skipped, err := eventlog.RestoreDir(*dataDir)
@@ -109,7 +103,7 @@ func main() {
 		// Readiness tracks durability: a sticky persister failure means
 		// this instance is acking writes it can no longer persist — pull
 		// it from rotation while it keeps serving what it has.
-		health.AddCheck(httpguard.Check{Name: "persister", Probe: pers.Err})
+		checks = append(checks, httpguard.Check{Name: "persister", Probe: pers.Err})
 		log.Printf("persisting events to %s", *dataDir)
 	}
 	census := db.Census()
@@ -124,13 +118,12 @@ func main() {
 	}
 	gab := gabapi.NewServer(db, gabOpts...)
 
-	webOpts := []dissenterweb.Option{dissenterweb.WithHealth(health)}
+	var webOpts []dissenterweb.Option
 	if *urlLimit >= 0 {
 		webOpts = append(webOpts, dissenterweb.WithURLRateLimit(*urlLimit, 60*1e9))
 	}
 	web := dissenterweb.NewServer(db, webOpts...)
-	web.RegisterSession("nsfw-probe", dissenterweb.Session{ShowNSFW: true})
-	web.RegisterSession("off-probe", dissenterweb.Session{ShowOffensive: true})
+	web.RegisterProbeSessions()
 	sessionBanner := "sessions: nsfw-probe, off-probe"
 	if active := db.ActiveUsers(); len(active) > 0 {
 		web.RegisterSession("writer", dissenterweb.Session{Username: active[0].Username})
@@ -171,54 +164,34 @@ func main() {
 		fmt.Fprintf(w, "max Gab ID: %d\n%s\n", db.MaxGabID(), sessionBanner)
 	})
 
-	// Admission bounds the simulated surfaces; the health endpoints
-	// (the load balancer must always reach them) and the replication
-	// stream (replicas falling behind make everything worse) stay
-	// outside it.
-	root := http.NewServeMux()
-	root.HandleFunc("/healthz", health.Healthz)
-	root.HandleFunc("/readyz", health.Readyz)
-	root.Handle("/replication/", &replica.Publisher{DB: db, Logf: log.Printf})
-	root.HandleFunc("/replication-status", func(w http.ResponseWriter, r *http.Request) {
-		// The primary mirrors the replica's machine-readable lag shape
-		// so the gateway's prober decodes one struct across the fleet:
-		// role "primary", head == applied, lag 0.
-		var durable uint64
-		var perr error
-		if pers != nil {
-			durable, perr = pers.Durable(), pers.Err()
-		}
-		replica.ServeStatus(w, replica.PrimaryStatus(db, durable, perr))
-	})
-	if *pprofOn {
-		// Like the health endpoints, profiling stays outside admission: a
-		// profile of a saturated process is the one worth taking.
-		httpguard.MountPprof(root)
-		log.Printf("pprof mounted at /debug/pprof/")
+	root := httpguard.Root{
+		Addr:        *addr,
+		Health:      httpguard.NewHealth(checks...),
+		MaxInflight: *maxInflight,
+		Pprof:       *pprofOn,
+		// The replication stream stays outside admission: replicas
+		// falling behind make everything worse.
+		Exempt: map[string]http.Handler{
+			"/replication/": &replica.Publisher{DB: db, Logf: log.Printf},
+			"/replication-status": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				// The primary mirrors the replica's machine-readable lag
+				// shape so the gateway's prober decodes one struct across
+				// the fleet: role "primary", head == applied, lag 0.
+				var durable uint64
+				var perr error
+				if pers != nil {
+					durable, perr = pers.Durable(), pers.Err()
+				}
+				replica.ServeStatus(w, replica.PrimaryStatus(db, durable, perr))
+			}),
+		},
+		App: mux,
 	}
-	root.Handle("/", httpguard.Admission(*maxInflight, time.Second, mux))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	log.Printf("serving on %s (max Gab ID %d)", *addr, db.MaxGabID())
-	err := httpguard.ListenAndServe(ctx, *addr, root, httpguard.ServeOptions{
-		Health: health,
-		Logf:   log.Printf,
-	})
-	// HTTP is drained; flush the WAL before exiting so the last acked
-	// batch is durable.
 	if pers != nil {
-		if cerr := pers.Close(); cerr != nil {
-			log.Printf("persister close: %v", cerr)
-			if err == nil {
-				err = cerr
-			}
-		} else {
-			log.Printf("persister flushed and closed (durable is current)")
-		}
+		root.Close = pers.Close
 	}
-	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintln(os.Stderr, strings.TrimSpace(err.Error()))
-		os.Exit(1)
+	log.Printf("serving on %s (max Gab ID %d)", *addr, db.MaxGabID())
+	if err := root.Run(); err != nil {
+		log.Fatal(err)
 	}
 }

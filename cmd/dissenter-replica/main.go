@@ -27,7 +27,7 @@
 // ones for this read-mostly corpus — readiness only steers the load
 // balancer; degraded responses carry an X-Served-Stale: 1 header so
 // callers can tell. SIGINT/SIGTERM drain in-flight requests, then
-// flush the local WAL before exit.
+// flush the local WAL before exit (exit status: httpguard.Root.Run).
 //
 // The probe sessions "nsfw-probe" and "off-probe" are pre-registered
 // with the same view settings as the primary's, so differential crawls
@@ -40,11 +40,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
-	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"dissenter/internal/dissenterweb"
@@ -74,8 +70,7 @@ func main() {
 			dissenterweb.ReadOnly(),
 			dissenterweb.WithURLRateLimit(*urlLimit, time.Minute),
 		)
-		web.RegisterSession("nsfw-probe", dissenterweb.Session{ShowNSFW: true})
-		web.RegisterSession("off-probe", dissenterweb.Session{ShowOffensive: true})
+		web.RegisterProbeSessions()
 		db.RegisterView(web.EventInvalidator())
 		handler.Store(http.Handler(web))
 		log.Printf("serving store at seq %d", db.EventSeq())
@@ -91,28 +86,16 @@ func main() {
 	ready := func() error { return rep.Ready(*staleAfter, *maxLag) }
 	health := httpguard.NewHealth(httpguard.Check{Name: "replication", Probe: ready})
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// The replication loop outlives the HTTP drain (in-flight reads
+	// keep getting fresher pages) and ends in the close hook.
+	runCtx, stopRun := context.WithCancel(context.Background())
 	runDone := make(chan struct{})
 	go func() {
-		rep.Run(ctx)
+		rep.Run(runCtx)
 		close(runDone)
 	}()
 
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", health.Healthz)
-	mux.HandleFunc("/readyz", health.Readyz)
-	mux.HandleFunc("/replication-status", func(w http.ResponseWriter, r *http.Request) {
-		// The machine-readable lag shape the gateway's prober consumes;
-		// the primary mirrors the same shape, so the prober decodes one
-		// struct for the whole fleet.
-		replica.ServeStatus(w, rep.StatusJSON())
-	})
-	if *pprofOn {
-		httpguard.MountPprof(mux)
-		log.Printf("pprof mounted at /debug/pprof/")
-	}
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+	app := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// Serve-stale: degraded replication never sheds reads, it just
 		// labels them, so callers (and tests) can tell a fresh page
 		// from a possibly-behind one.
@@ -128,20 +111,27 @@ func main() {
 		handler.Load().(http.Handler).ServeHTTP(w, r)
 	})
 
-	log.Printf("replica of %s serving read-only on %s (data in %s)", *primary, *addr, *dir)
-	serveErr := httpguard.ListenAndServe(ctx, *addr, mux, httpguard.ServeOptions{
+	root := httpguard.Root{
+		Addr:   *addr,
 		Health: health,
-		Logf:   log.Printf,
-	})
-	stop() // end the replication loop even when Serve failed on its own
-	<-runDone
-	if err := rep.Close(); err != nil {
-		log.Printf("replica close: %v", err)
-	} else {
-		log.Printf("replica flushed and closed (durable is current)")
+		Pprof:  *pprofOn,
+		Exempt: map[string]http.Handler{
+			// The machine-readable lag shape the gateway's prober
+			// consumes; the primary mirrors the same shape, so the
+			// prober decodes one struct for the whole fleet.
+			"/replication-status": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				replica.ServeStatus(w, rep.StatusJSON())
+			}),
+		},
+		App: app,
+		Close: func() error {
+			stopRun()
+			<-runDone
+			return rep.Close()
+		},
 	}
-	if serveErr != nil {
-		fmt.Fprintln(os.Stderr, strings.TrimSpace(serveErr.Error()))
-		os.Exit(1)
+	log.Printf("replica of %s serving read-only on %s (data in %s)", *primary, *addr, *dir)
+	if err := root.Run(); err != nil {
+		log.Fatal(err)
 	}
 }

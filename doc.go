@@ -45,14 +45,14 @@
 // CommentAdded, FollowAdded, VoteCast) to the store's append-only
 // event log, and fans it out to the registered materialized views —
 // no write path hand-wires a ranking update. The log is the
-// multi-backend seam: DB.ReplayInto re-applies the sequence into
-// another store through the same write paths, rebuilding its base
-// indexes and views; replaying one log into two fresh stores yields
+// multi-backend seam: feeding DB.EventsSince to another store's
+// DB.ApplyEvent re-applies the sequence through the same write paths,
+// rebuilding its base indexes and views; replaying one log into two fresh stores yields
 // identical view states (the determinism test pins this), so a
 // persistent or remote backend only has to consume events, never scan.
 // Views attach through the exported platform.View interface
-// (Name/Apply/Rebuild, registered with DB.RegisterView) — the four
-// built-in rankings and the web layer's replica cache invalidator all
+// (Name/Apply/Rebuild, registered with DB.RegisterView) — the three
+// built-in views and the web layer's replica cache invalidator all
 // use the same seam.
 //
 // The event stream is also the durability and replication contract.
@@ -71,7 +71,7 @@
 // crash-recovery test that kill -9s a real replica child process
 // mid-stream and diffs every page after restart.
 //
-// The hot read path never scans the store; three rankings and one
+// The hot read path never scans the store; two rankings and one
 // content view are write-maintained over that event stream. The Gab
 // Trends ranking bumps per-URL visibility-class counters on
 // CommentAdded and re-offers the URL to a bounded top-50 structure per
@@ -82,17 +82,15 @@
 // downvotes sink a URL — so it uses rankheap.Exact, which remembers
 // every URL across an elite top-50 heap and an overflow heap and stays
 // exact under decrease-key at O(log #URLs) per vote, with per-URL
-// sequence stamps resolving out-of-order offers. The follower-count
-// ranking (DB.TopFollowed) counts are monotone again (no unfollow
-// surface) and reuses the bounded TopK shape. Oracle equivalence tests
-// pin each ranking's exact agreement with a full scan under concurrent
-// writes. Bulk readers (Validate, Census, analyses) iterate through
+// sequence stamps resolving out-of-order offers. Oracle equivalence
+// tests pin each ranking's exact agreement with a full scan under
+// concurrent writes. Bulk readers (Validate, Census, analyses) iterate through
 // the zero-copy RangeUsers/RangeURLs/RangeComments accessors, which
 // pin the append-only insertion log under a brief read lock and walk
 // it in place; no HTTP handler materializes a whole-store slice
 // snapshot.
 //
-// The fourth view is content, not ordering: the discussion/home
+// The third view is content, not ordering: the discussion/home
 // fragment view (internal/platform/pageindex.go) memoizes each
 // comment's pre-escaped HTML row once at write time (comments are
 // immutable, so the fragment never changes) and maintains, per URL,
@@ -118,13 +116,13 @@
 // shadow-overlay opt-ins never share cached pages with anonymous
 // sessions (the leaderboard is view-independent — votes carry no
 // overlay — and caches under one key). Misses coalesce through
-// respcache.GetOrFill (singleflight): N concurrent requests on one
-// cold key run ONE render, with the fill's epoch snapshotted under the
-// same lock acquisition that published the flight, so a fill racing an
+// respcache.GetOrFillRev (singleflight): N concurrent requests on one
+// cold key run ONE render, with the fill's Rev stamped under the same
+// lock acquisition that published the flight, so a fill racing an
 // invalidation is handed to its waiters but never cached stale.
 // Coherence rules: discussion pages cache STRUCTURED entries (stable
 // head, mutable vote/count span, fragment stream), so a vote patches
-// two integers in place (respcache.Update) and a posted comment swaps
+// two integers in place (respcache.UpdateRev) and a posted comment swaps
 // in the view's grown stream — the page's escaped HTML is never
 // discarded; a view with no live entry falls back to exact-key
 // invalidation, whose tombstone discards racing fills. A posted

@@ -28,6 +28,9 @@ func newIsolatedServer(t *testing.T, opts ...Option) (*Server, *httptest.Server,
 	return s, srv, priv
 }
 
+// cacheGet probes the response cache by exact key.
+func (s *Server) cacheGet(key string) (page, bool) { return s.cache.GetBytes([]byte(key)) }
+
 // busyURL returns a URL in o with at least one visible comment.
 func busyURL(t *testing.T, o *synth.Output) *platform.CommentURL {
 	t.Helper()

@@ -1,10 +1,6 @@
 package dissenterweb
 
-import (
-	"net/http"
-
-	"dissenter/internal/respcache"
-)
+import "net/http"
 
 // The vote leaderboard: the most net-upvoted comment pages, Figure 5's
 // ordering, served from the store's write-maintained vote index
@@ -29,22 +25,9 @@ var leaderKey = []byte(SubjectLeaderboard)
 
 // handleLeaderboard renders the net-vote leaderboard.
 func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
-	if s.cache == nil {
-		writePage(w, page{simple: s.leaderboardBody()})
-		return
-	}
-	// Same probe-then-fill shape as the keyed handlers; GetBytes leaves
-	// miss accounting to the GetOrFillRev fall-through.
-	if p, ok := s.cache.GetBytes(leaderKey); ok {
-		s.respond(w, r, p)
-		return
-	}
-	p, _ := s.cache.GetOrFillRev(SubjectLeaderboard, func(rev respcache.Rev) page {
-		p := page{simple: s.leaderboardBody(), rev: rev, resp: &respBox{}}
-		p.resp.composed(&p)
-		return p
+	s.serveCached(w, r, leaderKey, func() page {
+		return page{simple: s.leaderboardBody()}
 	})
-	s.respond(w, r, p)
 }
 
 func (s *Server) leaderboardBody() string {

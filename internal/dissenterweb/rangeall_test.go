@@ -2,8 +2,8 @@ package dissenterweb
 
 import "dissenter/internal/platform"
 
-// Collect helpers over the platform.DB Range walks; the whole-store
-// snapshot accessors are deprecated.
+// Collect helpers over the platform.DB Range walks, for tests that
+// want a whole-store slice.
 
 func allUsers(db *platform.DB) []*platform.User {
 	var out []*platform.User

@@ -19,7 +19,7 @@ import (
 func TestReadOnlyRefusesWrites(t *testing.T) {
 	_, srv, priv := newIsolatedServer(t, ReadOnly(), WithURLRateLimit(0, 0))
 	cu := busyURL(t, priv)
-	before := priv.DB.EventCount()
+	before := priv.DB.EventSeq()
 
 	for _, target := range []string{
 		"/discussion/begin?url=" + url.QueryEscape("https://readonly.test/new"),
@@ -39,7 +39,7 @@ func TestReadOnlyRefusesWrites(t *testing.T) {
 	if resp.StatusCode != http.StatusForbidden {
 		t.Errorf("POST /discussion/comment = %d, want 403", resp.StatusCode)
 	}
-	if got := priv.DB.EventCount(); got != before {
+	if got := priv.DB.EventSeq(); got != before {
 		t.Fatalf("read-only server performed %d writes", got-before)
 	}
 	if resp, _ := fetch(t, srv.URL+"/trends", ""); resp.StatusCode != http.StatusOK {

@@ -10,7 +10,7 @@
 // its hot endpoints — comment listings, user profiles, trends — with an
 // LRU+TTL response cache keyed by endpoint, subject, and session view
 // (so shadow-overlay opt-ins never leak into another session's cached
-// page). Cache misses coalesce through respcache.GetOrFill, so a
+// page). Cache misses coalesce through respcache.GetOrFillRev, so a
 // stampede of concurrent requests on one cold hot page runs a single
 // render. Discussion pages cache STRUCTURED entries — the stable
 // pre-escaped head and comment stream separated from the mutable
@@ -226,6 +226,15 @@ func (s *Server) RegisterSession(token string, sess Session) {
 	s.sessions[token] = sess
 }
 
+// RegisterProbeSessions issues the two differential-crawl sessions,
+// "nsfw-probe" (NSFW view enabled) and "off-probe" (offensive view
+// enabled). Every process serving one corpus registers them through
+// here, so a crawl can hit primary and replicas interchangeably.
+func (s *Server) RegisterProbeSessions() {
+	s.RegisterSession("nsfw-probe", Session{ShowNSFW: true})
+	s.RegisterSession("off-probe", Session{ShowOffensive: true})
+}
+
 func (s *Server) session(r *http.Request) Session {
 	// sessionToken (respond.go) rather than r.Cookie: same cookie, none
 	// of Cookie's per-call parse allocations on the serving hot path.
@@ -276,8 +285,6 @@ func viewKey(sess Session) string {
 // entries can be dropped with exact deletes instead of a full-cache
 // prefix scan.
 var allViewKeys = [...]string{"00", "01", "10", "11"}
-
-func (s *Server) cacheGet(key string) (page, bool) { return s.cache.Get(key) }
 
 // invalidateSubject drops every session view of one cache subject
 // ("home|<author>|" or "trends|").
@@ -372,6 +379,34 @@ func (s *Server) refreshDiscussion(raw string, urlID ids.ObjectID) {
 			s.cache.Invalidate(key)
 		}
 	}
+}
+
+// serveCached is the read path every cached endpoint shares. key is
+// the entry's exact cache key, built by the caller into a stack buffer
+// so the hit — a GetBytes probe answered through respond — allocates
+// nothing. On a miss, GetOrFillRev coalesces concurrent requests onto
+// one render and stamps the generation; the fill composes eagerly, so
+// the response bytes and gzip variant are built once per generation,
+// not by the first hit that happens to want them. GetBytes leaves miss
+// accounting to the GetOrFillRev fall-through. With caching disabled
+// the render is streamed as-is.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte, render func() page) {
+	if s.cache == nil {
+		writePage(w, render())
+		return
+	}
+	if p, ok := s.cache.GetBytes(key); ok {
+		s.respond(w, r, p)
+		return
+	}
+	p, _ := s.cache.GetOrFillRev(string(key), func(rev respcache.Rev) page {
+		p := render()
+		p.rev = rev
+		p.resp = &respBox{}
+		p.resp.composed(&p)
+		return p
+	})
+	s.respond(w, r, p)
 }
 
 // CacheStats exposes the response cache's hit/miss counters (zero when
@@ -557,22 +592,10 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request, username str
 		return
 	}
 	sess := s.session(r)
-	if s.cache == nil {
-		writePage(w, page{simple: s.homeBody(u, sess)})
-		return
-	}
 	var kb [128]byte
-	key := appendSubjectKey(kb[:0], SubjectHome, username, sess)
-	if p, ok := s.cache.GetBytes(key); ok {
-		s.respond(w, r, p)
-		return
-	}
-	p, _ := s.cache.GetOrFillRev(string(key), func(rev respcache.Rev) page {
-		p := page{simple: s.homeBody(u, sess), rev: rev, resp: &respBox{}}
-		p.resp.composed(&p)
-		return p
+	s.serveCached(w, r, appendSubjectKey(kb[:0], SubjectHome, username, sess), func() page {
+		return page{simple: s.homeBody(u, sess)}
 	})
-	s.respond(w, r, p)
 }
 
 // homeBody assembles a home page from the write-maintained listing and
@@ -638,26 +661,10 @@ func (s *Server) handleDiscussion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess := s.session(r)
-	if s.cache == nil {
-		writePage(w, s.discussionPage(cu, sess.ShowNSFW, sess.ShowOffensive))
-		return
-	}
 	var kb [512]byte
-	key := appendSubjectKey(kb[:0], SubjectDiscussion, raw, sess)
-	if p, ok := s.cache.GetBytes(key); ok {
-		s.respond(w, r, p)
-		return
-	}
-	p, _ := s.cache.GetOrFillRev(string(key), func(rev respcache.Rev) page {
-		p := s.discussionPage(cu, sess.ShowNSFW, sess.ShowOffensive)
-		p.rev = rev
-		p.resp = &respBox{}
-		// Compose eagerly: the response bytes and gzip variant are built
-		// once on fill, not on the first hit that happens to want them.
-		p.resp.composed(&p)
-		return p
+	s.serveCached(w, r, appendSubjectKey(kb[:0], SubjectDiscussion, raw, sess), func() page {
+		return s.discussionPage(cu, sess.ShowNSFW, sess.ShowOffensive)
 	})
-	s.respond(w, r, p)
 }
 
 // discussionPage fills one structured discussion entry from the

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dissenter/internal/platform"
-	"dissenter/internal/respcache"
 	"dissenter/internal/urlkit"
 )
 
@@ -39,22 +38,10 @@ import (
 // posted comment invalidates every cached trends view.
 func (s *Server) handleTrends(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(r)
-	if s.cache == nil {
-		writePage(w, page{simple: s.trendsBody(sess)})
-		return
-	}
 	var kb [16]byte
-	key := appendViewKey(append(kb[:0], SubjectTrends...), sess)
-	if p, ok := s.cache.GetBytes(key); ok {
-		s.respond(w, r, p)
-		return
-	}
-	p, _ := s.cache.GetOrFillRev(string(key), func(rev respcache.Rev) page {
-		p := page{simple: s.trendsBody(sess), rev: rev, resp: &respBox{}}
-		p.resp.composed(&p)
-		return p
+	s.serveCached(w, r, appendViewKey(append(kb[:0], SubjectTrends...), sess), func() page {
+		return page{simple: s.trendsBody(sess)}
 	})
-	s.respond(w, r, p)
 }
 
 func (s *Server) trendsBody(sess Session) string {

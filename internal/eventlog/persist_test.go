@@ -89,7 +89,7 @@ func TestPersisterRestore(t *testing.T) {
 
 // TestPersisterRotationCompacts pins the tentpole's unbounded-growth
 // fix: past the rotation threshold the persister cuts a snapshot,
-// truncates the in-memory log (EventBase advances, EventCount stays
+// truncates the in-memory log (EventBase advances, EventSeq stays
 // lifetime-correct), and the directory still restores to the full
 // state.
 func TestPersisterRotationCompacts(t *testing.T) {
@@ -119,12 +119,13 @@ func TestPersisterRotationCompacts(t *testing.T) {
 	if db.EventBase() == 0 {
 		t.Fatal("persister never compacted the in-memory log")
 	}
-	if got, want := db.EventCount(), writes+1; got != want {
-		t.Fatalf("EventCount = %d after compaction, want %d (base %d + tail %d)",
-			got, want, db.EventBase(), len(db.Events()))
+	tail, _ := db.EventsSince(db.EventBase())
+	if got, want := db.EventSeq(), uint64(writes+1); got != want {
+		t.Fatalf("EventSeq = %d after compaction, want %d (base %d + tail %d)",
+			got, want, db.EventBase(), len(tail))
 	}
-	if len(db.Events()) >= writes {
-		t.Fatalf("retained tail holds %d events — compaction did not shrink it", len(db.Events()))
+	if len(tail) >= writes {
+		t.Fatalf("retained tail holds %d events — compaction did not shrink it", len(tail))
 	}
 
 	restored, _, err := RestoreDir(dir)

@@ -5,8 +5,8 @@ import (
 	"dissenter/internal/platform"
 )
 
-// Collect helpers over the platform.DB Range walks; the whole-store
-// snapshot accessors are deprecated.
+// Collect helpers over the platform.DB Range walks, for tests that
+// want a whole-store slice.
 
 func allUsers(db *platform.DB) []*platform.User {
 	var out []*platform.User

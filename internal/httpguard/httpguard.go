@@ -1,6 +1,7 @@
 // Package httpguard is the serving stack's degradation layer: health
-// and readiness endpoints, admission control, and graceful shutdown,
-// shared by the primary and replica binaries.
+// and readiness endpoints, admission control (Admission), graceful
+// shutdown (Serve), and the one Root that assembles them, through
+// which the primary, replica and gateway binaries all start and stop.
 //
 // The split it enforces:
 //
@@ -13,17 +14,6 @@
 //     503 the moment any registered check fails or a drain begins, so
 //     a load balancer rotates the instance out while it keeps serving
 //     whatever it still can (a degraded replica answers stale reads).
-//
-// Admission bounds in-flight work instead of queueing it: past the
-// limit, requests get an immediate 503 with Retry-After, which keeps
-// latency bounded and tells well-behaved clients when to come back.
-//
-// Serve/ListenAndServe wrap http.Server with operational timeouts and
-// a context-driven drain: readiness flips first, in-flight requests
-// get DrainTimeout to finish, then the server closes. Long-lived
-// streams that must outlive the server's WriteTimeout bump their own
-// write deadlines per write (http.ResponseController), as the
-// replication publisher does.
 package httpguard
 
 import (
@@ -35,7 +25,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,11 +35,11 @@ type Check struct {
 	Probe func() error
 }
 
-// Health serves /healthz and /readyz for one process.
+// Health serves /healthz and /readyz for one process. The checks are
+// fixed at construction.
 type Health struct {
-	mu       sync.Mutex
 	checks   []Check
-	draining bool
+	draining atomic.Bool
 }
 
 // NewHealth builds a Health over the given readiness checks.
@@ -57,37 +47,22 @@ func NewHealth(checks ...Check) *Health {
 	return &Health{checks: checks}
 }
 
-// AddCheck registers another readiness check.
-func (h *Health) AddCheck(c Check) {
-	h.mu.Lock()
-	h.checks = append(h.checks, c)
-	h.mu.Unlock()
-}
-
 // SetDraining flips the draining state; a draining process reports
 // not-ready (so the load balancer stops sending new work) while
 // in-flight requests finish.
-func (h *Health) SetDraining(v bool) {
-	h.mu.Lock()
-	h.draining = v
-	h.mu.Unlock()
-}
+func (h *Health) SetDraining(v bool) { h.draining.Store(v) }
 
 // Failing runs every check and returns the failures as "name: error"
 // lines, sorted by name ("draining" first when a drain has begun).
 func (h *Health) Failing() []string {
-	h.mu.Lock()
-	checks := append([]Check(nil), h.checks...)
-	draining := h.draining
-	h.mu.Unlock()
 	var fails []string
-	for _, c := range checks {
+	for _, c := range h.checks {
 		if err := c.Probe(); err != nil {
 			fails = append(fails, fmt.Sprintf("%s: %v", c.Name, err))
 		}
 	}
 	sort.Strings(fails)
-	if draining {
+	if h.draining.Load() {
 		fails = append([]string{"draining"}, fails...)
 	}
 	return fails
@@ -130,9 +105,6 @@ func Admission(limit int, retryAfter time.Duration, next http.Handler) http.Hand
 	if limit <= 0 {
 		return next
 	}
-	if retryAfter <= 0 {
-		retryAfter = time.Second
-	}
 	secs := int(retryAfter / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -162,72 +134,70 @@ func JitterSeconds(max int) int {
 	return lo + rand.N(max-lo+1)
 }
 
-// ServeOptions tunes Serve/ListenAndServe.
+// The http.Server operational timeouts of everything Serve runs.
+// Handlers that legitimately outlive writeTimeout (streams) must bump
+// their own deadlines per write via http.ResponseController, as the
+// replication publisher does.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// ServeOptions tunes Serve.
 type ServeOptions struct {
-	// ReadHeaderTimeout (default 5s), ReadTimeout (default 30s),
-	// WriteTimeout (default 60s), and IdleTimeout (default 2m) are the
-	// http.Server operational timeouts. Handlers that legitimately
-	// outlive WriteTimeout (streams) must bump their own deadlines via
-	// http.ResponseController.
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	WriteTimeout      time.Duration
-	IdleTimeout       time.Duration
 	// DrainTimeout bounds graceful shutdown: how long in-flight
 	// requests get to finish once ctx ends (default 10s).
 	DrainTimeout time.Duration
 	// Health, when set, is flipped to draining the moment shutdown
 	// starts, so /readyz goes 503 before connections close.
 	Health *Health
-	// BaseContext, when set, becomes every request's base context; it
-	// is NOT the shutdown signal (that is Serve's ctx argument).
-	BaseContext context.Context
 	// Logf, when set, receives serve/drain diagnostics.
 	Logf func(format string, args ...any)
 }
 
-func (o *ServeOptions) fill() {
-	if o.ReadHeaderTimeout <= 0 {
-		o.ReadHeaderTimeout = 5 * time.Second
-	}
-	if o.ReadTimeout <= 0 {
-		o.ReadTimeout = 30 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 60 * time.Second
-	}
-	if o.IdleTimeout <= 0 {
-		o.IdleTimeout = 2 * time.Minute
-	}
-	if o.DrainTimeout <= 0 {
-		o.DrainTimeout = 10 * time.Second
-	}
-}
+// drainKey carries Serve's drain signal (a context cancelled when the
+// drain begins) in the context of every request it serves.
+type drainKey struct{}
 
-// ListenAndServe is Serve over a fresh TCP listener on addr.
-func ListenAndServe(ctx context.Context, addr string, h http.Handler, opt ServeOptions) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+// StreamContext returns the context a held-open response — one that
+// never finishes on its own, like the replication stream — must wait
+// on: it ends when the request does or, under Serve, the moment the
+// drain begins. http.Server.Shutdown does not cancel request contexts,
+// so a stream waiting on r.Context() alone pins every drain for the
+// whole DrainTimeout. The caller must call cancel when the stream
+// ends.
+func StreamContext(r *http.Request) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(r.Context())
+	drain, ok := ctx.Value(drainKey{}).(context.Context)
+	if !ok {
+		return ctx, cancel
 	}
-	return Serve(ctx, ln, h, opt)
+	stop := context.AfterFunc(drain, cancel)
+	return ctx, func() { stop(); cancel() }
 }
 
 // Serve runs an http.Server with operational timeouts over ln until
 // ctx ends, then drains gracefully: readiness flips to draining,
-// in-flight requests get DrainTimeout to finish, stragglers are cut.
-// It returns nil after a clean drain, the serve error otherwise.
+// StreamContext streams end, in-flight requests get DrainTimeout to
+// finish, stragglers are cut. It returns nil after a clean drain, the
+// serve error otherwise.
 func Serve(ctx context.Context, ln net.Listener, h http.Handler, opt ServeOptions) error {
-	opt.fill()
+	if opt.DrainTimeout <= 0 {
+		opt.DrainTimeout = 10 * time.Second
+	}
+	drain, beginDrain := context.WithCancel(context.Background())
+	defer beginDrain()
 	srv := &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: opt.ReadHeaderTimeout,
-		ReadTimeout:       opt.ReadTimeout,
-		WriteTimeout:      opt.WriteTimeout,
-		IdleTimeout:       opt.IdleTimeout,
-	}
-	if opt.BaseContext != nil {
-		srv.BaseContext = func(net.Listener) context.Context { return opt.BaseContext }
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		ConnContext: func(c context.Context, _ net.Conn) context.Context {
+			return context.WithValue(c, drainKey{}, drain)
+		},
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -240,6 +210,7 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler, opt ServeOption
 	if opt.Health != nil {
 		opt.Health.SetDraining(true)
 	}
+	beginDrain()
 	if opt.Logf != nil {
 		opt.Logf("httpguard: draining (up to %v)", opt.DrainTimeout)
 	}
@@ -247,8 +218,7 @@ func Serve(ctx context.Context, ln net.Listener, h http.Handler, opt ServeOption
 	defer cancel()
 	err := srv.Shutdown(dctx)
 	if err != nil {
-		// Stragglers (or long-lived streams) outlasted the drain
-		// window; cut them.
+		// Stragglers outlasted the drain window; cut them.
 		srv.Close()
 		if opt.Logf != nil {
 			opt.Logf("httpguard: drain incomplete: %v", err)

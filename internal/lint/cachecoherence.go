@@ -24,8 +24,6 @@ var dbMutators = map[string]bool{
 // it in place, or refill through the tombstone protocol.
 var coherenceMethods = map[string]bool{
 	"Invalidate":   true,
-	"Update":       true,
-	"GetOrFill":    true,
 	"UpdateRev":    true,
 	"GetOrFillRev": true,
 }
@@ -176,7 +174,7 @@ func runCacheCoherence(pass *Pass) error {
 		}
 		for _, m := range fi.mutations {
 			pass.Reportf(m.pos,
-				"DB.%s in %s without response-cache coherence: call Invalidate/Update/GetOrFill (directly or via a package helper) in the same function, or a reader can be served pre-write page state",
+				"DB.%s in %s without response-cache coherence: call Invalidate/UpdateRev/GetOrFillRev (directly or via a package helper) in the same function, or a reader can be served pre-write page state",
 				m.name, fi.name)
 		}
 	}

@@ -8,13 +8,9 @@
 // -vettool=$(dissenter-vet) ./...` runs it over every package; `make
 // lint` and CI do exactly that.
 //
-// The five analyzers turn the repository's load-bearing conventions —
+// The four analyzers turn the repository's load-bearing conventions —
 // previously enforced only by review and runtime tests — into build
 // failures:
-//
-//   - rangewalk: the deprecated DB.Users/URLs/Comments/Follows
-//     snapshot accessors (each copies the whole entity slice) are
-//     forbidden outside internal/platform; walk the Range* accessors.
 //
 //   - viewpurity: platform.View Apply/Rebuild implementations, and
 //     everything reachable from them inside their package, must not
@@ -25,8 +21,8 @@
 //
 //   - cachecoherence: in internal/dissenterweb, a function calling a
 //     DB mutation must perform response-cache coherence (Invalidate,
-//     Update, or GetOrFill — directly or via a package helper) in the
-//     same body, and cache-subject strings (disc|, home|, trends|,
+//     UpdateRev, or GetOrFillRev — directly or via a package helper)
+//     in the same body, and cache-subject strings (disc|, home|, trends|,
 //     leader|) must come from the shared Subject* constants in
 //     cachekeys.go, never fresh literals.
 //

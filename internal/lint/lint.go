@@ -56,9 +56,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the project's five analyzers in reporting order.
+// Analyzers returns the project's four analyzers in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{RangeWalk, ViewPurity, CacheCoherence, LockScope, WireCompat}
+	return []*Analyzer{ViewPurity, CacheCoherence, LockScope, WireCompat}
 }
 
 // Run executes the analyzers over one type-checked package and returns

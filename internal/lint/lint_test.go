@@ -9,13 +9,6 @@ import (
 
 const src = "testdata/src"
 
-func TestRangeWalk(t *testing.T) {
-	linttest.Run(t, src, "rangewalk/bad", lint.RangeWalk)
-	linttest.Run(t, src, "rangewalk/ok", lint.RangeWalk)
-	// The owning package is exempt even though it calls the accessors.
-	linttest.Run(t, src, "dissenter/internal/platform", lint.RangeWalk)
-}
-
 func TestViewPurity(t *testing.T) {
 	linttest.Run(t, src, "viewpurity/bad", lint.ViewPurity)
 	linttest.Run(t, src, "viewpurity/ok", lint.ViewPurity)

@@ -5,7 +5,7 @@
 // packages like sync and os), and expected diagnostics are declared in
 // the fixture source as trailing comments:
 //
-//	db.Users() // want `deprecated snapshot accessor`
+//	s.db.Vote(1, 1, 0) // want `DB\.Vote in handleVote without response-cache coherence`
 //
 // A want comment holds one or more Go-quoted regular expressions; each
 // must match exactly one diagnostic reported on its line. A fixture

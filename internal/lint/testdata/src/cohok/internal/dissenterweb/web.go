@@ -22,28 +22,15 @@ func (s *server) handleVote() {
 	s.cache.Invalidate(subjectLeaderboard)
 }
 
-// handleComment reaches coherence through a package helper.
+// handleComment reaches coherence through a package helper: an
+// in-place patch, falling back to a refill.
 func (s *server) handleComment() {
 	s.db.AddComment(nil)
 	s.refresh()
 }
 
 func (s *server) refresh() {
-	if !s.cache.Update(subjectTrends+"00", func(v string) string { return v }) {
-		s.cache.Invalidate(subjectTrends + "00")
-	}
-}
-
-// handleVoteComposed mutates and patches through the composed-response
-// layer's stamped variants; the analyzer must count UpdateRev and
-// GetOrFillRev as coherence just like their unstamped forms.
-func (s *server) handleVoteComposed() {
-	s.db.Vote(2, 0, 1)
-	s.refreshComposed()
-}
-
-func (s *server) refreshComposed() {
-	if !s.cache.UpdateRev(subjectTrends+"01", func(v string, _ respcache.Rev) string { return v }) {
-		_, _ = s.cache.GetOrFillRev(subjectTrends+"01", func(respcache.Rev) string { return "" })
+	if !s.cache.UpdateRev(subjectTrends+"00", func(v string, _ respcache.Rev) string { return v }) {
+		_, _ = s.cache.GetOrFillRev(subjectTrends+"00", func(respcache.Rev) string { return "" })
 	}
 }

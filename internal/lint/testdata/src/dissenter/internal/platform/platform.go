@@ -27,18 +27,6 @@ type View interface {
 
 type DB struct{ users []*User }
 
-// Deprecated snapshot accessors (rangewalk's quarry).
-func (db *DB) Users() []*User       { return nil }
-func (db *DB) URLs() []string       { return nil }
-func (db *DB) Comments() []*Comment { return nil }
-func (db *DB) Follows() []int64     { return nil }
-
-// Range walks, the sanctioned replacements.
-func (db *DB) RangeUsers(f func(*User) bool)       {}
-func (db *DB) RangeURLs(f func(string) bool)       {}
-func (db *DB) RangeComments(f func(*Comment) bool) {}
-func (db *DB) RangeFollows(f func(int64) bool)     {}
-
 // Write path (viewpurity's and cachecoherence's quarry).
 func (db *DB) AddUser(u *User) error             { return nil }
 func (db *DB) SubmitURL(url string) error        { return nil }
@@ -49,8 +37,5 @@ func (db *DB) RegisterView(v View)               {}
 func (db *DB) ApplyEvent(ev Event)               {}
 
 // Read surface views may use freely.
-func (db *DB) URLByID(id int64) string { return "" }
-
-// rebuildAll exercises rangewalk's exemption: the package that owns
-// the deprecated accessors may still call them.
-func rebuildAll(db *DB) int { return len(db.Users()) }
+func (db *DB) URLByID(id int64) string       { return "" }
+func (db *DB) RangeUsers(f func(*User) bool) {}

@@ -5,18 +5,7 @@ package respcache
 
 type Cache[V any] struct{}
 
-func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
-	return zero, false
-}
-
-func (c *Cache[V]) GetOrFill(key string, fill func() V) (V, bool) {
-	return fill(), false
-}
-
 func (c *Cache[V]) Invalidate(key string) {}
-
-func (c *Cache[V]) Update(key string, f func(V) V) bool { return false }
 
 type Rev struct {
 	Epoch, Seq uint64

@@ -29,7 +29,7 @@ func (b *box) withCallback(f func()) {
 }
 
 // earlyReturn releases on the fast path in a branch AND has the
-// same-block unlock for the slow path — the GetOrFill shape.
+// same-block unlock for the slow path — the GetOrFillRev shape.
 func (b *box) earlyReturn(cond bool) int {
 	b.mu.Lock()
 	if cond {

@@ -12,11 +12,11 @@ import (
 // indexes, then calls dispatch, which appends a typed Event to the
 // store's sequence-numbered event log and fans it out to every
 // registered View. Materialized views (the trends ranking, the
-// net-vote leaderboard, the follower-count ranking, the page-fragment
-// view) therefore never hand-wire themselves into individual write
-// methods; adding a view is implementing View and handing it to
-// RegisterView — the one public seam event consumers attach through,
-// in-process views and replication subscribers alike.
+// net-vote leaderboard, the page-fragment view) therefore never
+// hand-wire themselves into individual write methods; adding a view is
+// implementing View and handing it to RegisterView — the one public
+// seam event consumers attach through, in-process views and
+// replication subscribers alike.
 //
 // The log is also the store's replication seam: every event carries an
 // implicit 1-based sequence number (its position in dispatch order),
@@ -31,8 +31,8 @@ import (
 // The log does not grow without bound: CompactLog drops a durable
 // prefix once a snapshot covers it (eventlog.Persister does this after
 // writing one), leaving EventBase() compacted events plus the retained
-// tail. EventCount and EventSeq keep counting from the store's birth —
-// count = snapshot base + tail.
+// tail. EventSeq keeps counting from the store's birth — head =
+// snapshot base + tail.
 //
 // Ordering: the log records the interleaving the dispatchers won, not
 // a global serialization of the shard locks, so under write
@@ -97,13 +97,13 @@ func (db *DB) ApplyEvent(ev Event) { ev.applyTo(db) }
 // View is a write-maintained materialized view hanging off a DB:
 // dispatch hands it every event, synchronously, after the base indexes
 // already reflect the mutation. This is the one public seam event
-// consumers attach through — the four built-in views (trends,
-// leaderboard, followers, pages) register through it in New, and
+// consumers attach through — the three built-in views (trends,
+// leaderboard, pages) register through it in New, and
 // out-of-process consumers (the replica's cache invalidator) register
 // through it at attach time.
 type View interface {
-	// Name labels the view for diagnostics (ViewNames); it carries no
-	// registration semantics.
+	// Name labels the view for diagnostics; it carries no registration
+	// semantics.
 	Name() string
 	// Apply folds one event into the view. It must be safe for
 	// concurrent use (views shard their counters and keep their order
@@ -136,18 +136,6 @@ func (db *DB) RegisterView(v View) {
 	v.Rebuild(db)
 }
 
-// ViewNames lists the registered views' names in registration order.
-func (db *DB) ViewNames() []string {
-	db.eventMu.Lock()
-	views := db.views
-	db.eventMu.Unlock()
-	out := make([]string, len(views))
-	for i, v := range views {
-		out[i] = v.Name()
-	}
-	return out
-}
-
 // dispatch appends the event to the log, wakes any AwaitEvents
 // waiters, and fans the event out to every registered view. It runs
 // after the write method's base-index updates, so a caller that
@@ -169,23 +157,6 @@ func (db *DB) dispatch(ev Event) {
 	}
 }
 
-// Events returns the retained tail of the runtime mutation log in
-// append order: a stable snapshot of the events dispatched since the
-// last compaction point (construction-time bulk data is not events —
-// see Checkpoint for the snapshot that covers it). The event at index
-// i carries sequence number EventBase()+i+1; before any CompactLog the
-// tail is the whole log. Like the Range accessors, the snapshot pins
-// the log's current length; events appended afterwards are not
-// included. The capacity is clipped to the length, so a caller
-// appending to the snapshot reallocates instead of racing dispatch for
-// the live log's spare backing array.
-func (db *DB) Events() []Event {
-	db.eventMu.Lock()
-	out := db.events[:len(db.events):len(db.events)]
-	db.eventMu.Unlock()
-	return out
-}
-
 // EventSeq returns the sequence number of the most recently dispatched
 // event — 0 on a store that has never dispatched. Sequence numbers are
 // 1-based positions in dispatch order and survive compaction: they
@@ -199,26 +170,20 @@ func (db *DB) EventSeq() uint64 {
 
 // EventBase returns the compaction point: the number of leading events
 // no longer resident in memory because a snapshot covers them
-// (CompactLog). Events() holds the tail after this point.
+// (CompactLog). EventsSince(EventBase()) holds the tail after this
+// point.
 func (db *DB) EventBase() uint64 {
 	db.eventMu.Lock()
 	defer db.eventMu.Unlock()
 	return db.eventBase
 }
 
-// EventCount reports how many events the store has dispatched in its
-// lifetime: the compacted prefix plus the retained tail (count =
-// snapshot base + tail), NOT just the resident events — the count is
-// unaffected by compaction.
-func (db *DB) EventCount() int {
-	db.eventMu.Lock()
-	defer db.eventMu.Unlock()
-	return int(db.eventBase) + len(db.events)
-}
-
 // EventsSince returns the retained events after sequence point since
-// (the event with sequence since+1 first), as a stable snapshot. ok is
-// false when the prefix through since has been compacted away
+// (the event with sequence since+1 first), as a stable snapshot: like
+// the Range accessors it pins the log's current length, and its
+// capacity is clipped to that length, so a caller appending to it
+// reallocates instead of racing dispatch for the live log's spare
+// backing array. ok is false when the prefix through since has been compacted away
 // (since < EventBase()), in which case the caller must restart from a
 // snapshot — the replication stream returns 410 Gone for this.
 func (db *DB) EventsSince(since uint64) (evs []Event, ok bool) {
@@ -257,8 +222,8 @@ func (db *DB) AwaitEvents(seq uint64, done <-chan struct{}) bool {
 }
 
 // CompactLog drops the log prefix through sequence point upTo,
-// releasing its memory; EventBase() advances to upTo and Events()
-// keeps only the tail. Callers must hold a durable snapshot at a
+// releasing its memory; EventBase() advances to upTo and only the
+// tail stays resident. Callers must hold a durable snapshot at a
 // sequence point >= upTo first (eventlog.Persister compacts only after
 // fsyncing one) — the dropped events are unrecoverable from this store
 // otherwise. Requests past the head are clamped. It returns the number
@@ -281,28 +246,6 @@ func (db *DB) CompactLog(upTo uint64) int {
 	db.events = tail
 	db.eventBase = upTo
 	return drop
-}
-
-// ReplayInto re-applies this store's retained event tail, in order,
-// into dst — rebuilding dst's base indexes AND its materialized views
-// through the normal write paths. dst must already reflect the log's
-// base: a fresh store built with New from the same construction-time
-// entities when EventBase() is 0, or a store built with FromCheckpoint
-// of the snapshot the log was compacted against (replaying into a
-// store that already saw some of the events double-applies the
-// non-idempotent ones: comments, votes, follows). The entity RECORDS
-// may be shared — they are immutable — but the seed SLICES handed to
-// each New must have private backing arrays: New retains and appends
-// to them, and two stores appending into one array's spare capacity
-// overwrite each other's entity logs. It returns the number of events
-// replayed. Replay is deterministic: the same log replayed into two
-// fresh stores produces identical view states.
-func (db *DB) ReplayInto(dst *DB) int {
-	events := db.Events()
-	for _, ev := range events {
-		dst.ApplyEvent(ev)
-	}
-	return len(events)
 }
 
 // eventName returns the event's stable wire name — the identity the

@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -146,35 +147,51 @@ func viewFingerprint(db *DB) string {
 	for _, e := range db.Leaderboard() {
 		out += fmt.Sprintf(" %s=%d/%d", e.URL.URL, e.Ups, e.Downs)
 	}
-	out += "\nfollowed:"
-	for _, e := range db.TopFollowed() {
-		out += fmt.Sprintf(" %d=%d", e.User.GabID, e.Followers)
+	// Concurrent writers land in the entity slices in lock order, not
+	// log order, so walk users and URLs by key, not by Range order; each
+	// reverse-index list is already ascending.
+	users := allUsers(db)
+	sort.Slice(users, func(i, j int) bool { return users[i].GabID < users[j].GabID })
+	out += "\nfollowers:"
+	for _, u := range users {
+		if froms := db.Followers(u.GabID); len(froms) > 0 {
+			out += fmt.Sprintf(" %d<-%v", u.GabID, froms)
+		}
 	}
+	urls := allURLs(db)
+	sort.Slice(urls, func(i, j int) bool { return urls[i].URL < urls[j].URL })
 	out += "\ntallies:"
-	db.RangeURLs(func(cu *CommentURL) bool {
+	for _, cu := range urls {
 		ups, downs := db.Votes(cu.ID)
 		out += fmt.Sprintf(" %s=%d/%d", cu.URL, ups, downs)
-		return true
-	})
+	}
 	return out
 }
 
 // TestReplayDeterminism is the multi-backend seam's contract: the
-// event log of a store that took concurrent writes, replayed into two
-// fresh stores built from the same seed entities, must produce
-// identical view states — and those states must match the source
-// store's own views, since the views are maintained from the same
-// events the log records.
+// event log of a store that took concurrent writes, replayed
+// (EventsSince → ApplyEvent) into two fresh stores built from the same
+// seed entities, must produce identical view states — and those states
+// must match the source store's own views, since the views are
+// maintained from the same events the log records. The other way to
+// clone a store, Checkpoint → FromCheckpoint, must land on the same
+// state at the same sequence point.
 func TestReplayDeterminism(t *testing.T) {
 	src := freshReplayTarget()
 	mutateForReplay(src)
 
+	events, ok := src.EventsSince(0)
+	if !ok || len(events) == 0 {
+		t.Fatalf("EventsSince(0) = %d events, ok %v on an uncompacted log", len(events), ok)
+	}
 	dst1 := freshReplayTarget()
 	dst2 := freshReplayTarget()
-	n1 := src.ReplayInto(dst1)
-	n2 := src.ReplayInto(dst2)
-	if n1 != n2 || n1 == 0 {
-		t.Fatalf("replayed %d then %d events", n1, n2)
+	for _, ev := range events {
+		dst1.ApplyEvent(ev)
+		dst2.ApplyEvent(ev)
+	}
+	if dst1.EventSeq() != src.EventSeq() {
+		t.Fatalf("replayed store at seq %d, source at %d", dst1.EventSeq(), src.EventSeq())
 	}
 
 	fp1, fp2 := viewFingerprint(dst1), viewFingerprint(dst2)
@@ -192,9 +209,16 @@ func TestReplayDeterminism(t *testing.T) {
 	}
 	checkTrendsEquivalence(t, dst1)
 	checkLeaderboardEquivalence(t, dst1)
-	checkTopFollowedEquivalence(t, dst1)
 	if src.Census() != dst1.Census() {
 		t.Fatalf("census diverged: src %+v, replayed %+v", src.Census(), dst1.Census())
+	}
+
+	restored := FromCheckpoint(src.Checkpoint())
+	if restored.EventSeq() != src.EventSeq() {
+		t.Fatalf("restored store at seq %d, source at %d", restored.EventSeq(), src.EventSeq())
+	}
+	if fp := viewFingerprint(restored); fp != fp1 {
+		t.Fatalf("checkpoint restore diverges from replay:\n--- restored ---\n%s\n--- replayed ---\n%s", fp, fp1)
 	}
 }
 

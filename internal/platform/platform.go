@@ -13,8 +13,8 @@
 // store.go for the write paths and the snapshot discipline, and
 // events.go for the event-dispatch pipeline every write ends in — the
 // seam that feeds the materialized views (trendindex.go, voteindex.go,
-// followindex.go) and makes the mutation history replayable
-// (DB.ReplayInto).
+// pageindex.go) and makes the mutation history replayable
+// (DB.EventsSince → DB.ApplyEvent).
 package platform
 
 import (

@@ -2,10 +2,8 @@ package platform
 
 import "dissenter/internal/ids"
 
-// Collect helpers over the Range walks. Tests that want a whole-store
-// slice go through these rather than the deprecated snapshot accessors
-// (Users/URLs/Comments/Follows), so the streaming surface is the one
-// the suite exercises.
+// Collect helpers over the Range walks, for tests that want a
+// whole-store slice.
 
 func allUsers(db *DB) []*User {
 	var out []*User

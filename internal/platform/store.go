@@ -26,7 +26,7 @@ import (
 // it appends a typed event to the store's log and fans it out to the
 // registered materialized views, which is both how the rankings below
 // stay write-maintained and how another backend would consume this
-// store's mutations (ReplayInto).
+// store's mutations (EventsSince → ApplyEvent).
 type DB struct {
 	// gate serializes writers against checkpoint cuts: every write
 	// method holds it for read across its whole body (base-index
@@ -69,19 +69,17 @@ type DB struct {
 
 	// The write-maintained materialized views, all fed by dispatch:
 	// trends ranks URLs by visible comment count per session view
-	// (trendindex.go), leaders ranks URLs by net votes — Figure 5's
-	// ordering (voteindex.go) — and followRank ranks users by follower
-	// count (followindex.go). Each keeps sharded counters plus a
+	// (trendindex.go) and leaders ranks URLs by net votes — Figure 5's
+	// ordering (voteindex.go). Each keeps sharded counters plus a
 	// rankheap order structure, so writes stay O(1)-ish and the ranked
-	// reads (TopTrends, Leaderboard, TopFollowed) are O(page). pages is
-	// the discussion/home fragment view (pageindex.go): memoized
+	// reads (TopTrends, Leaderboard) are O(page). pages is the
+	// discussion/home fragment view (pageindex.go): memoized
 	// pre-escaped comment fragments, per-URL per-view comment streams,
 	// and per-author home lists — lazily materialized on first render,
 	// write-maintained afterwards.
-	trends     *trendIndex
-	leaders    *voteIndex
-	followRank *followIndex
-	pages      *pageIndex
+	trends  *trendIndex
+	leaders *voteIndex
+	pages   *pageIndex
 
 	maxGabID atomic.Int64
 }
@@ -100,9 +98,9 @@ type voteDelta struct {
 // retained (and appended to by the write paths); callers hand over
 // ownership of the slice headers AND their backing arrays — two stores
 // must never be built from slices sharing one backing array, though
-// sharing the immutable records themselves is fine (ReplayInto targets
-// do) — and must not mutate the records afterwards. Any argument may
-// be nil.
+// sharing the immutable records themselves is fine (a replay target's
+// seed does) — and must not mutate the records afterwards. Any
+// argument may be nil.
 //
 // Construction happens before the store is shared, so it bulk-builds
 // the grouped indexes — append everything, sort each list once —
@@ -126,7 +124,6 @@ func New(users []*User, urls []*CommentURL, comments []*Comment, follows map[ids
 		votes:            newShardedMap[ids.ObjectID, voteDelta](hashObjectID),
 		trends:           newTrendIndex(),
 		leaders:          newVoteIndex(),
-		followRank:       newFollowIndex(),
 		pages:            newPageIndex(),
 	}
 	db.seeded = len(users) > 0 || len(urls) > 0 || len(comments) > 0 || len(follows) > 0
@@ -168,7 +165,6 @@ func New(users []*User, urls []*CommentURL, comments []*Comment, follows map[ids
 	// just-built base indexes via its Rebuild hook.
 	db.RegisterView(db.trends)
 	db.RegisterView(db.leaders)
-	db.RegisterView(db.followRank)
 	db.RegisterView(db.pages)
 	return db
 }
@@ -439,8 +435,7 @@ func (db *DB) Followers(id ids.GabID) []ids.GabID {
 // immutable once inserted and the log is never shifted, so the walk is
 // safe against concurrent writers and sees a consistent prefix of the
 // store. Handlers and full-corpus analyses should iterate this way;
-// the slice-returning snapshot accessors below remain for callers that
-// genuinely need an indexable snapshot (tests, bulk export).
+// Checkpoint is the consistent cut for bulk export.
 
 // RangeUsers calls f for each user in insertion order until f returns
 // false. Users inserted after the call starts are not visited.
@@ -504,68 +499,7 @@ func (db *DB) RangeFollows(f func(from ids.GabID, tos []ids.GabID) bool) {
 	db.following.forEach(f)
 }
 
-// --- snapshot accessors -------------------------------------------------
-
-// The whole-store snapshot accessors below are deprecated: the read
-// surface a replica (or any future backend) must support is the
-// O(page)/streaming one — point lookups, the Range walks, and the
-// write-maintained views — not "hand me the whole store as a slice".
-// They remain for bulk export; new code should use RangeUsers /
-// RangeURLs / RangeComments / RangeFollows, or Checkpoint when a
-// consistent cut is required.
-
-// Users returns all users in insertion order. The slice is a stable
-// snapshot; callers must not modify it.
-//
-// Deprecated: iterate with RangeUsers instead; use Checkpoint for a
-// consistent bulk export.
-func (db *DB) Users() []*User {
-	db.mu.RLock()
-	out := db.users
-	db.mu.RUnlock()
-	return out
-}
-
-// URLs returns all comment-page URLs in insertion order. The slice is a
-// stable snapshot; callers must not modify it.
-//
-// Deprecated: iterate with RangeURLs instead; use Checkpoint for a
-// consistent bulk export.
-func (db *DB) URLs() []*CommentURL {
-	db.mu.RLock()
-	out := db.urls
-	db.mu.RUnlock()
-	return out
-}
-
-// Comments returns all comments in insertion order. The slice is a
-// stable snapshot; callers must not modify it.
-//
-// Deprecated: iterate with RangeComments instead; use Checkpoint for a
-// consistent bulk export.
-func (db *DB) Comments() []*Comment {
-	db.mu.RLock()
-	out := db.comments
-	db.mu.RUnlock()
-	return out
-}
-
-// Follows returns a copy of the follow-edge map, assembled from the
-// sharded forward index. The edge slices are shared snapshots; callers
-// must not modify them. Shards are visited in turn, so edges inserted
-// mid-call on an already-visited shard are missed — a bulk accessor
-// for quiesced stores (graph export), not a consistent cut.
-//
-// Deprecated: iterate with RangeFollows instead; use Checkpoint for a
-// consistent bulk export.
-func (db *DB) Follows() map[ids.GabID][]ids.GabID {
-	out := make(map[ids.GabID][]ids.GabID)
-	db.following.forEach(func(from ids.GabID, tos []ids.GabID) bool {
-		out[from] = tos
-		return true
-	})
-	return out
-}
+// --- derived listings ---------------------------------------------------
 
 // DissenterUsers returns users with Dissenter accounts.
 func (db *DB) DissenterUsers() []*User {

@@ -37,13 +37,11 @@ import (
 // always lands, so the structure converges to the full-scan ranking
 // the moment writes quiesce (the oracle equivalence test pins this).
 //
-// This was the template the other write-maintained views grew from —
-// the follower-count ranking (followindex.go) copies the bounded
-// shape (deriving counts from the followersOf index instead of its
-// own counters), and the net-vote leaderboard (voteindex.go) swaps
-// the bounded structure for rankheap.Exact because its scores are not
-// monotone. All three consume the same event stream (events.go): one
-// order structure per ranking, writes O(1)-ish, reads O(page).
+// This was the template the net-vote leaderboard (voteindex.go) grew
+// from; it swaps the bounded structure for rankheap.Exact because its
+// scores are not monotone. Both consume the same event stream
+// (events.go): one order structure per ranking, writes O(1)-ish,
+// reads O(page).
 
 // TrendLimit is how many URLs a trends rendering lists.
 const TrendLimit = 50

@@ -150,11 +150,11 @@ func TestVoteUnknownURLDropped(t *testing.T) {
 	}
 
 	phantom := gen.NewAt(time.Unix(1_600_000_100, 0))
-	before := db.EventCount()
+	before := db.EventSeq()
 	if db.Vote(phantom, 3, 1) {
 		t.Fatal("vote for an unknown urlID accepted")
 	}
-	if db.EventCount() != before {
+	if db.EventSeq() != before {
 		t.Fatal("dropped vote still appended an event")
 	}
 	if ups, downs := db.Votes(phantom); ups != 0 || downs != 0 {

@@ -12,8 +12,7 @@
 //     and if scores only ever improve, the evicted key can re-enter
 //     the true top K only by improving its own score — which is
 //     exactly the moment the caller calls Update again. The Gab Trends
-//     ranking (comment counts) and the follower-count ranking (follow
-//     edges are append-only) live in this regime.
+//     ranking (comment counts are append-only) lives in this regime.
 //
 //   - Exact is the non-monotone fallback: an exact top-K over scores
 //     that may DECREASE (net votes drop on a downvote). Bounding is

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dissenter/internal/eventlog"
+	"dissenter/internal/httpguard"
 	"dissenter/internal/platform"
 )
 
@@ -46,8 +47,9 @@ func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // serveEvents streams codec frames for every event after ?since=N and
 // then stays open, flushing each new batch as the store dispatches it.
-// The response never ends on its own; the client closes it (or the
-// stream dies with the connection). 410 Gone means the requested tail
+// The response never ends on its own: the client closes it, the
+// stream dies with the connection, or the serving process begins its
+// drain (httpguard.StreamContext). 410 Gone means the requested tail
 // cannot be served and the client must bootstrap from /snapshot.
 func (p *Publisher) serveEvents(w http.ResponseWriter, r *http.Request) {
 	since := uint64(0)
@@ -92,6 +94,8 @@ func (p *Publisher) serveEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush() // commit the status line so the client can start decoding
 
+	ctx, cancel := httpguard.StreamContext(r)
+	defer cancel()
 	cur := since
 	var buf []byte
 	for {
@@ -120,7 +124,7 @@ func (p *Publisher) serveEvents(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 			cur += uint64(len(evs))
 		}
-		if !db.AwaitEvents(cur, r.Context().Done()) {
+		if !db.AwaitEvents(cur, ctx.Done()) {
 			return
 		}
 	}

@@ -125,11 +125,6 @@ func TestReplicaCatchUp(t *testing.T) {
 	more := corpus(t, primary, 2, 15)
 	waitSeq(t, rep, primary.EventSeq())
 	assertConverged(t, primary, rep.DB(), append(urls, more...))
-
-	// The replica's own views were maintained by the same code path.
-	if got, want := len(rep.DB().ViewNames()), len(primary.ViewNames()); got != want {
-		t.Fatalf("replica has %d views, want %d", got, want)
-	}
 }
 
 // TestReplicaSnapshotBootstrap pins the 410 path: a primary seeded

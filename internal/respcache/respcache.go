@@ -8,45 +8,36 @@
 // convention; a mutation invalidates every view of one subject with
 // exact Invalidate calls over the enumerable view suffixes — or, for
 // entries whose mutable parts the writer can recompute cheaply,
-// patches the live entry in place with Update. Renders happen outside
-// the lock under the epoch protocol: the key's epoch is snapshotted
-// before reading the backing store, and the insert is discarded if the
-// key was invalidated in between — a render that raced a write is
-// never cached stale. GetOrFill (below) is the read path that drives
-// this protocol for every HTTP handler; the Epoch/PutAt pair it is
-// built on remains exported as the low-level escape hatch for callers
-// that need to separate the snapshot from the render themselves.
-// Entries expire TTL after insertion regardless of use (no
-// read-refresh): explicit invalidation is the primary mechanism and
-// the TTL is only a backstop against writes that bypass it.
+// patches the live entry in place with UpdateRev. Entries expire TTL
+// after insertion regardless of use (no read-refresh): explicit
+// invalidation is the primary mechanism and the TTL is only a
+// backstop against writes that bypass it.
 //
-// GetOrFill adds miss coalescing (singleflight) on top: N concurrent
-// misses on one key run ONE fill, and the waiters are handed the
-// filler's result directly. The fill composes with the tombstone
-// protocol — the filler's epoch is snapshotted under the same lock
-// acquisition that published its flight, so a fill racing an
-// invalidation of its key is served to the already-enqueued waiters
-// but never cached. Invalidate also detaches any in-flight fill for
-// the key, so a miss arriving AFTER the invalidation starts a fresh
-// fill instead of adopting the doomed one.
+// # The Rev protocol
 //
-// # Composed-response entries
+// Each content generation of a key is stamped with a Rev: the shard's
+// invalidation epoch plus a shard-monotonic sequence number, minted
+// under the same lock acquisition that makes the generation
+// reachable. The lifecycle is:
 //
-// For serving pre-composed response bytes (body + write-time gzip
-// variant + strong ETag) the cache stamps each content generation with
-// a Rev: the shard's invalidation epoch plus a shard-monotonic
-// sequence number, minted under the same lock acquisition that makes
-// the generation reachable. The lifecycle is:
-//
-//   - GetOrFillRev mints the Rev when the fill's flight is published;
-//     the fill composes the final response once (render, gzip, ETag
-//     from the Rev) and the composed form is cached with the entry.
+//   - GetOrFillRev is the read path. A miss publishes a flight and
+//     mints the Rev under one lock acquisition, then runs the fill
+//     outside the lock; N concurrent misses on one key run ONE fill
+//     and the waiters are handed its result directly. The fill
+//     composes the final response once (render, gzip, ETag from the
+//     Rev) and the composed form is cached with the entry — unless the
+//     key was invalidated while the fill was in flight: that result
+//     still answers the waiters already enqueued, but is never cached,
+//     because it may predate the write that fired the invalidation.
 //   - UpdateRev patches the entry in place AND re-stamps it with a
 //     fresh Rev under the shard lock, so the patched generation gets a
 //     new ETag atomically with the content change — a client holding
 //     the previous ETag can never revalidate against the patched body.
-//   - Invalidate bumps the shard epoch, so any generation stamped
-//     before it carries a Rev that no later generation can repeat.
+//   - Invalidate drops the entry, bumps the shard epoch and tombstones
+//     the key, so any generation stamped before it carries a Rev that
+//     no later generation can repeat. It also detaches any in-flight
+//     fill for the key, so a miss arriving AFTER the invalidation
+//     starts a fresh fill instead of adopting the doomed one.
 //
 // Because the sequence number only moves forward, two distinct
 // generations of one key never share an ETag, which is the property
@@ -93,9 +84,9 @@ type lruShard[V any] struct {
 	head, tail *entry[V]
 	// epoch increments on every invalidation in this shard. tomb
 	// records, per exact key, the epoch of its latest invalidation, so
-	// PutAt can discard a render that began before that key was
-	// invalidated without penalizing other keys. tombFloor discards all
-	// older in-flight puts; it only advances when tomb overflows.
+	// a fill that began before that key was invalidated is discarded
+	// without penalizing other keys. tombFloor discards all older
+	// in-flight fills; it only advances when tomb overflows.
 	epoch     uint64
 	tomb      map[string]uint64
 	tombFloor uint64
@@ -104,7 +95,7 @@ type lruShard[V any] struct {
 	// of one generation; it never rewinds, so ETags derived from it
 	// never repeat across generations of any key in the shard.
 	seq uint64
-	// flights holds the in-progress GetOrFill per key: followers of a
+	// flights holds the in-progress GetOrFillRev per key: followers of a
 	// live flight wait on done instead of rendering.
 	flights map[string]*flight[V]
 
@@ -157,49 +148,6 @@ func (c *Cache[V]) shard(key string) *lruShard[V] {
 	return &c.shards[hashkit.FNV1a(key)%cacheShards]
 }
 
-// Get returns the cached value for key if present and unexpired, and
-// marks it most recently used.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	return c.shard(key).get(key)
-}
-
-// Put inserts or replaces the value for key, restarting its TTL and
-// evicting the least recently used entry if the key's shard is full.
-func (c *Cache[V]) Put(key string, val V) {
-	if c == nil {
-		return
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	s.put(key, val)
-	s.mu.Unlock()
-}
-
-// GetOrFill returns the cached value for key, or renders it with fill
-// — coalescing concurrent misses so N requests racing on one cold key
-// run ONE fill. The second return reports whether the caller was
-// served without running fill itself (a cache hit or a coalesced
-// wait); followers of a flight count as hits in Stats, since the cache
-// saved their render. The fill runs outside the shard lock with the
-// key's epoch snapshotted first, exactly like the Epoch/PutAt pair: if
-// the key is invalidated while the fill is in flight, the result is
-// still handed to the waiters that had already coalesced (they arrived
-// before the invalidation) but is never cached, and misses arriving
-// after the invalidation start a fresh fill (Invalidate detaches the
-// flight). fill must not call back into the cache for the same key.
-//
-// On a nil (disabled) cache, GetOrFill degrades to calling fill.
-func (c *Cache[V]) GetOrFill(key string, fill func() V) (V, bool) {
-	if c == nil {
-		return fill(), false
-	}
-	return c.GetOrFillRev(key, func(Rev) V { return fill() })
-}
-
 // Rev identifies one content generation of one cache key: the shard's
 // invalidation epoch when the generation was stamped plus a
 // shard-monotonic sequence number. Two distinct generations never
@@ -217,11 +165,16 @@ func (r Rev) ETag() string {
 	return `"` + strconv.FormatUint(r.Epoch, 16) + "-" + strconv.FormatUint(r.Seq, 16) + `"`
 }
 
-// GetOrFillRev is GetOrFill for fills that compose their response
-// bytes at write time: fill receives the Rev stamped for the
-// generation it is about to produce, minted under the same lock
-// acquisition that published the fill's flight. See the package
-// comment's composed-response lifecycle. On a nil cache, and for the
+// GetOrFillRev returns the cached value for key, or renders it with
+// fill — coalescing concurrent misses so N requests racing on one cold
+// key run ONE fill. fill receives the Rev stamped for the generation
+// it is about to produce, minted under the same lock acquisition that
+// published the fill's flight, and runs outside the shard lock (see
+// the package comment's Rev protocol); it must not call back into the
+// cache for the same key. The second return reports whether the
+// caller was served without running fill itself (a cache hit or a
+// coalesced wait); followers of a flight count as hits in Stats, since
+// the cache saved their render. On a nil cache, and for the
 // self-render fallback of a waiter whose flight leader panicked, fill
 // still receives a freshly minted (or zero, when nil) Rev so the
 // response it composes is internally consistent — it just is never
@@ -289,27 +242,19 @@ func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
 	return v, false
 }
 
-// Update patches the live entry for key in place, leaving its LRU
+// UpdateRev patches the live entry for key in place, leaving its LRU
 // position and expiry untouched — the in-place alternative to
 // Invalidate for entries whose mutable parts the writer can recompute
 // cheaply (a vote tally span, an appended fragment). f runs under the
 // shard lock and must be fast; it must not call back into the cache.
+// f also receives a fresh Rev, minted under the shard lock atomically
+// with the patch, which the patched value must adopt as its new
+// generation identity (re-derive the ETag, drop the stale composed
+// bytes). The re-stamp is what guarantees a client revalidating with
+// the pre-patch ETag gets a full 200 with the new body, never a 304.
 // Returns false when no unexpired entry exists — callers then fall
 // back to Invalidate, whose tombstone also discards any fill racing
 // the write.
-func (c *Cache[V]) Update(key string, f func(V) V) bool {
-	if c == nil {
-		return false
-	}
-	return c.UpdateRev(key, func(v V, _ Rev) V { return f(v) })
-}
-
-// UpdateRev is Update for composed-response entries: f additionally
-// receives a fresh Rev, minted under the shard lock atomically with
-// the patch, which the patched value must adopt as its new generation
-// identity (re-derive the ETag, drop the stale composed bytes). The
-// re-stamp is what guarantees a client revalidating with the
-// pre-patch ETag gets a full 200 with the new body, never a 304.
 func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
 	if c == nil {
 		return false
@@ -327,14 +272,16 @@ func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
 	return true
 }
 
-// GetBytes is Get with the key passed as a scratch []byte: the lookup
-// uses the compiler's non-allocating map-index-by-converted-bytes form
-// and hashes the bytes directly, so a caller that composes its key
-// into a stack buffer probes the cache with zero heap allocations.
-// Unlike Get, a miss here does NOT count in Stats — GetBytes is the
-// fast-path probe in front of GetOrFill(Rev), and the fall-through
-// call is the one that does the miss accounting (and possibly still
-// hits, via an entry or flight that appeared in between).
+// GetBytes returns the cached value for key if present and unexpired,
+// and marks it most recently used. The key is passed as a scratch
+// []byte: the lookup uses the compiler's non-allocating
+// map-index-by-converted-bytes form and hashes the bytes directly, so a
+// caller that composes its key into a stack buffer probes the cache
+// with zero heap allocations. A miss here does NOT count in Stats —
+// GetBytes is the fast-path probe in front of GetOrFillRev, and the
+// fall-through call is the one that does the miss accounting (and
+// possibly still hits, via an entry or flight that appeared in
+// between).
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	var zero V
 	if c == nil {
@@ -356,41 +303,9 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	return e.val, true
 }
 
-// Epoch returns the key's current invalidation epoch. Snapshot it
-// before rendering and pass it to PutAt so a render that raced with an
-// invalidation of the key is never cached stale. Most callers want
-// GetOrFill, which drives this snapshot-render-insert protocol (plus
-// miss coalescing) internally; Epoch/PutAt is the low-level pair for
-// callers that separate the steps themselves.
-func (c *Cache[V]) Epoch(key string) uint64 {
-	if c == nil {
-		return 0
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
-// PutAt is Put, but discarded if key was invalidated since the epoch
-// snapshot was taken. Invalidations of other keys in the same shard do
-// not discard the put.
-func (c *Cache[V]) PutAt(key string, val V, epoch uint64) {
-	if c == nil {
-		return
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if epoch < s.tombFloor || s.tomb[key] > epoch {
-		return
-	}
-	s.put(key, val)
-}
-
 // Invalidate drops the entry for key, if any, and tombstones the key
-// so an in-flight PutAt or GetOrFill for it (snapshotted earlier) is
-// discarded. A live flight for the key is also detached: its waiters
+// so an in-flight GetOrFillRev for it (stamped earlier) is never
+// cached. A live flight for the key is also detached: its waiters
 // still receive its value, but later misses start a fresh fill.
 func (c *Cache[V]) Invalidate(key string) {
 	if c == nil {
@@ -445,25 +360,6 @@ func (c *Cache[V]) Stats() (hits, misses uint64) {
 }
 
 // --- shard internals (callers hold s.mu unless noted) -------------------
-
-func (s *lruShard[V]) get(key string) (V, bool) {
-	var zero V
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.items[key]
-	if !ok {
-		s.misses++
-		return zero, false
-	}
-	if s.now().After(e.expires) {
-		s.remove(e)
-		s.misses++
-		return zero, false
-	}
-	s.moveToFront(e)
-	s.hits++
-	return e.val, true
-}
 
 func (s *lruShard[V]) put(key string, val V) {
 	if e, ok := s.items[key]; ok {

@@ -18,137 +18,205 @@ func fixedNow[V any](c *Cache[V]) func(time.Duration) {
 	return func(d time.Duration) { now = now.Add(d) }
 }
 
-func TestGetPut(t *testing.T) {
+// fill runs an uncontended GetOrFillRev that renders val, returning the
+// value the cache answered with, the Rev the fill was stamped with
+// (zero when no fill ran), and whether the caller was served without
+// filling.
+func fill[V any](c *Cache[V], key string, val V) (V, Rev, bool) {
+	var stamped Rev
+	v, served := c.GetOrFillRev(key, func(rev Rev) V { stamped = rev; return val })
+	return v, stamped, served
+}
+
+func get[V any](c *Cache[V], key string) (V, bool) { return c.GetBytes([]byte(key)) }
+
+func TestFillThenHit(t *testing.T) {
 	c := New[string](32, time.Minute)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("a", "1")
-	if v, ok := c.Get("a"); !ok || v != "1" {
-		t.Fatalf("Get(a) = %q, %v", v, ok)
+	if v, rev, served := fill(c, "a", "1"); v != "1" || served || rev.Seq == 0 {
+		t.Fatalf("cold fill = %q, rev %+v, served %v; want a stamped self-render", v, rev, served)
 	}
-	c.Put("a", "2")
-	if v, _ := c.Get("a"); v != "2" {
-		t.Fatalf("overwrite: got %q", v)
+	if v, ok := get(c, "a"); !ok || v != "1" {
+		t.Fatalf("GetBytes(a) = %q, %v", v, ok)
 	}
+	// A second fill on a live key is a hit: the cached value wins.
+	if v, _, served := fill(c, "a", "2"); v != "1" || !served {
+		t.Fatalf("warm fill = %q, served %v; want the cached value", v, served)
+	}
+	// The GetBytes miss is not counted (the fall-through fill does the
+	// miss accounting): one fill miss, then one probe hit and one fill hit.
 	hits, misses := c.Stats()
 	if hits != 2 || misses != 1 {
 		t.Fatalf("stats = %d/%d, want 2/1", hits, misses)
 	}
 }
 
-// TestLRUEviction exercises one shard directly: eviction order within a
-// shard is exact LRU (cache-wide capacity is approximate by design).
+// TestLRUEviction pins one shard's eviction order: exact LRU within a
+// shard (cache-wide capacity is approximate by design).
 func TestLRUEviction(t *testing.T) {
-	var s lruShard[int]
-	s.init(3, time.Minute)
-	put := func(k string, v int) { s.mu.Lock(); s.put(k, v); s.mu.Unlock() }
-	get := func(k string) bool { _, ok := s.get(k); return ok }
-	put("a", 1)
-	put("b", 2)
-	put("c", 3)
-	get("a") // refresh a: b becomes least recent
-	put("d", 4)
-	if get("b") {
+	c := New[int](3*cacheShards, time.Minute) // 3 entries per shard
+	s := c.shard("a")
+	b, cc, d := sameShardKey(c, s, 1), sameShardKey(c, s, 2), sameShardKey(c, s, 3)
+	fill(c, "a", 1)
+	fill(c, b, 2)
+	fill(c, cc, 3)
+	get(c, "a") // refresh a: b becomes least recent
+	fill(c, d, 4)
+	if _, ok := get(c, b); ok {
 		t.Error("b should have been evicted")
 	}
-	for _, k := range []string{"a", "c", "d"} {
-		if !get(k) {
+	for _, k := range []string{"a", cc, d} {
+		if _, ok := get(c, k); !ok {
 			t.Errorf("%s evicted, want kept", k)
 		}
 	}
-	if len(s.items) != 3 {
-		t.Errorf("shard holds %d entries, want 3", len(s.items))
+	if c.Len() != 3 {
+		t.Errorf("shard holds %d entries, want 3", c.Len())
 	}
 }
 
 func TestTTLExpiry(t *testing.T) {
 	c := New[string](32, time.Minute)
 	advance := fixedNow(c)
-	c.Put("a", "1")
+	fill(c, "a", "1")
 	advance(30 * time.Second)
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, "a"); !ok {
 		t.Fatal("expired too early")
 	}
+	// A hit does not refresh the TTL: 61s after the fill the entry is gone.
 	advance(31 * time.Second)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("entry outlived its TTL")
 	}
 	if c.Len() != 0 {
 		t.Errorf("expired entry still counted: Len = %d", c.Len())
 	}
-	// A fresh Put restarts the TTL.
-	c.Put("a", "2")
+	// A refill restarts the TTL.
+	if v, _, served := fill(c, "a", "2"); v != "2" || served {
+		t.Fatalf("refill of an expired key = %q, served %v", v, served)
+	}
 	advance(59 * time.Second)
-	if v, ok := c.Get("a"); !ok || v != "2" {
-		t.Fatal("re-put entry should be live")
+	if v, ok := get(c, "a"); !ok || v != "2" {
+		t.Fatal("refilled entry should be live")
+	}
+}
+
+// TestExpiredEntryRefilledInPlace: a fill that finds its key's entry
+// expired but not yet reaped replaces it rather than adding a second.
+func TestExpiredEntryRefilledInPlace(t *testing.T) {
+	c := New[string](32, time.Minute)
+	advance := fixedNow(c)
+	fill(c, "a", "1")
+	advance(61 * time.Second)
+	if v, _, served := fill(c, "a", "2"); v != "2" || served {
+		t.Fatalf("fill over an expired entry = %q, served %v", v, served)
+	}
+	if v, ok := get(c, "a"); !ok || v != "2" || c.Len() != 1 {
+		t.Fatalf("after refill: %q, %v, Len %d; want the new value in one entry", v, ok, c.Len())
 	}
 }
 
 func TestInvalidate(t *testing.T) {
 	c := New[string](32, time.Minute)
-	c.Put("disc|https://x.test/|00", "a")
-	c.Put("disc|https://x.test/|10", "b")
-	c.Put("trends|00", "d")
+	fill(c, "disc|https://x.test/|00", "a")
+	fill(c, "disc|https://x.test/|10", "b")
+	fill(c, "trends|00", "d")
 
 	c.Invalidate("trends|00")
-	if _, ok := c.Get("trends|00"); ok {
+	if _, ok := get(c, "trends|00"); ok {
 		t.Error("Invalidate left the entry")
 	}
 	// Invalidating one view of a subject leaves the others.
 	c.Invalidate("disc|https://x.test/|00")
-	if _, ok := c.Get("disc|https://x.test/|00"); ok {
+	if _, ok := get(c, "disc|https://x.test/|00"); ok {
 		t.Error("invalidated view survived")
 	}
-	if _, ok := c.Get("disc|https://x.test/|10"); !ok {
+	if _, ok := get(c, "disc|https://x.test/|10"); !ok {
 		t.Error("sibling view dropped")
 	}
 }
 
-func TestPutAtDiscardsStaleRender(t *testing.T) {
+// slowFill starts a GetOrFillRev for key on its own goroutine and
+// parks its fill until release is closed; filling is closed once the
+// fill is running (its flight published, its Rev stamped). The
+// returned channel delivers what the caller was answered with.
+func slowFill(c *Cache[string], key, val string) (filling, release chan struct{}, done chan string) {
+	filling, release, done = make(chan struct{}), make(chan struct{}), make(chan string, 1)
+	go func() {
+		v, _ := c.GetOrFillRev(key, func(Rev) string {
+			close(filling)
+			<-release
+			return val
+		})
+		done <- v
+	}()
+	return filling, release, done
+}
+
+// TestFillRacingInvalidateNotCached: a fill in flight when its key is
+// invalidated still answers its waiters, but its result must never be
+// cached — it may predate the write that fired the invalidation — and
+// the next request re-renders.
+func TestFillRacingInvalidateNotCached(t *testing.T) {
 	c := New[string](32, time.Minute)
-	// A render that started before an invalidation of its key must not
-	// be cached: it may predate the write that triggered the
-	// invalidation.
-	epoch := c.Epoch("disc|u|00")
-	c.Invalidate("disc|u|00") // the concurrent write path fires
-	c.PutAt("disc|u|00", "stale", epoch)
-	if _, ok := c.Get("disc|u|00"); ok {
-		t.Fatal("stale render survived a concurrent invalidation")
+	filling, release, done := slowFill(c, "disc|u|00", "pre-write render")
+	<-filling
+	c.Invalidate("disc|u|00") // the write path fires mid-fill
+	close(release)
+	if v := <-done; v != "pre-write render" {
+		t.Fatalf("waiter got %q", v)
 	}
-	// Without an intervening invalidation the put lands.
-	epoch = c.Epoch("disc|u|00")
-	c.PutAt("disc|u|00", "fresh", epoch)
-	if v, ok := c.Get("disc|u|00"); !ok || v != "fresh" {
-		t.Fatalf("fresh render not cached: %q %v", v, ok)
+	if _, ok := get(c, "disc|u|00"); ok {
+		t.Fatal("fill racing an invalidation was cached stale")
 	}
-	// Invalidating a DIFFERENT key must not discard this key's put —
-	// otherwise steady writes anywhere would starve the whole cache.
-	epoch = c.Epoch("disc|u|01")
-	c.Invalidate("disc|other|00")
-	c.PutAt("disc|u|01", "unrelated", epoch)
-	if _, ok := c.Get("disc|u|01"); !ok {
-		t.Fatal("unrelated invalidation discarded an in-flight put")
+	if v, _, served := fill(c, "disc|u|00", "post-write render"); v != "post-write render" || served {
+		t.Fatalf("post-invalidation request = %q, served %v; want a fresh fill", v, served)
+	}
+	if v, ok := get(c, "disc|u|00"); !ok || v != "post-write render" {
+		t.Fatalf("fresh fill not cached: %q %v", v, ok)
 	}
 }
 
-func TestTombOverflowFloorsInFlightPuts(t *testing.T) {
+// TestFillSurvivesUnrelatedInvalidate: invalidating a DIFFERENT key —
+// even one in the same shard, which bumps the shared epoch — must not
+// discard an in-flight fill, or steady writes anywhere would starve
+// the whole cache.
+func TestFillSurvivesUnrelatedInvalidate(t *testing.T) {
+	c := New[string](32, time.Minute)
+	filling, release, done := slowFill(c, "disc|u|01", "unrelated")
+	<-filling
+	c.Invalidate(sameShardKey(c, c.shard("disc|u|01"), 0))
+	close(release)
+	<-done
+	if v, ok := get(c, "disc|u|01"); !ok || v != "unrelated" {
+		t.Fatalf("unrelated invalidation discarded an in-flight fill: %q %v", v, ok)
+	}
+}
+
+func TestTombOverflowFloorsInFlightFills(t *testing.T) {
 	c := New[string](16, time.Minute) // 1 entry per shard
-	// Overflow one shard's tombstone map; the epoch snapshotted before
-	// the overflow must then be rejected (conservative fallback).
+	// Overflow one shard's tombstone map while a fill is in flight; the
+	// fill was stamped before the overflow, so it must be rejected
+	// (conservative fallback) even though its own key was never
+	// invalidated.
 	key := "victim"
 	s := c.shard(key)
-	epoch := c.Epoch(key)
-	for i := 0; len(s.tomb) > 0 || i == 0; i++ {
+	filling, release, done := slowFill(c, key, "stale")
+	<-filling
+	tombs := func() int { s.mu.Lock(); defer s.mu.Unlock(); return len(s.tomb) }
+	for i := 0; tombs() > 0 || i == 0; i++ {
 		c.Invalidate(sameShardKey(c, s, i))
 	}
-	c.PutAt(key, "stale", epoch)
-	if _, ok := c.Get(key); ok {
-		t.Fatal("pre-overflow snapshot accepted after tomb reset")
+	close(release)
+	<-done
+	if _, ok := get(c, key); ok {
+		t.Fatal("pre-overflow fill cached after tomb reset")
 	}
-	c.PutAt(key, "fresh", c.Epoch(key))
-	if _, ok := c.Get(key); !ok {
-		t.Fatal("fresh snapshot rejected after tomb reset")
+	fill(c, key, "fresh")
+	if _, ok := get(c, key); !ok {
+		t.Fatal("post-overflow fill rejected after tomb reset")
 	}
 }
 
@@ -162,26 +230,14 @@ func sameShardKey[V any](c *Cache[V], s *lruShard[V], i int) string {
 	}
 }
 
-// TestGetOrFillSingleflight pins the stampede contract: with one lead
-// fill blocked mid-render, every concurrent miss on the key coalesces
-// onto it — exactly one fill runs, and everyone gets its value. (A
+// TestFillSingleflight pins the stampede contract: with one lead fill
+// blocked mid-render, every concurrent miss on the key coalesces onto
+// it — exactly one fill runs, and everyone gets its value. (A
 // goroutine arriving after the fill completes hits the now-cached
 // entry, so the fill count stays 1 regardless of scheduling.)
-func TestGetOrFillSingleflight(t *testing.T) {
+func TestFillSingleflight(t *testing.T) {
 	c := New[string](32, time.Minute)
-	fills := 0
-	filling := make(chan struct{})
-	release := make(chan struct{})
-	lead := make(chan string, 1)
-	go func() {
-		v, _ := c.GetOrFill("disc|u|00", func() string {
-			fills++ // only the lead runs fills; no lock needed
-			close(filling)
-			<-release
-			return "rendered once"
-		})
-		lead <- v
-	}()
+	filling, release, lead := slowFill(c, "disc|u|00", "rendered once")
 	<-filling
 
 	const followers = 16
@@ -191,7 +247,7 @@ func TestGetOrFillSingleflight(t *testing.T) {
 		launched.Add(1)
 		go func() {
 			launched.Done()
-			v, served := c.GetOrFill("disc|u|00", func() string {
+			v, served := c.GetOrFillRev("disc|u|00", func(Rev) string {
 				t.Error("follower ran its own fill")
 				return "duplicate render"
 			})
@@ -211,64 +267,29 @@ func TestGetOrFillSingleflight(t *testing.T) {
 			t.Fatalf("follower got %q", v)
 		}
 	}
-	if fills != 1 {
-		t.Fatalf("%d fills ran, want 1", fills)
+	if _, misses := c.Stats(); misses != 1 {
+		t.Fatalf("%d fills ran, want 1", misses)
 	}
-	if v, ok := c.Get("disc|u|00"); !ok || v != "rendered once" {
+	if v, ok := get(c, "disc|u|00"); !ok || v != "rendered once" {
 		t.Fatalf("fill result not cached: %q %v", v, ok)
 	}
 }
 
-// TestGetOrFillRacingInvalidateNotCached: a fill in flight when its key
-// is invalidated still answers its waiters, but its result must never
-// be cached — the next request re-renders.
-func TestGetOrFillRacingInvalidateNotCached(t *testing.T) {
-	c := New[string](32, time.Minute)
-	filling := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan string, 1)
-	go func() {
-		v, _ := c.GetOrFill("disc|u|00", func() string {
-			close(filling)
-			<-release
-			return "pre-write render"
-		})
-		done <- v
-	}()
-	<-filling
-	c.Invalidate("disc|u|00") // the write path fires mid-fill
-	close(release)
-	if v := <-done; v != "pre-write render" {
-		t.Fatalf("waiter got %q", v)
-	}
-	if _, ok := c.Get("disc|u|00"); ok {
-		t.Fatal("fill racing an invalidation was cached stale")
-	}
-	refills := 0
-	if _, served := c.GetOrFill("disc|u|00", func() string { refills++; return "post-write render" }); served {
-		t.Error("post-invalidation request served without a fresh fill")
-	}
-	if refills != 1 {
-		t.Fatalf("refills = %d, want 1", refills)
-	}
-	if v, ok := c.Get("disc|u|00"); !ok || v != "post-write render" {
-		t.Fatalf("fresh fill not cached: %q %v", v, ok)
-	}
-}
-
-// TestGetOrFillPanickingFillDoesNotWedgeKey: a fill that panics (an
-// HTTP handler's panic is recovered per request by net/http) must
-// resolve its flight — waiters render for themselves, the panic
-// propagates to the leader, nothing is cached, and the key keeps
-// working afterwards.
-func TestGetOrFillPanickingFillDoesNotWedgeKey(t *testing.T) {
+// TestPanickingFillDoesNotWedgeKey: a fill that panics (an HTTP
+// handler's panic is recovered per request by net/http) must resolve
+// its flight — waiters render for themselves under a freshly minted
+// Rev, the panic propagates to the leader, nothing is cached, and the
+// key keeps working afterwards.
+func TestPanickingFillDoesNotWedgeKey(t *testing.T) {
 	c := New[string](32, time.Minute)
 	filling := make(chan struct{})
 	release := make(chan struct{})
 	leadDone := make(chan any, 1)
+	var leadRev Rev
 	go func() {
 		defer func() { leadDone <- recover() }()
-		c.GetOrFill("disc|u|00", func() string {
+		c.GetOrFillRev("disc|u|00", func(rev Rev) string {
+			leadRev = rev
 			close(filling)
 			<-release
 			panic("render exploded")
@@ -276,8 +297,9 @@ func TestGetOrFillPanickingFillDoesNotWedgeKey(t *testing.T) {
 	}()
 	<-filling
 	waiter := make(chan string, 1)
+	var waiterRev Rev
 	go func() {
-		v, served := c.GetOrFill("disc|u|00", func() string { return "waiter fallback" })
+		v, served := c.GetOrFillRev("disc|u|00", func(rev Rev) string { waiterRev = rev; return "waiter fallback" })
 		if served {
 			t.Error("waiter of a failed flight reported being served")
 		}
@@ -293,24 +315,27 @@ func TestGetOrFillPanickingFillDoesNotWedgeKey(t *testing.T) {
 	if v := <-waiter; v != "waiter fallback" {
 		t.Fatalf("waiter got %q", v)
 	}
-	if _, ok := c.Get("disc|u|00"); ok {
+	if waiterRev.Seq <= leadRev.Seq {
+		t.Fatalf("waiter self-rendered under Rev %+v, not newer than the failed leader's %+v", waiterRev, leadRev)
+	}
+	if _, ok := get(c, "disc|u|00"); ok {
 		t.Fatal("panicked fill left a cached value")
 	}
 	// The key must be fully functional again.
-	if v, _ := c.GetOrFill("disc|u|00", func() string { return "recovered" }); v != "recovered" {
+	if v, _, _ := fill(c, "disc|u|00", "recovered"); v != "recovered" {
 		t.Fatalf("post-panic fill got %q", v)
 	}
-	if v, ok := c.Get("disc|u|00"); !ok || v != "recovered" {
+	if v, ok := get(c, "disc|u|00"); !ok || v != "recovered" {
 		t.Fatalf("post-panic fill not cached: %q %v", v, ok)
 	}
 }
 
-// TestGetOrFillConcurrent hammers GetOrFill/Invalidate/Update from many
-// goroutines; run under -race. The invariant checked at the end is the
-// coalescing ledger: total fills can never exceed total misses.
-func TestGetOrFillConcurrent(t *testing.T) {
+// TestFillConcurrent hammers GetOrFillRev/Invalidate/UpdateRev from
+// many goroutines; run under -race. The invariant checked at the end
+// is the coalescing ledger: every miss runs exactly one fill.
+func TestFillConcurrent(t *testing.T) {
 	c := New[int](64, time.Minute)
-	var fillCount, updates int64
+	var fillCount int64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -319,7 +344,7 @@ func TestGetOrFillConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				k := fmt.Sprintf("key%d", i%16)
-				c.GetOrFill(k, func() int {
+				c.GetOrFillRev(k, func(Rev) int {
 					mu.Lock()
 					fillCount++
 					mu.Unlock()
@@ -329,11 +354,7 @@ func TestGetOrFillConcurrent(t *testing.T) {
 				case i%37 == 0:
 					c.Invalidate(k)
 				case i%11 == 0:
-					if c.Update(k, func(v int) int { return v + 1 }) {
-						mu.Lock()
-						updates++
-						mu.Unlock()
-					}
+					c.UpdateRev(k, func(v int, _ Rev) int { return v + 1 })
 				}
 			}
 		}(g)
@@ -347,25 +368,39 @@ func TestGetOrFillConcurrent(t *testing.T) {
 	}
 }
 
-func TestUpdatePatchesLiveEntriesOnly(t *testing.T) {
+func TestUpdateRevPatchesLiveEntriesOnly(t *testing.T) {
 	c := New[string](32, time.Minute)
 	advance := fixedNow(c)
-	if c.Update("a", func(v string) string { return v + "!" }) {
-		t.Fatal("Update patched a missing entry")
+	if c.UpdateRev("a", func(v string, _ Rev) string { return v + "!" }) {
+		t.Fatal("UpdateRev patched a missing entry")
 	}
-	c.Put("a", "v1")
-	if !c.Update("a", func(v string) string { return v + "+patch" }) {
-		t.Fatal("Update missed a live entry")
+	_, filled, _ := fill(c, "a", "v1")
+	var patched Rev
+	if !c.UpdateRev("a", func(v string, rev Rev) string { patched = rev; return v + "+patch" }) {
+		t.Fatal("UpdateRev missed a live entry")
 	}
-	if v, _ := c.Get("a"); v != "v1+patch" {
+	if v, _ := get(c, "a"); v != "v1+patch" {
 		t.Fatalf("patched value = %q", v)
 	}
-	// Patching must not extend the entry's life.
-	advance(61 * time.Second)
-	if c.Update("a", func(v string) string { return "resurrected" }) {
-		t.Fatal("Update patched an expired entry")
+	// The patch is a new generation: same epoch (nothing was
+	// invalidated), strictly later Seq, hence a different ETag.
+	if patched.Epoch != filled.Epoch || patched.Seq <= filled.Seq || patched.ETag() == filled.ETag() {
+		t.Fatalf("patch stamped %+v after fill %+v; want a fresh Rev in the same epoch", patched, filled)
 	}
-	if _, ok := c.Get("a"); ok {
+	// An invalidation moves the epoch, so no later generation of the
+	// key can repeat a pre-invalidation Rev.
+	c.Invalidate("a")
+	if _, refilled, _ := fill(c, "a", "v2"); refilled.Epoch <= patched.Epoch || refilled.Seq <= patched.Seq {
+		t.Fatalf("post-invalidation fill stamped %+v, not past %+v", refilled, patched)
+	}
+	// Patching must not extend the entry's life.
+	advance(30 * time.Second)
+	c.UpdateRev("a", func(v string, _ Rev) string { return v })
+	advance(31 * time.Second)
+	if c.UpdateRev("a", func(string, Rev) string { return "resurrected" }) {
+		t.Fatal("UpdateRev patched an expired entry")
+	}
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("expired entry served after failed patch")
 	}
 }
@@ -379,16 +414,14 @@ func TestNilCacheIsDisabled(t *testing.T) {
 		t.Fatal("ttl 0 should disable the cache")
 	}
 	// Every method must be a safe no-op on nil.
-	c.Put("a", "1")
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("nil cache returned a hit")
 	}
 	c.Invalidate("a")
-	c.PutAt("a", "1", c.Epoch("a"))
-	if v, served := c.GetOrFill("a", func() string { return "filled" }); v != "filled" || served {
-		t.Fatalf("nil GetOrFill = %q, %v; want fill passthrough", v, served)
+	if v, rev, served := fill(c, "a", "filled"); v != "filled" || served || rev != (Rev{}) {
+		t.Fatalf("nil GetOrFillRev = %q, %+v, %v; want fill passthrough under the zero Rev", v, rev, served)
 	}
-	if c.Update("a", func(v string) string { return v }) {
+	if c.UpdateRev("a", func(v string, _ Rev) string { return v }) {
 		t.Fatal("nil cache accepted a patch")
 	}
 	if c.Len() != 0 {
@@ -399,6 +432,9 @@ func TestNilCacheIsDisabled(t *testing.T) {
 	}
 }
 
+// TestConcurrentAccess drives more keys than the cache holds through
+// fills, probes and invalidations at once; run under -race. Capacity
+// must hold throughout.
 func TestConcurrentAccess(t *testing.T) {
 	c := New[int](64, time.Minute)
 	var wg sync.WaitGroup
@@ -408,8 +444,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key%d", (g*500+i)%100)
-				c.PutAt(k, i, c.Epoch(k))
-				c.Get(k)
+				c.GetOrFillRev(k, func(Rev) int { return i })
+				c.GetBytes([]byte(k))
 				if i%50 == 0 {
 					c.Invalidate(k)
 				}
