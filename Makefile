@@ -32,7 +32,7 @@ LEADER_ALLOC_BUDGET = 64
 DISC_ALLOC_BUDGET = 64
 HIT_ALLOC_BUDGET = 0
 
-.PHONY: build test race chaos crash-recovery bench bench-budget bench-compare lint fuzz-smoke fmt loc ci
+.PHONY: build test race chaos crash-recovery bench bench-budget ledger-smoke lint fuzz-smoke fmt loc ci
 
 build:
 	$(GO) build ./...
@@ -57,19 +57,13 @@ crash-recovery:
 	$(GO) test -count=1 -v -run TestReplicaCrashRecovery ./internal/replica/
 
 # Smoke-run every benchmark once so bench code can never rot; use
-# `go test -bench=Concurrent -cpu 1,2,4,8 .` for real numbers. The
-# serving-path benchmarks also emit a machine-readable baseline
-# (BENCH_serve.json: ns/op, allocs/op, cache hit rate). The second
+# `go test -bench=Concurrent -cpu 1,2,4,8 .` for real numbers and
+# `bash bench/run.sh` (BENCHMARK.json) for the gated ones. The second
 # invocation sweeps the in-process cache-hit benchmarks across -cpu
-# 1,2,4 (each parallelism records its own .../cpu=N baseline key);
-# BENCH_SERVE_MERGE makes that separate test process extend the file
-# the first invocation wrote instead of clobbering it, while the first
-# invocation stays non-merging so deleted benchmarks fall out.
+# 1,2,4.
 bench:
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json \
-		$(GO) test -run 'ProbablyNoSuchTest' -bench=. -benchtime=1x ./...
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json BENCH_SERVE_MERGE=1 \
-		$(GO) test -run 'ProbablyNoSuchTest' -bench 'Hit' -cpu 1,2,4 -benchtime=100x .
+	$(GO) test -run 'ProbablyNoSuchTest' -bench=. -benchtime=1x ./...
+	$(GO) test -run 'ProbablyNoSuchTest' -bench 'Hit' -cpu 1,2,4 -benchtime=100x .
 
 # Budget assertions on the hot read paths: a cache-miss trends or
 # leaderboard render must stay under its allocation budget regardless
@@ -85,20 +79,11 @@ bench-budget:
 	BENCH_HIT_MAX_ALLOCS=$(HIT_ALLOC_BUDGET) \
 		$(GO) test -run 'ProbablyNoSuchTest' -bench 'BenchmarkDiscussionHit$$|BenchmarkDiscussionHit304$$' -benchtime=200x .
 
-# Regression gate against the committed baseline: rerun the serving
-# benchmarks into a scratch file and diff it against BENCH_serve.json.
-# Thresholds are generous (order-of-magnitude guard, not percent drift)
-# because the smoke run is -benchtime=1x on an arbitrary machine; see
-# cmd/bench-compare for the knobs. After an INTENTIONAL improvement,
-# refresh the baseline with `make bench` and commit it.
-bench-compare:
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.tmp.json \
-		$(GO) test -run 'ProbablyNoSuchTest' -bench=. -benchtime=1x ./...
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.tmp.json BENCH_SERVE_MERGE=1 \
-		$(GO) test -run 'ProbablyNoSuchTest' -bench 'Hit' -cpu 1,2,4 -benchtime=100x .
-	$(GO) run ./cmd/bench-compare -baseline $(CURDIR)/BENCH_serve.json \
-		-current $(CURDIR)/BENCH_serve.tmp.json
-	rm -f $(CURDIR)/BENCH_serve.tmp.json
+# bench/ (the BENCHMARK.json harness) is its own module, so the root
+# `go test ./...` never compiles it: vet and test it here, so a
+# serving-API change that breaks the frozen benchmark fails CI.
+ledger-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # The project's own analyzer suite (internal/lint: viewpurity,
 # cachecoherence, lockscope, wirecompat) runs through the go vet
@@ -136,4 +121,4 @@ loc:
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; \
 		      close("sort -k2"); printf "%7d total\n", t }'
 
-ci: build lint test race chaos crash-recovery fuzz-smoke bench bench-budget
+ci: build lint test race chaos crash-recovery fuzz-smoke bench bench-budget ledger-smoke

@@ -9,7 +9,6 @@
 package dissenter_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -112,13 +111,11 @@ func benchClient() *http.Client {
 }
 
 // underLoadBatch is how many requests each under-write-load benchmark
-// op issues. The mixed-load benchmarks used to issue ONE request per
-// op, so the `make bench` smoke run (-benchtime=1x) measured a single
-// guaranteed cold miss and recorded cache_hit_pct: 0 into
-// BENCH_serve.json — a stat-plumbing artifact, not a real stampede.
-// Batching makes even a 1x run exercise the read/write mix the
-// benchmark is about; ns_per_req in the baseline is per REQUEST, not
-// per op.
+// op issues. With ONE request per op the `make bench` smoke run
+// (-benchtime=1x) would measure a single guaranteed cold miss and
+// report cache_hit_pct 0 — a stat-plumbing artifact, not a real
+// stampede. Batching makes even a 1x run exercise the read/write mix
+// the benchmark is about; ns/req is per REQUEST, not per op.
 const underLoadBatch = 32
 
 // benchPostComment submits one live comment as bench-writer and fails
@@ -312,9 +309,7 @@ func BenchmarkWebMixedReadWriteConcurrent(b *testing.B) {
 // adversarial §3.2 load shape: concurrent posters invalidating every
 // cached trends view while readers hammer the portal.
 //
-// With BENCH_SERVE_JSON=<path> set, the serving-path metrics are
-// written as a machine-readable baseline (make bench emits
-// BENCH_serve.json). With BENCH_TRENDS_MAX_ALLOCS=<n> set,
+// With BENCH_TRENDS_MAX_ALLOCS=<n> set,
 // BenchmarkTrendsRenderMiss fails if a render allocates more than n
 // objects — the CI bench-smoke budget that catches allocation
 // regressions on the hot path.
@@ -448,16 +443,10 @@ func BenchmarkTrendsUnderWriteLoad(b *testing.B) {
 			})
 			b.StopTimer()
 			hits, misses := s.CacheStats()
-			m := map[string]float64{
-				"ns_per_req": float64(b.Elapsed().Nanoseconds()) / float64(b.N*underLoadBatch),
-			}
-			b.ReportMetric(m["ns_per_req"], "ns/req")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*underLoadBatch), "ns/req")
 			if total := hits + misses; total > 0 {
-				pct := float64(hits) / float64(total) * 100
-				b.ReportMetric(pct, "cache_hit_pct")
-				m["cache_hit_pct"] = pct
+				b.ReportMetric(float64(hits)/float64(total)*100, "cache_hit_pct")
 			}
-			recordServeMetrics("TrendsUnderWriteLoad/"+sc.name, m)
 		})
 	}
 }
@@ -468,7 +457,7 @@ func BenchmarkTrendsUnderWriteLoad(b *testing.B) {
 // the MemStats delta is the render's own allocation count. With the
 // budgetEnv variable set, it fails past that allocation budget — the
 // CI bench-smoke assertion that catches hot-path regressions.
-func benchmarkRenderMiss(b *testing.B, path, metricPrefix, budgetEnv string) {
+func benchmarkRenderMiss(b *testing.B, path, budgetEnv string) {
 	for _, sc := range trendsScales {
 		b.Run(sc.name, func(b *testing.B) {
 			f := trendsBenchFixture(b, sc)
@@ -494,11 +483,6 @@ func benchmarkRenderMiss(b *testing.B, path, metricPrefix, budgetEnv string) {
 			b.StopTimer()
 			runtime.ReadMemStats(&ms1)
 			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			recordServeMetrics(metricPrefix+"/"+sc.name, map[string]float64{
-				"ns_per_op":     nsPerOp,
-				"allocs_per_op": allocsPerOp,
-			})
 			if budget := os.Getenv(budgetEnv); budget != "" {
 				max, err := strconv.ParseFloat(budget, 64)
 				if err != nil {
@@ -515,7 +499,7 @@ func benchmarkRenderMiss(b *testing.B, path, metricPrefix, budgetEnv string) {
 
 // BenchmarkTrendsRenderMiss pins the cache-miss trends render cost.
 func BenchmarkTrendsRenderMiss(b *testing.B) {
-	benchmarkRenderMiss(b, "/trends", "TrendsRenderMiss", "BENCH_TRENDS_MAX_ALLOCS")
+	benchmarkRenderMiss(b, "/trends", "BENCH_TRENDS_MAX_ALLOCS")
 }
 
 // --- leaderboard scaling benchmarks --------------------------------------
@@ -535,7 +519,7 @@ func BenchmarkTrendsRenderMiss(b *testing.B) {
 // BenchmarkLeaderboardRenderMiss pins the cache-miss leaderboard
 // render cost — same harness as the trends budget, different ranking.
 func BenchmarkLeaderboardRenderMiss(b *testing.B) {
-	benchmarkRenderMiss(b, "/leaderboard", "LeaderboardRenderMiss", "BENCH_LEADER_MAX_ALLOCS")
+	benchmarkRenderMiss(b, "/leaderboard", "BENCH_LEADER_MAX_ALLOCS")
 }
 
 // BenchmarkLeaderboardUnderVoteLoad is the moving-target regime for
@@ -596,16 +580,10 @@ func BenchmarkLeaderboardUnderVoteLoad(b *testing.B) {
 			})
 			b.StopTimer()
 			hits, misses := s.CacheStats()
-			m := map[string]float64{
-				"ns_per_req": float64(b.Elapsed().Nanoseconds()) / float64(b.N*underLoadBatch),
-			}
-			b.ReportMetric(m["ns_per_req"], "ns/req")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*underLoadBatch), "ns/req")
 			if total := hits + misses; total > 0 {
-				pct := float64(hits) / float64(total) * 100
-				b.ReportMetric(pct, "cache_hit_pct")
-				m["cache_hit_pct"] = pct
+				b.ReportMetric(float64(hits)/float64(total)*100, "cache_hit_pct")
 			}
-			recordServeMetrics("LeaderboardUnderVoteLoad/"+sc.name, m)
 		})
 	}
 }
@@ -673,11 +651,6 @@ func BenchmarkDiscussionRenderMiss(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&ms1)
 			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			recordServeMetrics("DiscussionRenderMiss/"+sc.name, map[string]float64{
-				"ns_per_op":     nsPerOp,
-				"allocs_per_op": allocsPerOp,
-			})
 			if budget := os.Getenv("BENCH_DISC_MAX_ALLOCS"); budget != "" {
 				max, err := strconv.ParseFloat(budget, 64)
 				if err != nil {
@@ -757,16 +730,10 @@ func BenchmarkViralDiscussionUnderMixedLoad(b *testing.B) {
 	})
 	b.StopTimer()
 	hits, misses := s.CacheStats()
-	m := map[string]float64{
-		"ns_per_req": float64(b.Elapsed().Nanoseconds()) / float64(b.N*underLoadBatch),
-	}
-	b.ReportMetric(m["ns_per_req"], "ns/req")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*underLoadBatch), "ns/req")
 	if total := hits + misses; total > 0 {
-		pct := float64(hits) / float64(total) * 100
-		b.ReportMetric(pct, "cache_hit_pct")
-		m["cache_hit_pct"] = pct
+		b.ReportMetric(float64(hits)/float64(total)*100, "cache_hit_pct")
 	}
-	recordServeMetrics("ViralDiscussionUnderMixedLoad", m)
 	// Staleness assertion: the very next render must carry the store's
 	// current visible-comment count — a dropped patch or invalidation
 	// fails the benchmark, not just a test.
@@ -792,48 +759,6 @@ func BenchmarkViralDiscussionUnderMixedLoad(b *testing.B) {
 	}
 	if got, _ := strconv.Atoi(string(mch[1])); got != visible {
 		b.Fatalf("stale render: shows %d comments, store holds %d visible", got, visible)
-	}
-}
-
-// --- machine-readable baseline ------------------------------------------
-
-var (
-	serveMetricsMu     sync.Mutex
-	serveMetrics       = map[string]map[string]float64{}
-	serveMetricsLoaded bool
-)
-
-// recordServeMetrics accumulates serving-path benchmark results and,
-// when BENCH_SERVE_JSON names a file, rewrites it after every record —
-// `make bench` emits BENCH_serve.json this way, so the trajectory of
-// the serving layer is diffable run over run.
-//
-// With BENCH_SERVE_MERGE also set, the existing file's entries are
-// loaded before the first record instead of being discarded. The full
-// `-bench=.` invocation runs WITHOUT merge so benchmarks that no
-// longer exist fall out of the baseline; follow-up invocations in the
-// same `make bench` (the `-cpu 1,2,4` hit-path sweep is a separate
-// `go test` process) run WITH it so they extend the file rather than
-// clobbering it.
-func recordServeMetrics(name string, m map[string]float64) {
-	path := os.Getenv("BENCH_SERVE_JSON")
-	if path == "" {
-		return
-	}
-	serveMetricsMu.Lock()
-	defer serveMetricsMu.Unlock()
-	if !serveMetricsLoaded {
-		serveMetricsLoaded = true
-		if os.Getenv("BENCH_SERVE_MERGE") != "" {
-			if blob, err := os.ReadFile(path); err == nil {
-				_ = json.Unmarshal(blob, &serveMetrics)
-			}
-		}
-	}
-	serveMetrics[name] = m
-	blob, err := json.MarshalIndent(serveMetrics, "", "  ")
-	if err == nil {
-		_ = os.WriteFile(path, append(blob, '\n'), 0o644)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Gateway proxy-overhead benchmark: the same cached /trends hit served
 // directly by the web server versus through dissenter-gateway's read
 // path (probe bookkeeping, candidate selection, buffered body copy).
-// The delta is the per-read price of fleet routing; BENCH_serve.json
-// records both so bench-compare flags a regression in either.
+// The delta is the per-read price of fleet routing.
 package dissenter_test
 
 import (
@@ -52,10 +51,6 @@ func BenchmarkGatewayReadOverhead(b *testing.B) {
 				for pb.Next() {
 					benchGet(b, client, bc.url)
 				}
-			})
-			b.StopTimer()
-			recordServeMetrics("GatewayReadOverhead/"+bc.name, map[string]float64{
-				"ns_per_req": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
 			})
 		})
 	}

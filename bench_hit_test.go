@@ -5,7 +5,7 @@
 // stack-built key, header assignment from precomputed slices, and a
 // single Write of the composed body. No rendering, no gzip, no
 // allocation. Run the parallel variants with -cpu 1,2,4 to see
-// hit-path scaling; `make bench` records both into BENCH_serve.json.
+// hit-path scaling (`make bench` does).
 //
 // With BENCH_HIT_MAX_ALLOCS=<n> set (CI uses 0), the serial hit
 // benchmarks fail when a hit allocates more than n objects per
@@ -17,7 +17,6 @@
 package dissenter_test
 
 import (
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -92,11 +91,6 @@ func BenchmarkDiscussionHit(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
 	allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	recordServeMetrics("DiscussionHit/"+sc.name, map[string]float64{
-		"ns_per_op":     nsPerOp,
-		"allocs_per_op": allocsPerOp,
-	})
 	hitAllocBudget(b, allocsPerOp)
 }
 
@@ -130,21 +124,16 @@ func BenchmarkDiscussionHit304(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&ms1)
 	allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	recordServeMetrics("DiscussionHit304/"+sc.name, map[string]float64{
-		"ns_per_op":     nsPerOp,
-		"allocs_per_op": allocsPerOp,
-	})
 	hitAllocBudget(b, allocsPerOp)
 }
 
 // benchmarkHitParallel drives the in-process hit path from every
 // GOMAXPROCS worker at once — the scaling story the -cpu 1,2,4 sweep
-// in `make bench` records. One request and one discarding writer per
+// in `make bench` shows. One request and one discarding writer per
 // goroutine; the server, its cache, and the composed entry are shared,
 // so what this measures is contention on the read side of the shard
 // lock and the atomic composed-pointer load.
-func benchmarkHitParallel(b *testing.B, name, path string, f *trendsFixture) {
+func benchmarkHitParallel(b *testing.B, path string, f *trendsFixture) {
 	s := dissenterweb.NewServer(f.db, dissenterweb.WithURLRateLimit(0, 0))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
@@ -161,22 +150,17 @@ func benchmarkHitParallel(b *testing.B, name, path string, f *trendsFixture) {
 		}
 	})
 	b.StopTimer()
-	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	m := map[string]float64{"ns_per_op": nsPerOp}
 	if hits, misses := s.CacheStats(); hits+misses > 0 {
-		pct := float64(hits) / float64(hits+misses) * 100
-		b.ReportMetric(pct, "cache_hit_pct")
-		m["cache_hit_pct"] = pct
+		b.ReportMetric(float64(hits)/float64(hits+misses)*100, "cache_hit_pct")
 	}
-	recordServeMetrics(fmt.Sprintf("%s/cpu=%d", name, runtime.GOMAXPROCS(0)), m)
 }
 
 func BenchmarkDiscussionHitParallel(b *testing.B) {
 	f := trendsBenchFixture(b, discussionScales[1])
-	benchmarkHitParallel(b, "DiscussionHitParallel", "/discussion?url="+f.hot[0].URL, f)
+	benchmarkHitParallel(b, "/discussion?url="+f.hot[0].URL, f)
 }
 
 func BenchmarkTrendsHitParallel(b *testing.B) {
 	f := trendsBenchFixture(b, trendsScales[0])
-	benchmarkHitParallel(b, "TrendsHitParallel", "/trends", f)
+	benchmarkHitParallel(b, "/trends", f)
 }

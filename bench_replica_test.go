@@ -1,8 +1,7 @@
 // Replication benchmarks: what the out-of-process read replica costs
 // (write-to-visible lag over the HTTP stream) and what it buys (read
 // throughput served entirely from the replica's own replayed store,
-// while the stream keeps applying). Both land in BENCH_serve.json via
-// recordServeMetrics, paired so the trade reads off one file.
+// while the stream keeps applying).
 package dissenter_test
 
 import (
@@ -100,26 +99,19 @@ func BenchmarkReplicationLag(b *testing.B) {
 		primary.Vote(cu.ID, 1, 0)
 		rep.DB().AwaitEvents(primary.EventSeq()-1, nil)
 	}
-	b.StopTimer()
-	recordServeMetrics("ReplicationLag", map[string]float64{
-		"lag_ns_per_event": float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		"events_applied":   float64(rep.Seq()),
-	})
 }
 
 // BenchmarkReplicaReadConcurrent is the read half of the pair: parallel
 // page fetches against a read-only web server over the replica's store,
 // while the primary keeps writing and the stream keeps applying — the
-// scale-out case the replica exists for. The event invalidator keeps
-// the response cache coherent, so the hit rate is reported too.
+// scale-out case the replica exists for. The server's coherence view
+// keeps the response cache coherent, so the hit rate is reported too.
 //
-// Batched like the other under-load benchmarks (underLoadBatch): the
-// old single-request op meant the `make bench` 1x smoke run measured
-// exactly one guaranteed-cold fetch and recorded cache_hit_pct: 0 and
-// a ~14ms "read" into BENCH_serve.json — a stat-plumbing artifact.
-// Discussion reads cycle a small hot subset for the same reason the
-// primary-side load benchmarks do: crawler locality, not a uniform
-// sweep of the corpus. ns_per_req in the baseline is per REQUEST.
+// Batched like the other under-load benchmarks (underLoadBatch), so a
+// 1x smoke run is not one guaranteed-cold fetch. Discussion reads
+// cycle a small hot subset for the same reason the primary-side load
+// benchmarks do: crawler locality, not a uniform sweep of the corpus.
+// ns/req is per REQUEST.
 func BenchmarkReplicaReadConcurrent(b *testing.B) {
 	primary := platform.New(nil, nil, nil, nil)
 	urls := replicaBenchCorpus(b, primary)
@@ -129,7 +121,6 @@ func BenchmarkReplicaReadConcurrent(b *testing.B) {
 		s := dissenterweb.NewServer(db,
 			dissenterweb.ReadOnly(),
 			dissenterweb.WithURLRateLimit(0, 0))
-		db.RegisterView(s.EventInvalidator())
 		handler.Store(s)
 	}
 	rep := startBenchReplica(b, primary, replica.Options{OnState: bind})
@@ -181,15 +172,9 @@ func BenchmarkReplicaReadConcurrent(b *testing.B) {
 	cancel()
 	<-writerDone
 
-	m := map[string]float64{
-		"ns_per_req":  float64(b.Elapsed().Nanoseconds()) / float64(b.N*underLoadBatch),
-		"replica_lag": float64(primary.EventSeq() - rep.Seq()),
-	}
-	b.ReportMetric(m["ns_per_req"], "ns/req")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*underLoadBatch), "ns/req")
+	b.ReportMetric(float64(primary.EventSeq()-rep.Seq()), "replica_lag")
 	if hits, misses := handler.Load().(*dissenterweb.Server).CacheStats(); hits+misses > 0 {
-		pct := float64(hits) / float64(hits+misses) * 100
-		m["cache_hit_pct"] = pct
-		b.ReportMetric(pct, "cache_hit_pct")
+		b.ReportMetric(float64(hits)/float64(hits+misses)*100, "cache_hit_pct")
 	}
-	recordServeMetrics("ReplicaReadConcurrent", m)
 }

@@ -62,8 +62,8 @@ func main() {
 	// The serving stack is rebuilt whenever the replica (re)binds its
 	// store — at open, and after a snapshot bootstrap replaces the DB
 	// instance. A fresh Server over the fresh store means no cache entry
-	// can describe state the new store never saw; the event invalidator
-	// keeps it coherent from then on.
+	// can describe state the new store never saw; the coherence view
+	// NewServer attaches keeps it coherent from then on.
 	var handler atomic.Value // holds http.Handler
 	bind := func(db *platform.DB) {
 		web := dissenterweb.NewServer(db,
@@ -71,7 +71,6 @@ func main() {
 			dissenterweb.WithURLRateLimit(*urlLimit, time.Minute),
 		)
 		web.RegisterProbeSessions()
-		db.RegisterView(web.EventInvalidator())
 		handler.Store(http.Handler(web))
 		log.Printf("serving store at seq %d", db.EventSeq())
 	}

@@ -52,8 +52,8 @@
 // persistent or remote backend only has to consume events, never scan.
 // Views attach through the exported platform.View interface
 // (Name/Apply/Rebuild, registered with DB.RegisterView) — the three
-// built-in views and the web layer's replica cache invalidator all
-// use the same seam.
+// built-in views and every web server's response-cache coherence view
+// all use the same seam.
 //
 // The event stream is also the durability and replication contract.
 // internal/eventlog defines the versioned binary codec (length-prefixed,
@@ -120,7 +120,11 @@
 // cold key run ONE render, with the fill's Rev stamped under the same
 // lock acquisition that published the flight, so a fill racing an
 // invalidation is handed to its waiters but never cached stale.
-// Coherence rules: discussion pages cache STRUCTURED entries (stable
+// Coherence has one home: dissenterweb.NewServer attaches a view to the
+// store (dissenterweb/coherence.go), so a Server learns of every write
+// — its own handlers', a replication stream's, a direct call's — from
+// the event stream, before the write returns; the write handlers touch
+// no cache. Its rules: discussion pages cache STRUCTURED entries (stable
 // head, mutable vote/count span, fragment stream), so a vote patches
 // two integers in place (respcache.UpdateRev) and a posted comment swaps
 // in the view's grown stream — the page's escaped HTML is never
@@ -129,8 +133,7 @@
 // comment additionally drops every session view of the posting
 // author's home page (its commented-URL listing changed shape) and of
 // the trends ranking (comment counts order it) — by exact key across
-// the enumerable session views, never a cache scan. Everything else
-// expires by TTL, the backstop for out-of-band store writes. URL
+// the enumerable session views, never a cache scan. URL
 // submissions invalidate only the leaderboard (a newcomer enters the
 // net-vote ranking at its baseline) — unknown-URL invitation pages are
 // never cached (their keys are visitor-chosen, so caching them would

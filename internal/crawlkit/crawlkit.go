@@ -27,7 +27,6 @@ type Fetcher struct {
 	maxRetries int
 	retryDelay time.Duration
 	cookies    []*http.Cookie
-	userAgent  string
 	maxBody    int64
 }
 
@@ -48,10 +47,8 @@ func WithRetries(n int, delay time.Duration) FetcherOption {
 	}
 }
 
-// WithUserAgent sets the User-Agent header.
-func WithUserAgent(ua string) FetcherOption {
-	return func(f *Fetcher) { f.userAgent = ua }
-}
+// userAgent identifies every crawler request.
+const userAgent = "dissenter-study/1.0"
 
 // NewFetcher builds a Fetcher over client (nil gets a 15s-timeout
 // default).
@@ -63,7 +60,6 @@ func NewFetcher(client *http.Client, opts ...FetcherOption) *Fetcher {
 		client:     client,
 		maxRetries: 4,
 		retryDelay: 100 * time.Millisecond,
-		userAgent:  "dissenter-study/1.0",
 		maxBody:    8 << 20,
 	}
 	for _, o := range opts {
@@ -170,7 +166,7 @@ func (f *Fetcher) fetchOnce(ctx context.Context, method, url, payload string) (R
 	if method == http.MethodPost {
 		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
 	}
-	req.Header.Set("User-Agent", f.userAgent)
+	req.Header.Set("User-Agent", userAgent)
 	for _, c := range f.cookies {
 		req.AddCookie(c)
 	}

@@ -111,13 +111,12 @@ func TestGetSendsCookieAndUA(t *testing.T) {
 	}))
 	defer srv.Close()
 	f := NewFetcher(srv.Client(),
-		WithCookie(&http.Cookie{Name: "session", Value: "tok"}),
-		WithUserAgent("custom-agent"))
+		WithCookie(&http.Cookie{Name: "session", Value: "tok"}))
 	res, err := f.Get(context.Background(), srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != 200 || string(res.Body) != "custom-agent" {
+	if res.Status != 200 || string(res.Body) != userAgent {
 		t.Errorf("res = %d %q", res.Status, res.Body)
 	}
 }

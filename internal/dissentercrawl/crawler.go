@@ -37,8 +37,6 @@ type Option func(*options)
 
 type options struct {
 	session string
-	retries int
-	delay   time.Duration
 }
 
 // WithSession attaches a session cookie (the authenticated re-spider).
@@ -46,18 +44,13 @@ func WithSession(token string) Option {
 	return func(o *options) { o.session = token }
 }
 
-// WithRetries tunes the fetch retry budget.
-func WithRetries(n int, delay time.Duration) Option {
-	return func(o *options) { o.retries = n; o.delay = delay }
-}
-
 // New builds a Crawler for the Dissenter web app at base.
 func New(base string, httpClient *http.Client, opts ...Option) *Crawler {
-	o := options{retries: 4, delay: 50 * time.Millisecond}
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	fopts := []crawlkit.FetcherOption{crawlkit.WithRetries(o.retries, o.delay)}
+	fopts := []crawlkit.FetcherOption{crawlkit.WithRetries(4, 50*time.Millisecond)}
 	if o.session != "" {
 		fopts = append(fopts, crawlkit.WithCookie(&http.Cookie{Name: "session", Value: o.session}))
 	}

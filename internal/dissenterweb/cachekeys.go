@@ -1,14 +1,14 @@
 package dissenterweb
 
 // The response cache's key space, in one place. Every cached page
-// belongs to a subject — the store entity whose writes invalidate or
+// belongs to a subject — the store entity whose events invalidate or
 // patch it — and a subject's keys are its prefix plus a session
-// viewKey ("00".."11", see viewKey). Writers and readers MUST build
-// keys through these constants and helpers: the cachecoherence
-// analyzer rejects fresh "disc|"/"home|"/"trends|"/"leader|" literals
-// at call sites, so the PR 2/PR 5 coherence contract (every mutation
-// pairs with exact-key coherence on these subjects) cannot drift one
-// callsite at a time.
+// viewKey ("00".."11", see viewKey). The coherence view (coherence.go)
+// and the read handlers MUST build keys through these constants and
+// helpers: the cachecoherence analyzer rejects fresh
+// "disc|"/"home|"/"trends|"/"leader|" literals at call sites, so the
+// key a reader fills and the key an event drops cannot drift apart
+// one callsite at a time.
 const (
 	// SubjectDiscussion prefixes one URL's discussion page:
 	// "disc|<raw-url>|<viewKey>".

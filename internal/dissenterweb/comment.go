@@ -16,37 +16,10 @@ import (
 // (§3.2), which is what made the differential NSFW/offensive labeling a
 // moving-target problem. POST /discussion/comment is the simulator-side
 // source of that growth: a session-authenticated write that mints a
-// comment-id, inserts through platform.DB.AddComment, and invalidates
-// every cached rendering whose content the new comment changes.
-//
-// Cache-coherence contract — exactly three subjects, every session
-// view of each, by exact key:
-//
-//	disc|<url>|    PATCHED in place: each live view entry swaps in the
-//	               fragment view's grown comment stream (one appended
-//	               pre-escaped fragment) and fresh count — the page's
-//	               escaped HTML is never discarded. The patch advances
-//	               the entry's generation stamp and resets its composed
-//	               response, so the next serve re-composes (and
-//	               re-gzips) under a NEW ETag — a validator from before
-//	               the post can never 304. Views with no live entry
-//	               fall back to exact-key invalidation, whose tombstone
-//	               discards any fill racing the write
-//	               (refreshDiscussion).
-//	home|<author>| dropped: the posting author's profile listing
-//	               changed shape.
-//	trends|        dropped: comment counts order the ranking.
-//
-// plus, only when the post registers a never-seen URL, the leaderboard
-// (`leader|`): a just-registered URL enters the net-vote ranking at
-// its baseline, which can reorder the tail. Nothing else is touched:
-// other discussions, other profiles, and single-comment pages (which
-// are rendered uncached) keep their entries — comments do not move
-// vote tallies, so an ordinary post never drops the leaderboard.
-// Coherence runs after AddComment completes (the fragment view is
-// maintained inside AddComment's event dispatch), so a reader that
-// rendered the pre-insert store has its stale fill discarded, and any
-// render or patch that starts afterwards sees the comment.
+// comment-id and inserts through platform.DB.AddComment. It touches no
+// cache: the store's event stream carries the insert (and the URL
+// registration, when the address is new) to every Server's coherence
+// view before AddComment returns (coherence.go).
 
 // handlePostComment accepts a session-authenticated comment submission:
 // form fields url (required), text (required), parent (optional
@@ -88,15 +61,11 @@ func (s *Server) handlePostComment(w http.ResponseWriter, r *http.Request) {
 	}
 	cu := s.db.URLByString(raw)
 	if cu == nil {
-		var inserted bool
-		cu, inserted = s.db.SubmitURL(&platform.CommentURL{
+		cu, _ = s.db.SubmitURL(&platform.CommentURL{
 			ID:        s.idgen.New(),
 			URL:       raw,
 			FirstSeen: time.Now().UTC().Truncate(time.Second),
 		})
-		if inserted {
-			s.cache.Invalidate(SubjectLeaderboard)
-		}
 	}
 	var parentID ids.ObjectID
 	if p := r.PostFormValue("parent"); p != "" {
@@ -123,9 +92,6 @@ func (s *Server) handlePostComment(w http.ResponseWriter, r *http.Request) {
 		NSFW:      formBool(r, "nsfw"),
 		Offensive: formBool(r, "offensive"),
 	})
-	s.refreshDiscussion(raw, cu.ID)
-	s.invalidateSubject(HomeSubject(author.Username))
-	s.invalidateSubject(SubjectTrends)
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprintf(w, `<div class="posted" data-comment-id="%s"></div>`+"\n", id)
 }

@@ -243,7 +243,6 @@ func TestReplicaNo304AcrossReplicatedWrite(t *testing.T) {
 	priv := synth.Generate(synth.NewConfig(1.0/512, 17))
 	s := NewServer(priv.DB, ReadOnly(), WithURLRateLimit(0, 0))
 	registerOracleSessions(s)
-	priv.DB.RegisterView(s.EventInvalidator())
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 

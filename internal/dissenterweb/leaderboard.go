@@ -12,13 +12,8 @@ import "net/http"
 // vote is a vote, there is no hidden-vote overlay), so unlike the
 // discussion, home, and trends pages the leaderboard renders
 // identically for every session and is cached under ONE exact key with
-// no view suffix. Invalidation: /discussion/vote drops the key after
-// the tally lands (the vote moved the ranking), and the URL
-// registration paths (/discussion/begin, a POST /discussion/comment to
-// a never-seen address) drop it too — a just-registered URL enters the
-// ranking at its baseline net, which can reorder the tail. TTL
-// backstops out-of-band store writes, as everywhere. The key itself is
-// SubjectLeaderboard (cachekeys.go), where every cache subject lives.
+// no view suffix, SubjectLeaderboard (cachekeys.go, where every cache
+// subject lives); coherence.go drops it on votes and URL registrations.
 
 // leaderKey is SubjectLeaderboard pre-converted for the GetBytes probe.
 var leaderKey = []byte(SubjectLeaderboard)

@@ -53,8 +53,7 @@ func TestReadOnlyRefusesWrites(t *testing.T) {
 // stream's ApplyEvent, not this server's handlers) must update every
 // cached page exactly as the handlers would have.
 func TestEventInvalidatorCoherence(t *testing.T) {
-	s, srv, priv := newIsolatedServer(t, ReadOnly(), WithURLRateLimit(0, 0))
-	priv.DB.RegisterView(s.EventInvalidator())
+	_, srv, priv := newIsolatedServer(t, ReadOnly(), WithURLRateLimit(0, 0))
 	cu := busyURL(t, priv)
 	page := srv.URL + "/discussion?url=" + url.QueryEscape(cu.URL)
 

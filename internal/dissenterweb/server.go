@@ -17,13 +17,15 @@
 // vote/count span — assembled from the store's write-maintained
 // fragment view (platform.DB.CommentStream): a vote patches two
 // integers in place, a posted comment swaps in the view's grown stream
-// snapshot, and neither discards kilobytes of escaped HTML (see
-// refreshDiscussion). The remaining mutable surfaces invalidate every
-// session view of the affected subjects by exact key — a posted
-// comment drops the author's home page and the trends ranking (see
-// comment.go for the contract) — and an epoch check discards renders
-// that raced with an invalidation; the TTL is the backstop for
-// out-of-band store writes. URL-keyed surfaces normalize the address
+// snapshot, and neither discards kilobytes of escaped HTML. The
+// remaining mutable surfaces are invalidated by exact key, every
+// session view of the affected subject, and an epoch check discards
+// renders that raced with an invalidation. All of that coherence runs
+// in one place, a platform.View the server attaches to its store
+// (coherence.go): handlers only write, and any write to the store —
+// from a handler, a replication stream, or a direct call — reaches the
+// cache through the event stream before the write returns; freshness
+// does not lean on the TTL. URL-keyed surfaces normalize the address
 // with urlkit.Normalize first, so trivially different encodings of one
 // address share a record, a cache subject, and a rate-limit bucket.
 //
@@ -85,8 +87,8 @@ type Server struct {
 	urlWindow time.Duration
 
 	// readOnly refuses the mutating endpoints (ReadOnly): set on
-	// servers fronting a replica store, where writes arrive from the
-	// replication stream, not from handlers.
+	// servers fronting a replica store, which only the replication
+	// stream writes.
 	readOnly bool
 
 	// health, when set (WithHealth), serves /healthz and /readyz from
@@ -188,12 +190,23 @@ func WithHealth(h *httpguard.Health) Option {
 	}
 }
 
+// ReadOnly makes the server refuse its mutating endpoints
+// (/discussion/begin, /discussion/vote, /discussion/comment) with
+// 403 Forbidden — a read replica's configuration: the primary is where
+// writes belong. Read paths are unaffected.
+func ReadOnly() Option {
+	return func(s *Server) { s.readOnly = true }
+}
+
 // serverSeq distinguishes the ID-generator seeds of servers created in
 // one process: two servers sharing a DB must never mint colliding
 // commenturl-ids for same-second submissions.
 var serverSeq atomic.Uint64
 
-// NewServer builds the web app simulator.
+// NewServer builds the web app simulator over db and, unless caching
+// is disabled, attaches the server's cache-coherence view to db
+// (coherence.go) — for the life of db, so build one Server per store
+// rather than one per request.
 func NewServer(db *platform.DB, opts ...Option) *Server {
 	s := &Server{
 		db:        db,
@@ -213,6 +226,9 @@ func NewServer(db *platform.DB, opts ...Option) *Server {
 	}
 	if !s.cacheConfigured {
 		s.cache = respcache.New[page](DefaultCacheSize, DefaultCacheTTL)
+	}
+	if s.cache != nil {
+		db.RegisterView(s.EventInvalidator())
 	}
 	return s
 }
@@ -281,19 +297,6 @@ func viewKey(sess Session) string {
 	return string(k[:])
 }
 
-// allViewKeys enumerates every viewKey value, so a subject's cache
-// entries can be dropped with exact deletes instead of a full-cache
-// prefix scan.
-var allViewKeys = [...]string{"00", "01", "10", "11"}
-
-// invalidateSubject drops every session view of one cache subject
-// ("home|<author>|" or "trends|").
-func (s *Server) invalidateSubject(prefix string) {
-	for _, vk := range allViewKeys {
-		s.cache.Invalidate(prefix + vk)
-	}
-}
-
 // page is one response-cache entry. Simple endpoints (home, trends,
 // leaderboard) cache a fully rendered body in simple. Discussion pages
 // are structured — head (the stable prefix through the page
@@ -347,38 +350,6 @@ func appendVoteSpan(dst []byte, ups, downs, count int) []byte {
 	dst = append(dst, "\"></span>\n<span class=\"commentcount\">"...)
 	dst = strconv.AppendInt(dst, int64(count), 10)
 	return append(dst, "</span>\n</div>\n"...)
-}
-
-// refreshDiscussion folds a just-landed write (a vote, a posted
-// comment) into every live cached view of one discussion page IN
-// PLACE: the patch re-reads the tally, count, and stream snapshot from
-// the store under the cache shard lock, so whichever of two racing
-// patches applies last reflects both writes. Views with no live entry
-// fall back to exact-key invalidation, whose tombstone also discards
-// any fill that raced the write — the entry is then rebuilt on the
-// next request. Either way, a reader can never be served page state
-// predating the write.
-func (s *Server) refreshDiscussion(raw string, urlID ids.ObjectID) {
-	for _, vk := range allViewKeys {
-		key := DiscussionSubject(raw) + vk
-		showNSFW, showOffensive := vk[0] == '1', vk[1] == '1'
-		patched := s.cache.UpdateRev(key, func(p page, rev respcache.Rev) page {
-			p.stream, p.count = s.db.CommentStream(urlID, showNSFW, showOffensive)
-			p.ups, p.downs = s.db.Votes(urlID)
-			// Adopt the fresh generation stamp and an empty composed box:
-			// the old ETag and pre-gzipped bytes die with the old
-			// generation, atomically with the patch, so a client
-			// revalidating with the stale ETag always gets the new body.
-			// Composing (gzip included) happens lazily on the next hit,
-			// never under the shard lock.
-			p.rev = rev
-			p.resp = &respBox{}
-			return p
-		})
-		if !patched {
-			s.cache.Invalidate(key)
-		}
-	}
 }
 
 // serveCached is the read path every cached endpoint shares. key is

@@ -23,8 +23,9 @@ import (
 // comment thread. Voting (/discussion/vote) is the second mutable
 // surface; tallies accumulate in the store's sharded vote index. The
 // third is the live comment write path (POST /discussion/comment,
-// comment.go), whose inserts reorder this page's ranking and therefore
-// invalidate every cached trends view.
+// comment.go), whose inserts reorder this page's ranking. None of the
+// three handlers touches the response cache; coherence.go does, from
+// the store's event stream.
 
 // handleTrends renders the Gab Trends homepage: the most-commented URLs
 // with their titles and comment counts, newest first among ties.
@@ -88,30 +89,17 @@ func (s *Server) handleBegin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.db.URLByString(raw) == nil {
-		// Invitation pages for unknown URLs are never cached, SubmitURL
-		// fully indexes the record before URLByString can return it, and
-		// a zero-comment URL cannot appear in trends listings — so the
-		// only cached rendering a registration can change is the
-		// leaderboard, which ranks every registered URL from the moment
-		// it exists (a newcomer at net zero can reorder the tail).
-		_, inserted := s.db.SubmitURL(&platform.CommentURL{
+		s.db.SubmitURL(&platform.CommentURL{
 			ID:        s.idgen.New(),
 			URL:       raw,
 			FirstSeen: time.Now().UTC().Truncate(time.Second),
 		})
-		if inserted {
-			s.cache.Invalidate(SubjectLeaderboard)
-		}
 	}
 	http.Redirect(w, r, "/discussion?url="+url.QueryEscape(raw), http.StatusFound)
 }
 
 // handleVote records an up/down vote for a URL's comment page and
-// refreshes the two cached renderings the tally appears in: every live
-// session view of the address's discussion page is PATCHED in place —
-// the vote span is two integers, so nothing re-renders and the page's
-// escaped HTML survives (refreshDiscussion) — and the leaderboard is
-// invalidated by exact key (the tally moved the ranking).
+// redirects to it; the page already shows the new tally.
 func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 	raw := urlkit.Normalize(r.URL.Query().Get("url"))
 	if raw == "" {
@@ -134,7 +122,5 @@ func (s *Server) handleVote(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.db.Vote(cu.ID, ups, downs)
-	s.refreshDiscussion(raw, cu.ID)
-	s.cache.Invalidate(SubjectLeaderboard)
 	http.Redirect(w, r, "/discussion?url="+url.QueryEscape(raw), http.StatusFound)
 }

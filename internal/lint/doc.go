@@ -19,12 +19,12 @@
 //     inside dispatch; writing re-enters the pipeline under its own
 //     locks.
 //
-//   - cachecoherence: in internal/dissenterweb, a function calling a
-//     DB mutation must perform response-cache coherence (Invalidate,
-//     UpdateRev, or GetOrFillRev — directly or via a package helper)
-//     in the same body, and cache-subject strings (disc|, home|, trends|,
-//     leader|) must come from the shared Subject* constants in
-//     cachekeys.go, never fresh literals.
+//   - cachecoherence: in internal/dissenterweb, cache-subject strings
+//     (disc|, home|, trends|, leader|) must come from the shared
+//     Subject* constants in cachekeys.go, never fresh literals. (That
+//     a store write reaches the cache is not a convention to check:
+//     the server's event view, dissenterweb/coherence.go, runs for
+//     every write.)
 //
 //   - lockscope: in internal/platform and internal/respcache, no
 //     caller-supplied callbacks, channel operations, or I/O while a

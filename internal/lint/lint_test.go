@@ -17,10 +17,6 @@ func TestViewPurity(t *testing.T) {
 func TestCacheCoherence(t *testing.T) {
 	linttest.Run(t, src, "cohbad/internal/dissenterweb", lint.CacheCoherence)
 	linttest.Run(t, src, "cohok/internal/dissenterweb", lint.CacheCoherence)
-	// The analyzer engages only inside internal/dissenterweb: the same
-	// uncompensated mutations are fine elsewhere (e.g. in fixtures
-	// reused by other analyzers).
-	linttest.Run(t, src, "viewpurity/ok", lint.CacheCoherence)
 }
 
 func TestLockScope(t *testing.T) {

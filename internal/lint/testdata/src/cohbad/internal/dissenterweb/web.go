@@ -1,30 +1,21 @@
 package dissenterweb
 
-import (
-	"dissenter/internal/platform"
-	"dissenter/internal/respcache"
-)
+import "dissenter/internal/respcache"
 
 type server struct {
-	db    *platform.DB
 	cache *respcache.Cache[string]
 }
-
-// handleVote mutates the store and never touches the cache: a reader
-// can be served the pre-vote tally.
-func (s *server) handleVote() {
-	s.db.Vote(1, 1, 0) // want `DB\.Vote in handleVote without response-cache coherence`
-}
-
-// handleComment's helper chain never reaches a cache operation either.
-func (s *server) handleComment() {
-	s.db.AddComment(nil) // want `DB\.AddComment in handleComment without response-cache coherence`
-	s.log()
-}
-
-func (s *server) log() {}
 
 // trendsSubject assembles a cache-subject key from a fresh literal.
 func (s *server) trendsSubject() string {
 	return "trends|" + "00" // want `cache-subject literal "trends\|"`
 }
+
+// dropLeaderboard spells the key out at the cache call: a reader
+// filling under a renamed constant would never be invalidated.
+func (s *server) dropLeaderboard() {
+	s.cache.Invalidate("leader|") // want `cache-subject literal "leader\|"`
+}
+
+// A var is not the shared constant block either.
+var homePrefix = "home|" // want `cache-subject literal "home\|"`

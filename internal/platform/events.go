@@ -98,9 +98,9 @@ func (db *DB) ApplyEvent(ev Event) { ev.applyTo(db) }
 // dispatch hands it every event, synchronously, after the base indexes
 // already reflect the mutation. This is the one public seam event
 // consumers attach through — the three built-in views (trends,
-// leaderboard, pages) register through it in New, and
-// out-of-process consumers (the replica's cache invalidator) register
-// through it at attach time.
+// leaderboard, pages) register through it in New, and every
+// dissenterweb.Server registers its response-cache coherence view
+// through it when it is built.
 type View interface {
 	// Name labels the view for diagnostics; it carries no registration
 	// semantics.
@@ -127,8 +127,20 @@ type View interface {
 // views tolerate that (offers keep the maximum / rebuilds read the
 // base indexes), and so must any view registered on a store already
 // taking writes.
+//
+// Registration is idempotent per view value: a view already attached
+// (interface equality, so a view's dynamic type must be comparable —
+// a pointer, or a struct of pointers) is left where it is and not
+// rebuilt, so every event reaches it exactly once however many callers
+// register it.
 func (db *DB) RegisterView(v View) {
 	db.eventMu.Lock()
+	for _, have := range db.views {
+		if have == v {
+			db.eventMu.Unlock()
+			return
+		}
+	}
 	views := make([]View, len(db.views), len(db.views)+1)
 	copy(views, db.views)
 	db.views = append(views, v) // copy-on-write: dispatch snapshots db.views
@@ -137,10 +149,11 @@ func (db *DB) RegisterView(v View) {
 }
 
 // dispatch appends the event to the log, wakes any AwaitEvents
-// waiters, and fans the event out to every registered view. It runs
-// after the write method's base-index updates, so a caller that
-// invalidates cached renderings when the write returns never lets a
-// reader re-render pre-write view state.
+// waiters, and fans the event out to every registered view, in
+// registration order and before the write method returns. It runs
+// after the write method's base-index updates, so a view that drops or
+// patches cached renderings (dissenterweb's, registered after the
+// built-in views) never lets a reader re-render pre-write state.
 func (db *DB) dispatch(ev Event) {
 	db.eventMu.Lock()
 	db.events = append(db.events, ev)

@@ -236,6 +236,25 @@ func TestRegisterViewLateAttach(t *testing.T) {
 	}
 }
 
+// TestRegisterViewIdempotent: registering the same view value again
+// neither rebuilds it nor attaches a second copy — each event still
+// reaches it once — while a distinct value of the same type attaches
+// normally.
+func TestRegisterViewIdempotent(t *testing.T) {
+	db := freshReplayTarget()
+	v, w := &countingView{}, &countingView{}
+	db.RegisterView(v)
+	db.RegisterView(v)
+	db.RegisterView(w)
+	db.AddUser(&User{GabID: 7003, Username: "once", CreatedAt: time.Unix(1_560_000_000, 0)})
+	if v.rebuilt != 1 || v.applied != 1 {
+		t.Fatalf("twice-registered view: %d rebuilds, %d applies of one event; want 1 and 1", v.rebuilt, v.applied)
+	}
+	if w.rebuilt != 1 || w.applied != 1 {
+		t.Fatalf("second view: %d rebuilds, %d applies; want 1 and 1", w.rebuilt, w.applied)
+	}
+}
+
 // TestAwaitEvents pins the poll-free edge the persister and the
 // replication stream block on.
 func TestAwaitEvents(t *testing.T) {

@@ -57,7 +57,6 @@ func TestReplicaChildProcess(t *testing.T) {
 		for tok, sess := range crashSessions {
 			web.RegisterSession(tok, sess)
 		}
-		db.RegisterView(web.EventInvalidator())
 		handler.Store(http.Handler(web))
 	}
 	rep, err := Open(dir, primaryURL, Options{OnState: bind, ReconnectWait: 10 * time.Millisecond})

@@ -66,7 +66,7 @@
 // upgrade replicas before primaries.
 //
 // Degradation. Reconnects back off exponentially with jitter — waits
-// double from Options.ReconnectWait up to MaxReconnectWait, spread
+// double from Options.ReconnectWait up to 32 times it, spread
 // over [d/2, d] so a replica fleet cut by the same fault doesn't
 // reconnect in lockstep — and any progress (an applied event or a
 // clean stream close) resets the wait to base. Status reports the

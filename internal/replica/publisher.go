@@ -19,13 +19,14 @@ type Publisher struct {
 	DB *platform.DB
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
-	// WriteTimeout bounds each batch write on the event stream
-	// (default 30s). The stream is long-lived, so the publisher bumps
-	// the connection's write deadline per batch — a server-wide
-	// WriteTimeout would kill healthy streams, while no deadline at
-	// all lets one stuck client pin a goroutine forever.
-	WriteTimeout time.Duration
 }
+
+// streamWriteTimeout bounds each batch write on the event stream. The
+// stream is long-lived, so the publisher bumps the connection's write
+// deadline per batch — a server-wide write timeout would kill healthy
+// streams, while no deadline at all lets one stuck client pin a
+// goroutine forever.
+const streamWriteTimeout = 30 * time.Second
 
 func (p *Publisher) logf(format string, args ...any) {
 	if p.Logf != nil {
@@ -80,17 +81,13 @@ func (p *Publisher) serveEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	timeout := p.WriteTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
 	// Per-batch write deadlines. SetWriteDeadline may be unsupported
 	// (test recorders); then writes just run without one.
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Replication-Since", strconv.FormatUint(since, 10))
 	w.Header().Set("X-Replication-Head", strconv.FormatUint(db.EventSeq(), 10))
-	rc.SetWriteDeadline(time.Now().Add(timeout))
+	rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 	w.WriteHeader(http.StatusOK)
 	fl.Flush() // commit the status line so the client can start decoding
 
@@ -117,7 +114,7 @@ func (p *Publisher) serveEvents(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			}
-			rc.SetWriteDeadline(time.Now().Add(timeout))
+			rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 			if _, err := w.Write(buf); err != nil {
 				return // client went away
 			}

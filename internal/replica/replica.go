@@ -26,23 +26,26 @@ type Options struct {
 	RotateEvery int
 	// ReconnectWait is the BASE pause between stream attempts after a
 	// failure (default 250ms). Consecutive failures double the pause
-	// up to MaxReconnectWait, with jitter so a fleet of replicas does
-	// not reconnect in lockstep; any progress resets it to the base.
+	// up to maxBackoff times the base, with jitter so a fleet of
+	// replicas does not reconnect in lockstep; any progress resets it
+	// to the base.
 	ReconnectWait time.Duration
-	// MaxReconnectWait caps the backoff (default 32x ReconnectWait).
-	MaxReconnectWait time.Duration
 	// FS is the filesystem the replica's local persistence goes
 	// through (default the real one); tests script disk faults here.
 	FS faultinject.FS
 	// OnState is called with the replica's DB when it is (re)bound: once
 	// during Open and again after every snapshot bootstrap, which
 	// REPLACES the DB instance. A serving layer holding the old pointer
-	// keeps reading a frozen store; rebind handlers (and re-register
-	// any views) here.
+	// keeps reading a frozen store; rebind handlers here (a new
+	// dissenterweb.Server attaches its own coherence view).
 	OnState func(*platform.DB)
 	// Logf, when set, receives replication diagnostics.
 	Logf func(format string, args ...any)
 }
+
+// maxBackoff caps the reconnect backoff at this multiple of
+// Options.ReconnectWait.
+const maxBackoff = 32
 
 // Replica tails a primary's event stream into its own store. Open
 // restores local durable state, Run drives the stream until the
@@ -91,9 +94,6 @@ func (r *Replica) persistOpts() eventlog.Options {
 func Open(dir, primaryURL string, opt Options) (*Replica, error) {
 	if opt.ReconnectWait <= 0 {
 		opt.ReconnectWait = 250 * time.Millisecond
-	}
-	if opt.MaxReconnectWait <= 0 {
-		opt.MaxReconnectWait = 32 * opt.ReconnectWait
 	}
 	client := opt.Client
 	if client == nil {
@@ -258,7 +258,7 @@ func jitter(d time.Duration) time.Duration {
 // answers 410 Gone. It returns ctx.Err() and never gives up on
 // transient failures — a replica's job is to be caught up whenever the
 // primary is reachable. Repeated failures without progress back off
-// exponentially (jittered, capped at Options.MaxReconnectWait); any
+// exponentially (jittered, capped at maxBackoff x Options.ReconnectWait); any
 // applied event or clean stream close resets the backoff.
 func (r *Replica) Run(ctx context.Context) error {
 	wait := r.opt.ReconnectWait
@@ -277,9 +277,7 @@ func (r *Replica) Run(ctx context.Context) error {
 		case <-time.After(jitter(wait)):
 		}
 		if err != nil {
-			if wait *= 2; wait > r.opt.MaxReconnectWait {
-				wait = r.opt.MaxReconnectWait
-			}
+			wait = min(2*wait, maxBackoff*r.opt.ReconnectWait)
 		}
 	}
 }
