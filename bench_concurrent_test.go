@@ -465,8 +465,8 @@ func benchmarkRenderMiss(b *testing.B, path, budgetEnv string) {
 				dissenterweb.WithURLRateLimit(0, 0),
 				dissenterweb.WithResponseCache(0, 0))
 			req := httptest.NewRequest(http.MethodGet, path, nil)
-			// Warm the immutable row-fragment memo so the measured ops
-			// see the steady state, then measure.
+			// Warm the trends/leaderboard row memo (trendFrags) so the
+			// measured ops see the steady state, then measure.
 			s.ServeHTTP(httptest.NewRecorder(), req)
 			b.ReportAllocs()
 			var ms0, ms1 runtime.MemStats
@@ -591,10 +591,10 @@ func BenchmarkLeaderboardUnderVoteLoad(b *testing.B) {
 // --- discussion scaling benchmarks ---------------------------------------
 //
 // Discussion pages are assembled from the platform fragment view
-// (pre-escaped per-comment fragments memoized at write time, per-view
-// streams maintained incrementally), so a cache-miss FILL is O(delta):
-// a memoized head, an O(1) stream snapshot, a counter read — never a
-// walk over the page's comments and never a re-escape.
+// (per-view pre-escaped streams maintained incrementally), so a
+// cache-miss FILL of a materialized page is O(1): a head, a stream
+// snapshot, a counter read — never a walk over the page's comments and
+// never a re-escape.
 // BenchmarkDiscussionRenderMiss pins exactly that: allocs/op and ns/op
 // must stay flat from a 100-comment page to a 10k-comment page (the
 // seed render walked and escaped all 10k on every miss). The response
@@ -669,7 +669,7 @@ func BenchmarkDiscussionRenderMiss(b *testing.B) {
 // shape (Rye, Blackburn & Beverly, Figs. 4–5): ONE viral URL with 10k+
 // comments absorbing most reads AND most writes at once — concurrent
 // posters appending comments, voters moving the tally, readers
-// hammering the page. Comment posts append one memoized fragment to
+// hammering the page. Comment posts append one escaped row to
 // the live cache entries and votes patch two integers, so the hit rate
 // stays high and ns_per_req stays flat in page size even though every
 // request targets the same 10k-comment page. Batched like the other

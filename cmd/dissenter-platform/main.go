@@ -139,16 +139,9 @@ func main() {
 
 	mux := http.NewServeMux()
 	mux.Handle("/api/v1/accounts/", gab)
-	mux.Handle("/user/", web)
-	mux.Handle("/discussion", web)
-	mux.Handle("/discussion/begin", web)
-	mux.Handle("/discussion/vote", web)
-	mux.Handle("/discussion/comment", web)
-	mux.Handle("/trends", web)
-	mux.Handle("/trends/", web)
-	mux.Handle("/leaderboard", web)
-	mux.Handle("/leaderboard/", web)
-	mux.Handle("/comment/", web)
+	for _, pattern := range dissenterweb.Mounts {
+		mux.Handle(pattern, web)
+	}
 	mux.Handle("/watch", out.YouTube)
 	mux.Handle("/channel/", out.YouTube)
 	mux.Handle("/v1/comments:analyze", perspective.Handler(0))

@@ -90,25 +90,24 @@
 // it in place; no HTTP handler materializes a whole-store slice
 // snapshot.
 //
-// The third view is content, not ordering: the discussion/home
-// fragment view (internal/platform/pageindex.go) memoizes each
-// comment's pre-escaped HTML row once at write time (comments are
-// immutable, so the fragment never changes) and maintains, per URL,
+// The third view is content, not ordering: the discussion fragment
+// view (internal/platform/pageindex.go) maintains, per rendered URL,
 // the four per-session-view comment streams — ID-ordered
-// concatenations of the visible fragments — plus the visibility-class
-// counters that derive every view's visible count, and, per author,
-// the distinct-URL home listing with the author's own per-URL class
-// counts. A discussion render (DB.CommentStream) is a memoized head,
-// an O(1) stream snapshot, and a counter read; a home render
-// (DB.HomeURLs) reads counters instead of scanning every comment of
-// every listed URL. That makes a hot-page miss O(delta) where the seed
-// paid two full passes and one html.EscapeString per comment per miss
-// — ~10k escapes on a viral page. The view is lazily materialized per
-// subject on first render and write-maintained afterwards;
-// out-of-ID-order event arrivals rebuild the subject from the sorted
-// base index without re-escaping. Oracle tests pin fragment-assembled
-// pages byte-identical to a from-scratch full render across all four
-// session views under concurrent posts and votes.
+// concatenations of the visible pre-escaped rows — plus the
+// visibility-class counters that derive every view's visible count. A
+// posted comment escapes its one row and appends it; a discussion
+// render (DB.CommentStream) is an O(1) stream snapshot and a counter
+// read. That keeps a WRITE to a hot page O(delta) where the seed paid
+// two full passes and one html.EscapeString per comment per miss —
+// ~10k escapes on a viral page. The view is lazily materialized per
+// URL on first render and write-maintained afterwards;
+// out-of-ID-order event arrivals rebuild the page from the sorted base
+// index. It is derived state a write needs, not a render cache:
+// rendered output has one cache (internal/respcache, below), and a
+// home render (DB.HomeURLs) is one pass over the author's comments per
+// cache fill, with nothing kept between fills. Oracle tests pin
+// stream-assembled pages byte-identical to a from-scratch full render
+// across all four session views under concurrent posts and votes.
 //
 // The HTTP simulators front their hot endpoints — comment listings,
 // user profiles, trends — with a small LRU+TTL response cache
@@ -117,9 +116,10 @@
 // sessions (the leaderboard is view-independent — votes carry no
 // overlay — and caches under one key). Misses coalesce through
 // respcache.GetOrFillRev (singleflight): N concurrent requests on one
-// cold key run ONE render, with the fill's Rev stamped under the same
-// lock acquisition that published the flight, so a fill racing an
-// invalidation is handed to its waiters but never cached stale.
+// cold key run ONE render, and a fill is cached only if its flight is
+// still registered when it completes — Invalidate detaches it — so a
+// fill racing an invalidation is handed to its waiters but never
+// cached stale.
 // Coherence has one home: dissenterweb.NewServer attaches a view to the
 // store (dissenterweb/coherence.go), so a Server learns of every write
 // — its own handlers', a replication stream's, a direct call's — from
@@ -129,7 +129,7 @@
 // two integers in place (respcache.UpdateRev) and a posted comment swaps
 // in the view's grown stream — the page's escaped HTML is never
 // discarded; a view with no live entry falls back to exact-key
-// invalidation, whose tombstone discards racing fills. A posted
+// invalidation, which discards racing fills. A posted
 // comment additionally drops every session view of the posting
 // author's home page (its commented-URL listing changed shape) and of
 // the trends ranking (comment counts order it) — by exact key across

@@ -3,9 +3,9 @@ package dissenterweb
 // The response cache's key space, in one place. Every cached page
 // belongs to a subject — the store entity whose events invalidate or
 // patch it — and a subject's keys are its prefix plus a session
-// viewKey ("00".."11", see viewKey). The coherence view (coherence.go)
-// and the read handlers MUST build keys through these constants and
-// helpers: the cachecoherence analyzer rejects fresh
+// viewKey ("00".."11", see appendViewKey). The coherence view
+// (coherence.go) and the read handlers MUST build keys through these
+// constants and helpers: the cachecoherence analyzer rejects fresh
 // "disc|"/"home|"/"trends|"/"leader|" literals at call sites, so the
 // key a reader fills and the key an event drops cannot drift apart
 // one callsite at a time.
@@ -32,13 +32,9 @@ func DiscussionSubject(raw string) string { return SubjectDiscussion + raw + "|"
 // view of one author's home page.
 func HomeSubject(username string) string { return SubjectHome + username + "|" }
 
-// TrendsKey returns the exact cache key for the trends page as seen
-// by sess.
-func TrendsKey(sess Session) string { return SubjectTrends + viewKey(sess) }
-
 // appendSubjectKey composes "<prefix><subject>|<viewKey>" into dst —
-// the same bytes as DiscussionSubject(subject)+viewKey(sess) et al.,
-// but built into a caller-owned (stack) buffer so the serving hot path
+// the same bytes as DiscussionSubject(subject) plus the view key, but
+// built into a caller-owned (stack) buffer so the serving hot path
 // can probe the cache (respcache.GetBytes) without allocating a key
 // string. Callers pass the Subject* constants as prefix, keeping the
 // cachecoherence analyzer's single-source-of-truth rule intact.
@@ -49,8 +45,10 @@ func appendSubjectKey(dst []byte, prefix, subject string, sess Session) []byte {
 	return appendViewKey(dst, sess)
 }
 
-// appendViewKey appends viewKey(sess) to dst without the string
-// conversion.
+// appendViewKey appends the session's view key: the bits of the session
+// that change what is rendered. Two sessions with equal view settings
+// share cache entries; a session that can see the shadow overlay never
+// shares with one that cannot.
 func appendViewKey(dst []byte, sess Session) []byte {
 	n, o := byte('0'), byte('0')
 	if sess.ShowNSFW {

@@ -20,10 +20,11 @@ import (
 // Apply runs synchronously inside the store's dispatch: after the base
 // indexes and the built-in views (trends, leaderboard, page fragments —
 // registered first, in platform.New) reflect the event, and before the
-// write method returns. So a patch or a post-tombstone refill renders
-// post-write state, a reader that rendered the pre-write store has its
-// racing fill discarded by the tombstone, and a handler that answers
-// after its store write has read-your-writes for free.
+// write method returns. So a patch or a post-invalidation refill
+// renders post-write state, a reader that rendered the pre-write store
+// has its racing fill detached by the invalidation and never cached,
+// and a handler that answers after its store write has
+// read-your-writes for free.
 
 // EventInvalidator returns the platform.View that keeps this server's
 // response cache coherent with its store. NewServer has already
@@ -35,8 +36,6 @@ func (s *Server) EventInvalidator() platform.View {
 }
 
 type eventInvalidator struct{ s *Server }
-
-func (eventInvalidator) Name() string { return "web-invalidator" }
 
 // Apply is the coherence contract: per event, exactly these subjects,
 // every session view of each, by exact key. Nothing else is touched —
@@ -101,9 +100,9 @@ func (s *Server) invalidateSubject(prefix string) {
 // and fresh count and tally, re-read from the store under the cache
 // shard lock, so whichever of two racing patches applies last reflects
 // both writes and the page's escaped HTML is never discarded. Views
-// with no live entry fall back to exact-key invalidation, whose
-// tombstone also discards any fill that raced the write — the entry is
-// then rebuilt on the next request. Either way, a reader can never be
+// with no live entry fall back to exact-key invalidation, which also
+// discards any fill that raced the write — the entry is then rebuilt
+// on the next request. Either way, a reader can never be
 // served page state predating the write.
 func (s *Server) refreshDiscussion(raw string, urlID ids.ObjectID) {
 	for _, vk := range allViewKeys {

@@ -71,7 +71,7 @@ func mustPost(t *testing.T, srv *httptest.Server, token string, form url.Values)
 func urlNotCommentedBy(t *testing.T, o *synth.Output, author *platform.User) *platform.CommentURL {
 	t.Helper()
 	mine := map[string]bool{}
-	for _, cu := range o.DB.URLsCommentedBy(author.AuthorID) {
+	for _, cu := range urlsCommentedBy(o.DB, author.AuthorID) {
 		mine[cu.URL] = true
 	}
 	for _, cu := range allURLs(o.DB) {

@@ -10,12 +10,13 @@ import (
 	"sync"
 	"testing"
 
+	"dissenter/internal/ids"
 	"dissenter/internal/platform"
 )
 
-// The fragment-assembly oracle: discussion and home pages are now
-// concatenations of write-time-memoized fragments plus a patched
-// mutable span, so these tests pin the assembled output BYTE-IDENTICAL
+// The fragment-assembly oracle: discussion pages are concatenations
+// of write-maintained row streams plus a patched mutable span, and
+// home pages render from DB.HomeURLs, so these tests pin the assembled output BYTE-IDENTICAL
 // to the seed's full render — reimplemented here from scratch (two
 // passes, html.EscapeString on every comment) so a drift in either the
 // fragment shape or the assembly order fails loudly. Run under -race:
@@ -74,7 +75,24 @@ func oracleDiscussion(db *platform.DB, cu *platform.CommentURL, sess Session) st
 	return b.String()
 }
 
-// oracleHome is the seed home render: URLsCommentedBy filtered by the
+// urlsCommentedBy is the reference scan behind the home-page oracles:
+// the distinct registered URLs the author commented on, in
+// first-comment order, whatever their visibility.
+func urlsCommentedBy(db *platform.DB, author ids.ObjectID) []*platform.CommentURL {
+	seen := map[ids.ObjectID]bool{}
+	var out []*platform.CommentURL
+	for _, c := range db.CommentsByAuthor(author) {
+		if !seen[c.URLID] {
+			seen[c.URLID] = true
+			if cu := db.URLByID(c.URLID); cu != nil {
+				out = append(out, cu)
+			}
+		}
+	}
+	return out
+}
+
+// oracleHome is the seed home render: urlsCommentedBy filtered by the
 // per-URL any-visible-comment scan.
 func oracleHome(db *platform.DB, u *platform.User, sess Session) string {
 	var b bytes.Buffer
@@ -88,7 +106,7 @@ func oracleHome(db *platform.DB, u *platform.User, sess Session) string {
 	b.WriteString("</h2>\n<p class=\"bio\">")
 	b.WriteString(html.EscapeString(u.Bio))
 	b.WriteString("</p>\n</div>\n<ul class=\"history\">\n")
-	for _, cu := range db.URLsCommentedBy(u.AuthorID) {
+	for _, cu := range urlsCommentedBy(db, u.AuthorID) {
 		anyVisible := false
 		for _, c := range db.CommentsOnURL(cu.ID) {
 			if c.AuthorID == u.AuthorID && visible(c, sess) {

@@ -19,10 +19,10 @@
 // integers in place, a posted comment swaps in the view's grown stream
 // snapshot, and neither discards kilobytes of escaped HTML. The
 // remaining mutable surfaces are invalidated by exact key, every
-// session view of the affected subject, and an epoch check discards
-// renders that raced with an invalidation. All of that coherence runs
-// in one place, a platform.View the server attaches to its store
-// (coherence.go): handlers only write, and any write to the store —
+// session view of the affected subject, and an invalidation discards
+// any render it raced with. All of that coherence runs in one place, a
+// platform.View the server attaches to its store (coherence.go):
+// handlers only write, and any write to the store —
 // from a handler, a replication stream, or a direct call — reaches the
 // cache through the event stream before the write returns; freshness
 // does not lean on the TTL. URL-keyed surfaces normalize the address
@@ -116,31 +116,34 @@ type Server struct {
 	lastSweep atomic.Int64
 	sweeping  atomic.Bool
 
-	// Pre-escaped immutable per-record fragments, memoized once and
-	// reused across renders: trends/leaderboard row remainders, home
-	// commented-URL rows, and discussion-page heads. Per-comment
-	// fragments live in the platform fragment view (pageindex.go); these
-	// memos cover the record-derived markup around them.
+	// trendFrags memoizes the pre-escaped link+title remainder of a
+	// trends/leaderboard row. It is the one render memo under the
+	// response cache: every posted comment drops every trends view, so
+	// those pages MISS at the write rate, and the Makefile pins a miss
+	// at 64 allocations: 14 measured with the memo, 114 without, and 64
+	// (no headroom) with rows written unmemoized straight into the
+	// buffer — url.QueryEscape alone allocates once per row.
 	trendFrags fragMemo
-	homeFrags  fragMemo
-	discHeads  fragMemo
 }
 
 // fragMemo memoizes immutable per-record HTML fragments keyed by
 // ObjectID, with a wholesale reset if churn ever grows it far past the
-// hot set — so it can never become a slow leak.
+// hot set (maxTrendFrags) — so it can never become a slow leak.
 type fragMemo struct {
-	m   sync.Map // ids.ObjectID -> string
-	n   atomic.Int64
-	max int64
+	m sync.Map // ids.ObjectID -> string
+	n atomic.Int64
 }
+
+// maxTrendFrags holds one small string per URL that ever ranked; the
+// bound only caps pathological churn.
+const maxTrendFrags = 64 * platform.TrendLimit
 
 func (f *fragMemo) get(id ids.ObjectID, build func() string) string {
 	if v, ok := f.m.Load(id); ok {
 		return v.(string)
 	}
 	frag := build()
-	if f.n.Add(1) > f.max {
+	if f.n.Add(1) > maxTrendFrags {
 		f.m.Clear()
 		f.n.Store(1)
 	}
@@ -216,11 +219,6 @@ func NewServer(db *platform.DB, opts ...Option) *Server {
 		sessions:  map[string]Session{},
 		hits:      map[string]*hitWindow{},
 	}
-	// The fragment memos hold one small string per hot record; the
-	// bounds only cap pathological churn (see fragMemo).
-	s.trendFrags.max = 64 * platform.TrendLimit
-	s.homeFrags.max = 4 * DefaultCacheSize
-	s.discHeads.max = 4 * DefaultCacheSize
 	for _, o := range opts {
 		o(s)
 	}
@@ -282,20 +280,6 @@ func visible(c *platform.Comment, sess Session) bool {
 }
 
 // --- response cache helpers --------------------------------------------
-
-// viewKey encodes the bits of the session that change what is rendered.
-// Two sessions with equal view settings share cache entries; a session
-// that can see the shadow overlay never shares with one that cannot.
-func viewKey(sess Session) string {
-	k := [2]byte{'0', '0'}
-	if sess.ShowNSFW {
-		k[0] = '1'
-	}
-	if sess.ShowOffensive {
-		k[1] = '1'
-	}
-	return string(k[:])
-}
 
 // page is one response-cache entry. Simple endpoints (home, trends,
 // leaderboard) cache a fully rendered body in simple. Discussion pages
@@ -424,6 +408,17 @@ func writeInt(b *bytes.Buffer, n int) {
 	b.Write(strconv.AppendInt(scratch[:0], int64(n), 10))
 }
 
+// Mounts lists the http.ServeMux patterns that cover every path
+// ServeHTTP's switch routes — the route table's one written copy. A
+// process sharing its listener with other handlers (cmd/
+// dissenter-platform) mounts the Server under exactly these, so a new
+// route is one case below plus one pattern here.
+var Mounts = []string{
+	"/user/", "/discussion", "/comment/", "/trends", "/trends/",
+	"/leaderboard", "/leaderboard/",
+	"/discussion/begin", "/discussion/vote", "/discussion/comment",
+}
+
 // ServeHTTP routes the app's pages.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch {
@@ -550,10 +545,7 @@ func (s *Server) sweepRateLimits(now time.Time) {
 // handleHome renders a Dissenter user home page. Missing accounts get a
 // ~150-byte not-found page; real accounts get a >= 10 kB page (the size
 // side channel of §3.1). The commented-URL history comes from the
-// store's write-maintained home list (DB.HomeURLs): the per-URL
-// "does this session see any of my comments there?" filter is a
-// counter read, not the old scan over every comment of every listed
-// URL, and each listed row is a memoized fragment.
+// store's HomeURLs pass, paid once per response-cache fill.
 func (s *Server) handleHome(w http.ResponseWriter, r *http.Request, username string) {
 	u := s.db.UserByUsername(username)
 	if u == nil || !u.HasDissenter {
@@ -569,8 +561,7 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request, username str
 	})
 }
 
-// homeBody assembles a home page from the write-maintained listing and
-// the memoized row fragments.
+// homeBody assembles a home page around the author's HomeURLs listing.
 func (s *Server) homeBody(u *platform.User, sess Session) string {
 	b := getBuf()
 	defer putBuf(b)
@@ -585,7 +576,11 @@ func (s *Server) homeBody(u *platform.User, sess Session) string {
 	b.WriteString(html.EscapeString(u.Bio))
 	b.WriteString("</p>\n</div>\n<ul class=\"history\">\n")
 	for _, cu := range s.db.HomeURLs(u.AuthorID, sess.ShowNSFW, sess.ShowOffensive) {
-		b.WriteString(s.homeRow(cu))
+		b.WriteString(`<li class="commented-url"><a href="/discussion?url=`)
+		b.WriteString(url.QueryEscape(cu.URL))
+		b.WriteString(`">`)
+		b.WriteString(html.EscapeString(cu.URL))
+		b.WriteString("</a></li>\n")
 	}
 	b.WriteString("</ul>\n")
 	b.WriteString(appBundle)
@@ -593,20 +588,11 @@ func (s *Server) homeBody(u *platform.User, sess Session) string {
 	return b.String()
 }
 
-// homeRow returns the memoized commented-URL list item for a record.
-func (s *Server) homeRow(cu *platform.CommentURL) string {
-	return s.homeFrags.get(cu.ID, func() string {
-		return `<li class="commented-url"><a href="/discussion?url=` +
-			url.QueryEscape(cu.URL) + `">` + html.EscapeString(cu.URL) + "</a></li>\n"
-	})
-}
-
-// handleDiscussion renders the comment page for ?url=. A miss costs
-// O(delta), not O(page): the head is a memoized per-URL fragment, the
+// handleDiscussion renders the comment page for ?url=. A miss on a
+// page the store has materialized costs O(1), not O(page): the
 // visible-comment count comes from the fragment view's counters (no
-// counting pass), and the comment stream is an O(1) snapshot of the
-// view's pre-escaped concatenation (no render pass) — where the seed
-// render walked the page twice and escaped every comment.
+// counting pass) and the comment stream is a snapshot of the view's
+// pre-escaped concatenation (no render pass).
 func (s *Server) handleDiscussion(w http.ResponseWriter, r *http.Request) {
 	// queryValue + the Normalize already-normal fast path keep the
 	// common ?url=https://... extraction allocation-free; escaped
@@ -645,24 +631,17 @@ func (s *Server) handleDiscussion(w http.ResponseWriter, r *http.Request) {
 func (s *Server) discussionPage(cu *platform.CommentURL, showNSFW, showOffensive bool) page {
 	stream, count := s.db.CommentStream(cu.ID, showNSFW, showOffensive)
 	ups, downs := s.db.Votes(cu.ID)
-	return page{head: s.discussionHead(cu), ups: ups, downs: downs, count: count, stream: stream}
+	return page{head: discussionHead(cu), ups: ups, downs: downs, count: count, stream: stream}
 }
 
-// discussionHead returns the memoized stable prefix of a discussion
-// page: everything up to the mutable vote/count span.
-func (s *Server) discussionHead(cu *platform.CommentURL) string {
-	return s.discHeads.get(cu.ID, func() string {
-		var b strings.Builder
-		b.WriteString("<!DOCTYPE html><html><head><title>Dissenter Discussion</title></head><body>\n")
-		b.WriteString(`<div class="discussion" data-commenturl-id="`)
-		b.WriteString(cu.ID.String())
-		b.WriteString("\">\n<h1 class=\"pagetitle\">")
-		b.WriteString(html.EscapeString(cu.Title))
-		b.WriteString("</h1>\n<p class=\"pagedescription\">")
-		b.WriteString(html.EscapeString(cu.Description))
-		b.WriteString("</p>\n")
-		return b.String()
-	})
+// discussionHead renders the stable prefix of a discussion page:
+// everything up to the mutable vote/count span. Built once per fill; it
+// then survives every in-place patch inside the structured entry.
+func discussionHead(cu *platform.CommentURL) string {
+	return "<!DOCTYPE html><html><head><title>Dissenter Discussion</title></head><body>\n" +
+		`<div class="discussion" data-commenturl-id="` + cu.ID.String() +
+		"\">\n<h1 class=\"pagetitle\">" + html.EscapeString(cu.Title) +
+		"</h1>\n<p class=\"pagedescription\">" + html.EscapeString(cu.Description) + "</p>\n"
 }
 
 // handleComment renders the single-comment page, including the
@@ -684,10 +663,9 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, cidStr st
 	b := getBuf()
 	defer putBuf(b)
 	b.WriteString("<!DOCTYPE html><html><head><title>Dissenter Comment</title></head><body>\n")
-	// The main row is the same fragment the discussion page shows,
-	// memoized once in the platform view; replies use the "reply" class
-	// and are rendered in place (uncached page, cold path).
-	b.WriteString(s.db.CommentFragment(c))
+	// The main row is the same markup the discussion page shows;
+	// replies use the "reply" class (uncached page, cold path).
+	b.Write(platform.AppendCommentRow(b.AvailableBuffer(), "comment", c, true))
 	s.db.RangeCommentsOnURL(c.URLID, func(reply *platform.Comment) bool {
 		if reply.ParentID == c.ID && visible(reply, sess) {
 			b.Write(platform.AppendCommentRow(b.AvailableBuffer(), "reply", reply, false))

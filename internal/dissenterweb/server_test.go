@@ -94,7 +94,7 @@ func TestHomePageListsCommentedURLs(t *testing.T) {
 	u := someDissenterUser(t)
 	_, body := fetch(t, srv.URL+"/user/"+u.Username, "")
 	items := htmlx.FindTags(body, "li")
-	urls := out.DB.URLsCommentedBy(u.AuthorID)
+	urls := urlsCommentedBy(out.DB, u.AuthorID)
 	if len(items) == 0 {
 		t.Fatal("no commented URLs listed")
 	}
@@ -307,5 +307,33 @@ func TestRepliesOnCommentPage(t *testing.T) {
 	got := len(htmlx.FindTags(body, "div")) - 1 // minus the comment itself
 	if got != replies {
 		t.Errorf("rendered %d replies, want %d", got, replies)
+	}
+}
+
+// TestMountsReachHandlers walks the mount list the way
+// cmd/dissenter-platform does — a ServeMux with the Server under each
+// pattern (which also rejects a malformed or duplicated pattern) — and
+// asserts every pattern lands in one of ServeHTTP's cases rather than
+// its 404 default. Subtree patterns whose handler 404s on an unknown
+// subject are probed with a real one.
+func TestMountsReachHandlers(t *testing.T) {
+	s := NewServer(out.DB, WithURLRateLimit(0, 0))
+	mux := http.NewServeMux()
+	for _, pattern := range Mounts {
+		mux.Handle(pattern, s)
+	}
+	subject := map[string]string{"/user/": someDissenterUser(t).Username}
+	for _, c := range allComments(out.DB) {
+		if visible(c, Session{}) {
+			subject["/comment/"] = c.ID.String()
+			break
+		}
+	}
+	for _, pattern := range Mounts {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, pattern+subject[pattern], nil))
+		if rec.Code == http.StatusNotFound {
+			t.Errorf("%s: mounted, but ServeHTTP routes it nowhere", pattern)
+		}
 	}
 }

@@ -320,24 +320,12 @@ func StartPersister(db *platform.DB, dir string, opt Options) (*Persister, error
 		}
 	}
 	if p.wal == nil {
-		// Fresh or degraded directory: cut an initial snapshot so the
-		// current state (seed entities included) is covered, open the
-		// WAL right after it, then drop anything superseded.
-		cp := db.Checkpoint()
-		if err := writeSnapshotFile(p.fs, dir, cp); err != nil {
+		// Fresh or degraded directory: a rotation from no WAL at all cuts
+		// the initial snapshot (so seed entities are covered), opens the
+		// WAL right after it, and drops anything superseded.
+		if err := p.rotateFiles(); err != nil {
 			return nil, err
 		}
-		w, err := CreateWALFS(p.fs, walPath(dir, cp.Seq), cp.Seq)
-		if err != nil {
-			return nil, err
-		}
-		if err := syncDir(p.fs, dir); err != nil {
-			w.Close()
-			return nil, err
-		}
-		p.wal = w
-		p.removeBelow(cp.Seq)
-		db.CompactLog(cp.Seq)
 	}
 	p.durable.Store(p.wal.LastSeq())
 	go p.loop()
@@ -555,6 +543,8 @@ func (p *Persister) removeBelow(seq uint64) {
 // the in-memory log. A crash or fault between any two steps leaves a
 // directory RestoreDir still reads correctly: the newest snapshot plus
 // the newest WAL at or before it cover everything the old pair did.
+// StartPersister initializes a fresh or degraded directory through the
+// same sequence, with no old WAL to retire.
 func (p *Persister) rotateFiles() error {
 	cp := p.db.Checkpoint()
 	if err := writeSnapshotFile(p.fs, p.dir, cp); err != nil {
@@ -569,10 +559,11 @@ func (p *Persister) rotateFiles() error {
 		p.fs.Remove(newWAL.Path())
 		return err
 	}
-	oldWAL := p.wal
+	if p.wal != nil {
+		p.wal.Close()
+	}
 	p.wal = newWAL
 	p.durable.Store(cp.Seq)
-	oldWAL.Close()
 	p.removeBelow(cp.Seq)
 	p.db.CompactLog(cp.Seq)
 	return nil

@@ -20,7 +20,6 @@ type UserAdded struct{ User *User }
 func (UserAdded) isEvent() {}
 
 type View interface {
-	Name() string
 	Apply(db *DB, ev Event)
 	Rebuild(db *DB)
 }

@@ -6,8 +6,6 @@ import "dissenter/internal/platform"
 // in Rebuild, and through a package helper from Apply.
 type reindexer struct{}
 
-func (reindexer) Name() string { return "reindexer" }
-
 func (reindexer) Apply(db *platform.DB, ev platform.Event) {
 	writeBack(db)
 }

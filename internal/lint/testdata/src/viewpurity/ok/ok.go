@@ -6,8 +6,6 @@ import "dissenter/internal/platform"
 // read surface only.
 type counter struct{ n int }
 
-func (*counter) Name() string { return "counter" }
-
 func (c *counter) Apply(db *platform.DB, ev platform.Event) {
 	c.n++
 	_ = db.URLByID(1)

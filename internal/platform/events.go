@@ -102,9 +102,6 @@ func (db *DB) ApplyEvent(ev Event) { ev.applyTo(db) }
 // dissenterweb.Server registers its response-cache coherence view
 // through it when it is built.
 type View interface {
-	// Name labels the view for diagnostics; it carries no registration
-	// semantics.
-	Name() string
 	// Apply folds one event into the view. It must be safe for
 	// concurrent use (views shard their counters and keep their order
 	// structures under short mutexes) and must tolerate events arriving
@@ -261,9 +258,10 @@ func (db *DB) CompactLog(upTo uint64) int {
 	return drop
 }
 
-// eventName returns the event's stable wire name — the identity the
-// versioned encoding (internal/eventlog) and diagnostics use.
-func eventName(ev Event) string {
+// EventName returns ev's stable wire name: the identity events carry
+// in the versioned binary encoding (internal/eventlog) and the
+// replication stream.
+func EventName(ev Event) string {
 	switch ev.(type) {
 	case UserAdded:
 		return "user-added"
@@ -279,7 +277,3 @@ func eventName(ev Event) string {
 		return fmt.Sprintf("unknown(%T)", ev)
 	}
 }
-
-// EventName returns ev's stable wire name: the identity events carry
-// in the versioned binary encoding and the replication stream.
-func EventName(ev Event) string { return eventName(ev) }

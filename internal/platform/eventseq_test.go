@@ -201,7 +201,6 @@ type countingView struct {
 	rebuilt int
 }
 
-func (v *countingView) Name() string { return "counting" }
 func (v *countingView) Apply(db *DB, ev Event) {
 	v.mu.Lock()
 	v.applied++

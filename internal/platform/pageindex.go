@@ -8,72 +8,52 @@ import (
 	"dissenter/internal/ids"
 )
 
-// The discussion/home fragment view, write-maintained like the rankings
-// but materializing *page content* instead of an ordering. The two
-// pages the paper's crawl hammers hardest — per-URL discussion pages
-// (the §3.2 moving-target campaign) and user home pages (the §3.1 size
-// side channel) — used to re-walk and re-escape every comment on every
-// cache miss: a viral page with thousands of comments paid thousands of
-// html.EscapeString calls per render, and Dissenter's workload is
-// exactly that adversarial shape (a few viral URLs absorb most reads
-// AND most writes, Figs. 4–5). This view makes the per-render cost
-// proportional to what changed:
+// The discussion fragment view, write-maintained like the rankings but
+// materializing *page content* instead of an ordering. Dissenter's
+// workload is adversarial for a per-URL page (a few viral URLs absorb
+// most reads AND most writes, Figs. 4–5): every posted comment touches
+// the cached page its readers are hitting, and a re-render that walks
+// and re-escapes thousands of comments per write is O(page). This view
+// is the derived state that keeps that WRITE O(delta): per rendered
+// URL, a urlPage keeps the four per-session-view comment streams —
+// each the concatenation, in creation (ID) order, of the pre-escaped
+// rows visible under that view — plus the visibility-class counters
+// that derive every view's visible-comment count (the class/mask
+// scheme of trendindex.go). A CommentAdded escapes the one new row and
+// appends it to each stream it is visible in; dissenterweb's coherence
+// view then swaps the grown snapshot into the cached page.
 //
-//   - Per comment, the pre-escaped HTML row fragment is computed ONCE
-//     and memoized (frags). Comments are immutable, so the fragment
-//     never changes; every later rendering is a copy, not an escape.
-//   - Per URL, a urlPage keeps the four per-session-view comment
-//     streams — each the concatenation, in creation (ID) order, of the
-//     fragments visible under that view — plus the visibility-class
-//     counters that derive every view's visible-comment count (the
-//     same class/mask scheme as trendindex.go). AddComment appends one
-//     fragment to each stream the comment is visible in; a discussion
-//     render is then one O(1) snapshot, never a page walk.
-//   - Per author, an authorHome keeps the distinct URLs the author
-//     commented on in first-comment order together with the author's
-//     own per-URL visibility-class counts, so the home page's "does
-//     this session see any of my comments there?" filter is an O(1)
-//     counter read instead of the old anyVisibleBy scan over every
-//     comment of every listed URL.
+// It is not a render cache. Rendered output has exactly one cache,
+// internal/respcache, which holds the composed bytes; nothing here
+// memoizes a row or a listing so that a second render would be cheaper.
+// Home pages keep no derived state at all: HomeURLs is one pass over
+// the author's comment snapshot, paid once per response-cache fill.
 //
-// Unlike the rankings, this state is LAZY: nothing is materialized at
-// construction (a 1M-comment corpus would pin four HTML copies of
-// every page nobody asked for) and nothing is maintained for pages
-// that have never been rendered. The first CommentStream/HomeURLs call
-// for a subject builds its state from the sorted base indexes under
-// the subject's shard lock; from then on the event stream (events.go)
-// maintains it incrementally. The materialization handshake is sound
-// under write concurrency: a comment's base-index insert
-// happens-before its event dispatch, and building happens entirely
-// inside the pages/homes shard write lock, so an apply either observes
-// the materialized state (and folds the comment in) or the builder's
-// index snapshot already contains the comment — never neither.
+// The state is LAZY: nothing is materialized at construction (a
+// 1M-comment corpus would pin four HTML copies of every page nobody
+// asked for) and nothing is maintained for pages that have never been
+// rendered. The first CommentStream call for a URL builds its page
+// from the sorted base index inside the pages shard write lock; from
+// then on the event stream (events.go) maintains it. The handshake is
+// sound under write concurrency: a comment's base-index insert
+// happens-before its event dispatch, so an apply either observes the
+// materialized page (and folds the comment in) or the builder's index
+// snapshot already contains the comment — never neither.
 //
 // Ordering: streams list comments in ID order, matching CommentsOnURL.
 // Events for one URL can arrive out of ID order under write
 // concurrency (IDs are minted before the insert races); the fast path
 // appends only when the new comment sorts after everything already
-// folded in, and any out-of-order arrival falls back to rebuilding the
-// subject from the sorted base index — using the memoized fragments,
-// so even the rebuild escapes nothing. The oracle tests pin streams
-// and home lists byte-/order-identical to a full scan once writes
-// quiesce.
-//
-// This view is also what makes dissenterweb's write-time COMPOSED
-// responses cheap enough to rebuild per mutation: a cache-miss fill
-// concatenates the memoized head with one stream snapshot into the
-// entry's final body bytes, which are then gzipped and stamped with an
-// ETag exactly once (internal/respcache's composed-response entries).
-// The amortization stacks — per comment the escape happens once here,
-// per mutation the gzip happens once there, and per request the edge
-// does no rendering at all, just a variant pick and a Write.
+// folded in, and any out-of-order arrival rebuilds the page from the
+// sorted base index. The oracle tests pin streams byte-identical to a
+// full scan once writes quiesce.
 
 // AppendCommentRow appends the standard comment-row markup — the hot
 // inner fragment of the discussion and single-comment pages — to dst
 // and returns the extended slice. This is the ONE definition of the
-// row shape: the memoized fragments below and dissenterweb's uncached
-// reply renders both use it, so fragment-assembled pages stay
-// byte-identical to ad-hoc renders.
+// row shape: the streams below and dissenterweb's single-comment page
+// both use it, so stream-assembled pages stay byte-identical to ad-hoc
+// renders.
 func AppendCommentRow(dst []byte, class string, c *Comment, withParent bool) []byte {
 	dst = append(dst, `<div class="`...)
 	dst = append(dst, class...)
@@ -93,132 +73,68 @@ func AppendCommentRow(dst []byte, class string, c *Comment, withParent bool) []b
 	return dst
 }
 
-// Bounds on the lazily materialized state. A materialized page holds
-// up to four concatenated copies of its fragments (one per view), so a
-// crawl that touches EVERY page of a huge corpus would otherwise pin
-// several times the corpus' HTML forever. Everything here is a
-// rebuildable cache over the base indexes, so the bound is a wholesale
-// reset (the fragMemo discipline): crossing it drops the map and lets
-// the hot set re-materialize — an amortized re-escape per reset, never
-// a leak. The caps sit far above the response cache's hot set (4096
-// entries), so steady-state crawls of a bounded hot set never reset.
-const (
-	maxMaterializedPages = 16 << 10
-	maxMaterializedHomes = 64 << 10
-	maxMemoizedFrags     = 1 << 20
-)
+// maxMaterializedPages bounds the lazily materialized state. A page
+// holds up to four concatenated copies of its rows (one per view), so
+// a crawl that touches EVERY page of a huge corpus would otherwise pin
+// several times the corpus' HTML forever. Pages are rebuildable from
+// the base indexes, so the bound is a wholesale reset: crossing it
+// drops the map and lets the hot set re-materialize. The cap sits far
+// above the response cache's hot set (4096 entries), so steady-state
+// crawls of a bounded hot set never reset.
+const maxMaterializedPages = 16 << 10
 
-// pageIndex is the fragment view hanging off a DB.
+// pageIndex is the fragment view hanging off a DB: the materialized
+// per-URL page states. An absent entry means "never rendered", and
+// Apply skips it in O(1).
 type pageIndex struct {
-	// frags memoizes each comment's pre-escaped discussion-row fragment
-	// (class "comment", parent attribute included). Populated lazily —
-	// at page materialization or on the first write that needs it — and
-	// never recomputed while resident: a fragment is a pure function of
-	// an immutable record.
-	frags  *shardedMap[ids.ObjectID, string]
-	nFrags atomic.Int64
-	// pages holds the materialized per-URL page states; absent entries
-	// mean "never rendered", and apply skips them in O(1).
 	pages  *shardedMap[ids.ObjectID, *urlPage]
 	nPages atomic.Int64
-	// homes holds the materialized per-author home states.
-	homes  *shardedMap[ids.ObjectID, *authorHome]
-	nHomes atomic.Int64
 }
 
 func newPageIndex() *pageIndex {
-	return &pageIndex{
-		frags: newShardedMap[ids.ObjectID, string](hashObjectID),
-		pages: newShardedMap[ids.ObjectID, *urlPage](hashObjectID),
-		homes: newShardedMap[ids.ObjectID, *authorHome](hashObjectID),
-	}
+	return &pageIndex{pages: newShardedMap[ids.ObjectID, *urlPage](hashObjectID)}
 }
-
-// frag returns the comment's memoized row fragment, computing and
-// publishing it on first use. Duplicate computation under a race is
-// benign: both racers produce identical bytes.
-func (ix *pageIndex) frag(c *Comment) string {
-	if f, ok := ix.frags.get(c.ID); ok {
-		return f
-	}
-	f := string(AppendCommentRow(nil, "comment", c, true))
-	if ix.nFrags.Add(1) > maxMemoizedFrags {
-		ix.frags.reset()
-		ix.nFrags.Store(1)
-	}
-	ix.frags.set(c.ID, f)
-	return f
-}
-
-// Name implements View.
-func (ix *pageIndex) Name() string { return "pages" }
 
 // Apply implements View (events.go). Only comment inserts move page
 // content; votes render from the live tally and URL/user registrations
 // resolve lazily at render time.
 func (ix *pageIndex) Apply(db *DB, ev Event) {
-	e, ok := ev.(CommentAdded)
-	if !ok {
-		return
-	}
-	if p, ok := ix.pages.get(e.Comment.URLID); ok {
-		p.add(db, ix, e.Comment)
-	}
-	if h, ok := ix.homes.get(e.Comment.AuthorID); ok {
-		h.add(db, e.Comment)
+	if e, ok := ev.(CommentAdded); ok {
+		if p, ok := ix.pages.get(e.Comment.URLID); ok {
+			p.add(db, e.Comment)
+		}
 	}
 }
 
-// Rebuild implements View. The fragment view is lazy — nothing is
-// materialized until a page is rendered, and every materialized entry
+// Rebuild implements View. The view is lazy — every materialized page
 // is rebuilt from the base indexes on demand — so rebuilding means
 // dropping whatever was materialized and letting the hot set
 // re-materialize against the current store.
 func (ix *pageIndex) Rebuild(db *DB) {
 	ix.pages.reset()
 	ix.nPages.Store(0)
-	ix.homes.reset()
-	ix.nHomes.Store(0)
 }
 
 // page returns the URL's materialized page state, building it from the
 // sorted comment index on first use (inside the pages shard write
-// lock; see the handshake note in the package comment).
+// lock; see the handshake note above).
 func (ix *pageIndex) page(db *DB, urlID ids.ObjectID) *urlPage {
 	if p, ok := ix.pages.get(urlID); ok {
 		return p
 	}
 	p, created := ix.pages.getOrCreate(urlID, func() *urlPage {
 		np := &urlPage{}
-		np.rebuildLocked(db, ix, urlID)
+		np.rebuildLocked(db, urlID)
 		return np
 	})
-	// Past the bound, drop the whole materialized set (see the caps
-	// above). The page just built stays valid for this caller — it is a
-	// consistent snapshot — and the hot set re-materializes on demand.
+	// Past the bound, drop the whole materialized set. The page just
+	// built stays valid for this caller — it is a consistent snapshot —
+	// and the hot set re-materializes on demand.
 	if created && ix.nPages.Add(1) > maxMaterializedPages {
 		ix.pages.reset()
 		ix.nPages.Store(0)
 	}
 	return p
-}
-
-// home returns the author's materialized home state, building it from
-// the sorted per-author comment index on first use.
-func (ix *pageIndex) home(db *DB, author ids.ObjectID) *authorHome {
-	if h, ok := ix.homes.get(author); ok {
-		return h
-	}
-	h, created := ix.homes.getOrCreate(author, func() *authorHome {
-		nh := &authorHome{counts: map[ids.ObjectID]classCounts{}}
-		nh.rebuildLocked(db, author)
-		return nh
-	})
-	if created && ix.nHomes.Add(1) > maxMaterializedHomes {
-		ix.homes.reset()
-		ix.nHomes.Store(0)
-	}
-	return h
 }
 
 // urlPage is one materialized discussion page: the four view streams
@@ -232,7 +148,7 @@ type urlPage struct {
 	// triggers a rebuild instead of an append.
 	lastID ids.ObjectID
 	n      int
-	// views[v] is the ID-ordered concatenation of the fragments visible
+	// views[v] is the ID-ordered concatenation of the rows visible
 	// under view mask v. Streams are append-only between rebuilds;
 	// readers snapshot with the capacity clipped to the length, so an
 	// append into spare capacity never races a held snapshot (the same
@@ -240,15 +156,17 @@ type urlPage struct {
 	views [4][]byte
 }
 
-// add folds one inserted comment into the page, called from apply with
-// the base indexes already reflecting the insert.
-func (p *urlPage) add(db *DB, ix *pageIndex, c *Comment) {
-	frag := ix.frag(c)
+// add folds one inserted comment into the page, called from Apply with
+// the base indexes already reflecting the insert. The row is escaped
+// once, outside the page lock, and appended to every view showing it.
+func (p *urlPage) add(db *DB, c *Comment) {
+	var scratch [512]byte
+	row := AppendCommentRow(scratch[:0], "comment", c, true)
 	cls := commentClass(c)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.n > 0 && !p.lastID.Before(c.ID) {
-		p.rebuildLocked(db, ix, c.URLID)
+		p.rebuildLocked(db, c.URLID)
 		return
 	}
 	p.counts[cls]++
@@ -256,28 +174,28 @@ func (p *urlPage) add(db *DB, ix *pageIndex, c *Comment) {
 	p.n++
 	for v := range p.views {
 		if cls&^v == 0 {
-			p.views[v] = append(p.views[v], frag...)
+			p.views[v] = append(p.views[v], row...)
 		}
 	}
 }
 
 // rebuildLocked recomputes the whole page state from the sorted
-// per-URL comment index. The fragments are already memoized (or become
-// so here), so a rebuild concatenates — it does not re-escape. Callers
-// hold p.mu, except the materializing constructor, whose page is not
-// yet shared.
-func (p *urlPage) rebuildLocked(db *DB, ix *pageIndex, urlID ids.ObjectID) {
+// per-URL comment index, escaping each row once into a reused buffer.
+// Callers hold p.mu, except the materializing constructor, whose page
+// is not yet shared.
+func (p *urlPage) rebuildLocked(db *DB, urlID ids.ObjectID) {
 	cs, _ := db.commentsByURL.get(urlID)
 	var counts classCounts
 	var views [4][]byte
 	var lastID ids.ObjectID
+	var row []byte
 	for _, c := range cs {
-		frag := ix.frag(c)
+		row = AppendCommentRow(row[:0], "comment", c, true)
 		cls := commentClass(c)
 		counts[cls]++
 		for v := range views {
 			if cls&^v == 0 {
-				views[v] = append(views[v], frag...)
+				views[v] = append(views[v], row...)
 			}
 		}
 		lastID = c.ID
@@ -285,66 +203,15 @@ func (p *urlPage) rebuildLocked(db *DB, ix *pageIndex, urlID ids.ObjectID) {
 	p.counts, p.views, p.lastID, p.n = counts, views, lastID, len(cs)
 }
 
-// authorHome is one materialized home page: the author's distinct
-// commented URLs in first-comment order, with the author's own per-URL
-// comment census by visibility class.
-type authorHome struct {
-	mu     sync.Mutex
-	lastID ids.ObjectID
-	n      int
-	order  []ids.ObjectID
-	counts map[ids.ObjectID]classCounts
-}
-
-// add folds one inserted comment into the author's home state.
-func (h *authorHome) add(db *DB, c *Comment) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n > 0 && !h.lastID.Before(c.ID) {
-		h.rebuildLocked(db, c.AuthorID)
-		return
-	}
-	cc, seen := h.counts[c.URLID]
-	if !seen {
-		h.order = append(h.order, c.URLID)
-	}
-	cc[commentClass(c)]++
-	h.counts[c.URLID] = cc
-	h.lastID = c.ID
-	h.n++
-}
-
-// rebuildLocked recomputes the home state from the sorted per-author
-// comment index. Callers hold h.mu, except the materializing
-// constructor.
-func (h *authorHome) rebuildLocked(db *DB, author ids.ObjectID) {
-	cs, _ := db.commentsByAuthor.get(author)
-	order := make([]ids.ObjectID, 0, len(h.order))
-	counts := make(map[ids.ObjectID]classCounts, len(h.counts)+1)
-	var lastID ids.ObjectID
-	for _, c := range cs {
-		cc, seen := counts[c.URLID]
-		if !seen {
-			order = append(order, c.URLID)
-		}
-		cc[commentClass(c)]++
-		counts[c.URLID] = cc
-		lastID = c.ID
-	}
-	h.order, h.counts, h.lastID, h.n = order, counts, lastID, len(cs)
-}
-
-// --- DB accessors --------------------------------------------------------
-
 // CommentStream returns the URL's rendered comment stream for a
 // session with the given shadow-overlay settings — the ID-ordered
-// concatenation of the pre-escaped row fragments of every comment the
-// view exposes — together with that view's visible-comment count. Both
-// come from the same snapshot under the page's mutex, so the count
-// always equals the number of rows in the stream. The returned slice
-// is a stable snapshot (capacity clipped); callers must not modify it.
+// concatenation of the pre-escaped rows of every comment the view
+// exposes — together with that view's visible-comment count. Both come
+// from the same snapshot under the page's mutex, so the count always
+// equals the number of rows in the stream. The returned slice is a
+// stable snapshot (capacity clipped); callers must not modify it.
 // First call for a URL materializes its page state; subsequent writes
-// maintain it in O(fragment).
+// maintain it in O(row).
 func (db *DB) CommentStream(urlID ids.ObjectID, showNSFW, showOffensive bool) (stream []byte, visible int) {
 	v := viewMask(showNSFW, showOffensive)
 	p := db.pages.page(db, urlID)
@@ -355,26 +222,30 @@ func (db *DB) CommentStream(urlID ids.ObjectID, showNSFW, showOffensive bool) (s
 	return s[:len(s):len(s)], n
 }
 
-// CommentFragment returns the comment's memoized pre-escaped
-// discussion-row fragment (class "comment", parent attribute
-// included), computing it on first use.
-func (db *DB) CommentFragment(c *Comment) string { return db.pages.frag(c) }
-
 // HomeURLs returns the distinct registered URLs on which the author
 // has at least one comment visible to a session with the given
 // shadow-overlay settings, in first-comment order — the listing a
-// Dissenter home page renders. URL records are resolved at call time,
-// so a comment posted before its URL registered surfaces as soon as
-// the registration lands. First call for an author materializes their
-// home state; subsequent writes maintain it in O(1).
+// Dissenter home page renders. It is one pass over the author's
+// comment snapshot: no state is kept between calls, because the
+// response cache holds the rendered page and a posted comment
+// invalidates it. URL records are resolved at call time, so a comment
+// posted before its URL registered surfaces as soon as the
+// registration lands.
 func (db *DB) HomeURLs(author ids.ObjectID, showNSFW, showOffensive bool) []*CommentURL {
 	v := viewMask(showNSFW, showOffensive)
-	h := db.pages.home(db, author)
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]*CommentURL, 0, len(h.order))
-	for _, id := range h.order {
-		if visibleCount(h.counts[id], v) == 0 {
+	cs, _ := db.commentsByAuthor.get(author)
+	var order []ids.ObjectID
+	shown := make(map[ids.ObjectID]bool) // URL -> the view exposes one of the author's comments there
+	for _, c := range cs {
+		was, seen := shown[c.URLID]
+		if !seen {
+			order = append(order, c.URLID)
+		}
+		shown[c.URLID] = was || commentClass(c)&^v == 0
+	}
+	out := make([]*CommentURL, 0, len(order))
+	for _, id := range order {
+		if !shown[id] {
 			continue
 		}
 		if cu := db.URLByID(id); cu != nil {

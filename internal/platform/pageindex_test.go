@@ -148,12 +148,29 @@ func TestCommentStreamOutOfOrderInserts(t *testing.T) {
 	}
 }
 
+// urlsCommentedBy is the reference scan HomeURLs is checked against:
+// the distinct registered URLs the author commented on, in
+// first-comment order, whatever their visibility.
+func urlsCommentedBy(db *DB, author ids.ObjectID) []*CommentURL {
+	seen := map[ids.ObjectID]bool{}
+	var out []*CommentURL
+	for _, c := range db.CommentsByAuthor(author) {
+		if !seen[c.URLID] {
+			seen[c.URLID] = true
+			if cu := db.URLByID(c.URLID); cu != nil {
+				out = append(out, cu)
+			}
+		}
+	}
+	return out
+}
+
 // oracleHomeURLs is the old home-page listing logic: distinct URLs in
 // first-comment order, filtered to those with a comment by the author
 // that the view exposes.
 func oracleHomeURLs(db *DB, author ids.ObjectID, showNSFW, showOffensive bool) []*CommentURL {
 	var out []*CommentURL
-	for _, cu := range db.URLsCommentedBy(author) {
+	for _, cu := range urlsCommentedBy(db, author) {
 		visible := false
 		for _, c := range db.CommentsOnURL(cu.ID) {
 			if c.AuthorID != author {

@@ -109,8 +109,8 @@ func TestLookups(t *testing.T) {
 		t.Errorf("MaxGabID = %d", db.MaxGabID())
 	}
 	alice := db.UserByUsername("alice")
-	if got := db.URLsCommentedBy(alice.AuthorID); len(got) != 1 {
-		t.Errorf("URLsCommentedBy = %d", len(got))
+	if got := db.HomeURLs(alice.AuthorID, true, true); len(got) != 1 {
+		t.Errorf("HomeURLs = %d", len(got))
 	}
 	if got := db.Followers(1); len(got) != 1 || got[0] != 2 {
 		t.Errorf("Followers(1) = %v", got)

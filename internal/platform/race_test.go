@@ -85,7 +85,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 					_, _ = db.Votes(cu.ID)
 				}
 				_ = db.CommentsByAuthor(alice.AuthorID)
-				_ = db.URLsCommentedBy(alice.AuthorID)
+				_ = db.HomeURLs(alice.AuthorID, true, true)
 				_ = db.Followers(1)
 				_ = db.Following(ids.GabID(1 + i%120))
 				if i%17 == 0 {

@@ -73,10 +73,9 @@ type DB struct {
 	// ordering (voteindex.go). Each keeps sharded counters plus a
 	// rankheap order structure, so writes stay O(1)-ish and the ranked
 	// reads (TopTrends, Leaderboard) are O(page). pages is the
-	// discussion/home fragment view (pageindex.go): memoized
-	// pre-escaped comment fragments, per-URL per-view comment streams,
-	// and per-author home lists — lazily materialized on first render,
-	// write-maintained afterwards.
+	// discussion fragment view (pageindex.go): per-URL per-view
+	// pre-escaped comment streams — lazily materialized on first
+	// render, write-maintained afterwards.
 	trends  *trendIndex
 	leaders *voteIndex
 	pages   *pageIndex
@@ -394,22 +393,6 @@ func (db *DB) CommentByID(id ids.ObjectID) *Comment {
 func (db *DB) CommentsByAuthor(id ids.ObjectID) []*Comment {
 	cs, _ := db.commentsByAuthor.get(id)
 	return cs
-}
-
-// URLsCommentedBy returns the distinct URLs the author commented on, in
-// first-comment order — the listing a Dissenter home page exposes.
-func (db *DB) URLsCommentedBy(id ids.ObjectID) []*CommentURL {
-	seen := map[ids.ObjectID]bool{}
-	var out []*CommentURL
-	for _, c := range db.CommentsByAuthor(id) {
-		if !seen[c.URLID] {
-			seen[c.URLID] = true
-			if cu := db.URLByID(c.URLID); cu != nil {
-				out = append(out, cu)
-			}
-		}
-	}
-	return out
 }
 
 // Following returns the Gab users id follows, in edge-arrival order.

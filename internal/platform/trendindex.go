@@ -137,9 +137,6 @@ func newTrendIndex() *trendIndex {
 	return ix
 }
 
-// Name implements View.
-func (ix *trendIndex) Name() string { return "trends" }
-
 // Apply implements View (events.go): comment inserts bump the ranking,
 // URL registrations backfill it. Votes, follows, and user inserts do
 // not move a trends ranking.

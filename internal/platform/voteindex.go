@@ -83,9 +83,6 @@ func newVoteIndex() *voteIndex {
 	}
 }
 
-// Name implements View.
-func (ix *voteIndex) Name() string { return "leaderboard" }
-
 // Apply implements View (events.go). applyVote commits the
 // tally before dispatching, so the snapshot read here carries at least
 // this event's update (possibly later ones — a higher stamp, which the

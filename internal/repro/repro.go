@@ -98,8 +98,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	defer stopGab()
 	web := dissenterweb.NewServer(out.DB, dissenterweb.WithURLRateLimit(0, 0))
-	web.RegisterSession("nsfw-probe", dissenterweb.Session{ShowNSFW: true})
-	web.RegisterSession("off-probe", dissenterweb.Session{ShowOffensive: true})
+	web.RegisterProbeSessions()
 	webURL, stopWeb, err := serve(web)
 	if err != nil {
 		return nil, err

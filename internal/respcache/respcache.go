@@ -16,35 +16,34 @@
 // # The Rev protocol
 //
 // Each content generation of a key is stamped with a Rev: the shard's
-// invalidation epoch plus a shard-monotonic sequence number, minted
+// invalidation count plus a shard-monotonic sequence number, minted
 // under the same lock acquisition that makes the generation
 // reachable. The lifecycle is:
 //
-//   - GetOrFillRev is the read path. A miss publishes a flight and
+//   - GetOrFillRev is the read path. A miss registers a flight and
 //     mints the Rev under one lock acquisition, then runs the fill
 //     outside the lock; N concurrent misses on one key run ONE fill
 //     and the waiters are handed its result directly. The fill
 //     composes the final response once (render, gzip, ETag from the
-//     Rev) and the composed form is cached with the entry — unless the
-//     key was invalidated while the fill was in flight: that result
-//     still answers the waiters already enqueued, but is never cached,
-//     because it may predate the write that fired the invalidation.
+//     Rev) and the result is cached iff its flight is still the one
+//     registered for the key when it completes.
 //   - UpdateRev patches the entry in place AND re-stamps it with a
 //     fresh Rev under the shard lock, so the patched generation gets a
 //     new ETag atomically with the content change — a client holding
 //     the previous ETag can never revalidate against the patched body.
-//   - Invalidate drops the entry, bumps the shard epoch and tombstones
-//     the key, so any generation stamped before it carries a Rev that
-//     no later generation can repeat. It also detaches any in-flight
-//     fill for the key, so a miss arriving AFTER the invalidation
-//     starts a fresh fill instead of adopting the doomed one.
+//   - Invalidate drops the entry and detaches the key's in-flight
+//     fill, if any — the whole staleness mechanism. The detached fill
+//     still answers the waiters already enqueued on it, but may predate
+//     the write that fired the invalidation, so it is never cached; a
+//     miss arriving AFTER the invalidation starts a fresh fill instead
+//     of adopting the doomed one. Invalidating other keys, however
+//     many, never touches this key's flight.
 //
 // Because the sequence number only moves forward, two distinct
 // generations of one key never share an ETag, which is the property
 // the HTTP layer's If-None-Match handling relies on: a 304 is only
 // ever issued when the client's validator equals the ETag of the
-// currently cached generation, and an invalidated epoch can never
-// produce that equality. GetBytes is the companion zero-allocation
+// currently cached generation. GetBytes is the companion zero-allocation
 // read: it accepts the key as a scratch []byte so the serving hot path
 // can probe the cache without building a string key.
 //
@@ -71,9 +70,9 @@ type Cache[V any] struct {
 }
 
 // lruShard is one independently locked segment: an intrusive
-// doubly-linked LRU list over a map, with per-key invalidation
-// tombstones. Capacity and eviction are per shard, so the cache-wide
-// capacity is approximate under skewed key hashing.
+// doubly-linked LRU list over a map. Capacity and eviction are per
+// shard, so the cache-wide capacity is approximate under skewed key
+// hashing.
 type lruShard[V any] struct {
 	mu      sync.Mutex
 	maxSize int
@@ -82,21 +81,14 @@ type lruShard[V any] struct {
 	items   map[string]*entry[V]
 	// head is most recent.
 	head, tail *entry[V]
-	// epoch increments on every invalidation in this shard. tomb
-	// records, per exact key, the epoch of its latest invalidation, so
-	// a fill that began before that key was invalidated is discarded
-	// without penalizing other keys. tombFloor discards all older
-	// in-flight fills; it only advances when tomb overflows.
-	epoch     uint64
-	tomb      map[string]uint64
-	tombFloor uint64
-	// seq counts content generations stamped in this shard (fills and
-	// in-place patches). Together with epoch it forms the Rev identity
-	// of one generation; it never rewinds, so ETags derived from it
-	// never repeat across generations of any key in the shard.
-	seq uint64
+	// epoch counts this shard's invalidations and seq its stamped
+	// content generations (fills and in-place patches); together they
+	// form a generation's Rev, and decide nothing else. seq never
+	// rewinds, so ETags never repeat across generations in the shard.
+	epoch, seq uint64
 	// flights holds the in-progress GetOrFillRev per key: followers of a
-	// live flight wait on done instead of rendering.
+	// live flight wait on done instead of rendering, and a fill Invalidate
+	// detached from here mid-render is not cached.
 	flights map[string]*flight[V]
 
 	hits, misses uint64
@@ -104,9 +96,9 @@ type lruShard[V any] struct {
 
 // flight is one in-progress fill. val and failed are published before
 // done closes, so waiters reading after <-done observe them. failed
-// marks a fill that panicked: the flight is closed so waiters never
-// wedge, and they render for themselves instead of adopting a value
-// that does not exist.
+// starts true and is cleared when fill returns: a fill that panicked
+// still closes its flight, and its waiters render for themselves
+// instead of adopting a value that does not exist.
 type flight[V any] struct {
 	done   chan struct{}
 	val    V
@@ -140,7 +132,6 @@ func (s *lruShard[V]) init(maxSize int, ttl time.Duration) {
 	s.ttl = ttl
 	s.now = time.Now
 	s.items = make(map[string]*entry[V], maxSize)
-	s.tomb = make(map[string]uint64)
 	s.flights = make(map[string]*flight[V])
 }
 
@@ -149,13 +140,12 @@ func (c *Cache[V]) shard(key string) *lruShard[V] {
 }
 
 // Rev identifies one content generation of one cache key: the shard's
-// invalidation epoch when the generation was stamped plus a
+// invalidation count when the generation was stamped plus a
 // shard-monotonic sequence number. Two distinct generations never
 // share a Rev (Seq only moves forward), which makes ETag a sound
 // strong validator: byte-different bodies always carry different tags.
-// The zero Rev is reserved for unstamped renders (disabled cache,
-// panic-recovery fallback fills); stamped generations always have
-// Seq >= 1.
+// The zero Rev is reserved for the unstamped renders of a disabled
+// cache; stamped generations always have Seq >= 1.
 type Rev struct {
 	Epoch, Seq uint64
 }
@@ -208,38 +198,31 @@ func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
 		}
 		return f.val, true
 	}
-	f := &flight[V]{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{}), failed: true}
 	s.flights[key] = f
 	s.seq++
 	rev := Rev{Epoch: s.epoch, Seq: s.seq}
-	epoch := rev.Epoch
 	s.misses++
 	s.mu.Unlock()
 
 	// The flight MUST be resolved even if fill panics (an HTTP handler's
 	// panic is recovered per request by net/http): an unclosed flight
 	// would wedge every present and future waiter on this key forever.
-	completed := false
 	defer func() {
 		s.mu.Lock()
 		if s.flights[key] == f {
 			delete(s.flights, key)
+			if !f.failed {
+				s.put(key, f.val)
+			}
 		}
 		s.mu.Unlock()
-		f.failed = !completed
 		close(f.done)
 	}()
 
-	v := fill(rev)
-	completed = true
-
-	s.mu.Lock()
-	if !(epoch < s.tombFloor || s.tomb[key] > epoch) {
-		s.put(key, v)
-	}
-	s.mu.Unlock()
-	f.val = v
-	return v, false
+	f.val = fill(rev)
+	f.failed = false
+	return f.val, false
 }
 
 // UpdateRev patches the live entry for key in place, leaving its LRU
@@ -253,8 +236,7 @@ func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
 // bytes). The re-stamp is what guarantees a client revalidating with
 // the pre-patch ETag gets a full 200 with the new body, never a 304.
 // Returns false when no unexpired entry exists — callers then fall
-// back to Invalidate, whose tombstone also discards any fill racing
-// the write.
+// back to Invalidate, which also discards any fill racing the write.
 func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
 	if c == nil {
 		return false
@@ -303,10 +285,9 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	return e.val, true
 }
 
-// Invalidate drops the entry for key, if any, and tombstones the key
-// so an in-flight GetOrFillRev for it (stamped earlier) is never
-// cached. A live flight for the key is also detached: its waiters
-// still receive its value, but later misses start a fresh fill.
+// Invalidate drops the entry for key, if any, and detaches the key's
+// in-flight GetOrFillRev: its waiters still receive its value, but it
+// is never cached and later misses start a fresh fill.
 func (c *Cache[V]) Invalidate(key string) {
 	if c == nil {
 		return
@@ -315,14 +296,7 @@ func (c *Cache[V]) Invalidate(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.epoch++
-	s.tomb[key] = s.epoch
 	delete(s.flights, key)
-	// Bound the tombstone map: on overflow, fall back to discarding all
-	// of this shard's in-flight puts once and start over.
-	if len(s.tomb) > s.maxSize {
-		s.tomb = make(map[string]uint64)
-		s.tombFloor = s.epoch
-	}
 	if e, ok := s.items[key]; ok {
 		s.remove(e)
 	}

@@ -195,28 +195,29 @@ func TestFillSurvivesUnrelatedInvalidate(t *testing.T) {
 	}
 }
 
-func TestTombOverflowFloorsInFlightFills(t *testing.T) {
+// TestFillStalenessIsPerKey: whether an in-flight fill is cached
+// depends on its own key alone. Parked across more invalidations of
+// OTHER same-shard keys than the shard holds entries (the storm a
+// comment-heavy workload produces), it is still cached; one
+// invalidation of its own key still discards it.
+func TestFillStalenessIsPerKey(t *testing.T) {
 	c := New[string](16, time.Minute) // 1 entry per shard
-	// Overflow one shard's tombstone map while a fill is in flight; the
-	// fill was stamped before the overflow, so it must be rejected
-	// (conservative fallback) even though its own key was never
-	// invalidated.
 	key := "victim"
 	s := c.shard(key)
-	filling, release, done := slowFill(c, key, "stale")
-	<-filling
-	tombs := func() int { s.mu.Lock(); defer s.mu.Unlock(); return len(s.tomb) }
-	for i := 0; tombs() > 0 || i == 0; i++ {
-		c.Invalidate(sameShardKey(c, s, i))
-	}
-	close(release)
-	<-done
-	if _, ok := get(c, key); ok {
-		t.Fatal("pre-overflow fill cached after tomb reset")
-	}
-	fill(c, key, "fresh")
-	if _, ok := get(c, key); !ok {
-		t.Fatal("post-overflow fill rejected after tomb reset")
+	for _, own := range []bool{true, false} { // cached case last: a hit would never fill again
+		filling, release, done := slowFill(c, key, "parked")
+		<-filling
+		for i := 0; i < 4*s.maxSize+4; i++ {
+			c.Invalidate(sameShardKey(c, s, i))
+		}
+		if own {
+			c.Invalidate(key)
+		}
+		close(release)
+		<-done
+		if _, ok := get(c, key); ok == own {
+			t.Fatalf("own key invalidated=%v, but fill cached=%v", own, ok)
+		}
 	}
 }
 
