@@ -483,15 +483,9 @@ func benchmarkRenderMiss(b *testing.B, path, budgetEnv string) {
 			b.StopTimer()
 			runtime.ReadMemStats(&ms1)
 			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			if budget := os.Getenv(budgetEnv); budget != "" {
-				max, err := strconv.ParseFloat(budget, 64)
-				if err != nil {
-					b.Fatalf("bad %s %q: %v", budgetEnv, budget, err)
-				}
-				if allocsPerOp > max {
-					b.Fatalf("%s render allocates %.1f objects/op, budget %v — the hot path regressed",
-						path, allocsPerOp, budget)
-				}
+			if max, ok := envBudget(b, budgetEnv); ok && allocsPerOp > max {
+				b.Fatalf("%s render allocates %.1f objects/op, budget %v — the hot path regressed",
+					path, allocsPerOp, max)
 			}
 		})
 	}
@@ -604,6 +598,22 @@ func BenchmarkLeaderboardUnderVoteLoad(b *testing.B) {
 // BENCH_DISC_MAX_ALLOCS=<n> set it fails past the allocation budget,
 // the third CI budget beside trends and leaderboard.
 
+// envBudget reads a budget from the environment variable env; ok is
+// false when it is unset, which is how the smoke run skips the
+// assertions `make bench-budget` makes.
+func envBudget(b *testing.B, env string) (max float64, ok bool) {
+	b.Helper()
+	v := os.Getenv(env)
+	if v == "" {
+		return 0, false
+	}
+	max, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		b.Fatalf("bad %s %q: %v", env, v, err)
+	}
+	return max, true
+}
+
 // discussionScales size the comments-per-URL axis; store size is held
 // small so the only variable is page length.
 var discussionScales = []trendsScale{
@@ -635,9 +645,9 @@ func BenchmarkDiscussionRenderMiss(b *testing.B) {
 			target := f.hot[0]
 			req := httptest.NewRequest(http.MethodGet,
 				"/discussion?url="+url.QueryEscape(target.URL), nil)
-			// Warm the write-time memos (head fragment, comment stream)
-			// so the measured ops see the steady state the production
-			// path runs in, then measure the pure miss fill.
+			// Materialize the page's comment stream in the store's
+			// fragment view, the steady state the production path runs
+			// in, then measure the pure miss fill.
 			s.ServeHTTP(newDiscardRW(), req)
 			w := newDiscardRW()
 			b.ReportAllocs()
@@ -651,17 +661,57 @@ func BenchmarkDiscussionRenderMiss(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&ms1)
 			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			if budget := os.Getenv("BENCH_DISC_MAX_ALLOCS"); budget != "" {
-				max, err := strconv.ParseFloat(budget, 64)
-				if err != nil {
-					b.Fatalf("bad BENCH_DISC_MAX_ALLOCS %q: %v", budget, err)
-				}
-				if allocsPerOp > max {
-					b.Fatalf("discussion miss allocates %.1f objects/op at %s, budget %v — the hot path regressed",
-						allocsPerOp, sc.name, budget)
-				}
+			if max, ok := envBudget(b, "BENCH_DISC_MAX_ALLOCS"); ok && allocsPerOp > max {
+				b.Fatalf("discussion miss allocates %.1f objects/op at %s, budget %v — the hot path regressed",
+					allocsPerOp, sc.name, max)
 			}
 		})
+	}
+}
+
+// BenchmarkDiscussionFillMiss is the crawl's miss with the cache ON:
+// more pages than cache entries, visited in rotation, so every request
+// renders, composes (gzip included), fills and evicts — the path
+// crawl_scan runs and the cache-off miss benchmarks above never reach.
+// It counts BYTES: constructing a compressor per fill costs 28 objects
+// and 1.2 MB, which an object budget of 64 passes. With
+// BENCH_FILL_MAX_BYTES=<n> set it fails past n bytes allocated per op.
+func BenchmarkDiscussionFillMiss(b *testing.B) {
+	const pages = 256
+	f := buildTrendsFixture(trendsScale{urls: pages, per: 2, authors: 16, nsfwMod: 13, offMod: 17})
+	s := dissenterweb.NewServer(f.db,
+		dissenterweb.WithURLRateLimit(0, 0),
+		dissenterweb.WithResponseCache(pages/4, time.Minute))
+	reqs := make([]*http.Request, pages)
+	w := newDiscardRW()
+	for i := range reqs {
+		// buildTrendsFixture's URL scheme.
+		raw := fmt.Sprintf("https://bench.trends/story/%07d", i)
+		reqs[i] = httptest.NewRequest(http.MethodGet, "/discussion?url="+url.QueryEscape(raw), nil)
+		reqs[i].Header.Set("Accept-Encoding", "gzip")
+		s.ServeHTTP(w, reqs[i]) // materialize the page in the fragment view
+	}
+	b.ReportAllocs()
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	// A collection empties sync.Pools: one untimed fill puts a
+	// compressor back, so the count below is the steady state's.
+	s.ServeHTTP(w, reqs[0])
+	_, misses0 := s.CacheStats()
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ServeHTTP(w, reqs[(i+1)%len(reqs)])
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	if _, misses := s.CacheStats(); misses-misses0 != uint64(b.N) {
+		b.Fatalf("%d of %d requests missed; the rotation must outrun the cache", misses-misses0, b.N)
+	}
+	bytesPerOp := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N)
+	if max, ok := envBudget(b, "BENCH_FILL_MAX_BYTES"); ok && bytesPerOp > max {
+		b.Fatalf("a cached discussion fill allocates %.0f bytes/op, budget %v — the miss path regressed",
+			bytesPerOp, max)
 	}
 }
 

@@ -20,9 +20,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 
 	"dissenter/internal/dissenterweb"
@@ -33,17 +31,9 @@ import (
 // rationale).
 func hitAllocBudget(b *testing.B, allocsPerOp float64) {
 	b.Helper()
-	budget := os.Getenv("BENCH_HIT_MAX_ALLOCS")
-	if budget == "" {
-		return
-	}
-	max, err := strconv.ParseFloat(budget, 64)
-	if err != nil {
-		b.Fatalf("bad BENCH_HIT_MAX_ALLOCS %q: %v", budget, err)
-	}
-	if math.Round(allocsPerOp) > max {
+	if max, ok := envBudget(b, "BENCH_HIT_MAX_ALLOCS"); ok && math.Round(allocsPerOp) > max {
 		b.Fatalf("cache hit allocates %.2f objects/op, budget %v — the zero-alloc hit path regressed",
-			allocsPerOp, budget)
+			allocsPerOp, max)
 	}
 }
 

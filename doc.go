@@ -129,7 +129,11 @@
 // two integers in place (respcache.UpdateRev) and a posted comment swaps
 // in the view's grown stream — the page's escaped HTML is never
 // discarded; a view with no live entry falls back to exact-key
-// invalidation, which discards racing fills. A posted
+// invalidation, which discards racing fills. Composing the patched
+// generation costs its delta too: compressors are pooled, and a large
+// page's gzip variant is one member whose comment stream is handed
+// from generation to generation and extended by deflating only the
+// appended rows (respcache.ComposeSegments). A posted
 // comment additionally drops every session view of the posting
 // author's home page (its commented-URL listing changed shape) and of
 // the trends ranking (comment counts order it) — by exact key across

@@ -109,20 +109,34 @@ func (s *Server) refreshDiscussion(raw string, urlID ids.ObjectID) {
 		key := DiscussionSubject(raw) + vk
 		showNSFW, showOffensive := vk[0] == '1', vk[1] == '1'
 		patched := s.cache.UpdateRev(key, func(p page, rev respcache.Rev) page {
-			p.stream, p.count = s.db.CommentStream(urlID, showNSFW, showOffensive)
+			stream, count := s.db.CommentStream(urlID, showNSFW, showOffensive)
+			// Adopt the fresh generation stamp and an uncomposed box: the
+			// old ETag and pre-gzipped bytes die with the old generation,
+			// atomically with the patch, so a client revalidating with the
+			// stale ETag always gets the new body. The box inherits the old
+			// generation's compressed stream when the new snapshot extends
+			// the old one; composing (the appended rows' deflate included)
+			// happens lazily on the next hit, never under the shard lock.
+			box := &respBox{}
+			if extends(stream, p.stream) {
+				box.prev = p.resp.stream()
+			}
+			p.stream, p.count = stream, count
 			p.ups, p.downs = s.db.Votes(urlID)
-			// Adopt the fresh generation stamp and an empty composed box:
-			// the old ETag and pre-gzipped bytes die with the old
-			// generation, atomically with the patch, so a client
-			// revalidating with the stale ETag always gets the new body.
-			// Composing (gzip included) happens lazily on the next hit,
-			// never under the shard lock.
-			p.rev = rev
-			p.resp = &respBox{}
+			p.rev, p.resp = rev, box
 			return p
 		})
 		if !patched {
 			s.cache.Invalidate(key)
 		}
 	}
+}
+
+// extends reports whether the comment-stream snapshot next continues
+// prev: the same backing array, at least as long. The store's streams
+// are append-only between rebuilds, and a rebuild or a growth
+// reallocation starts a new array (platform.urlPage), so a shared first
+// byte means next[:len(prev)] is prev byte for byte.
+func extends(next, prev []byte) bool {
+	return len(prev) > 0 && len(next) >= len(prev) && &next[0] == &prev[0]
 }

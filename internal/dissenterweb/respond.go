@@ -34,20 +34,28 @@ var (
 // content generation. The box pointer is shared between the cached
 // entry and every page copy handed to readers, so whichever request
 // composes first publishes for all. A write that patches the entry
-// (refreshDiscussion via UpdateRev) swaps in a fresh empty box along
-// with the new Rev under the shard lock — the generation changed, so
-// the old composed bytes become unreachable from the cache atomically
-// with the content change, and composing (gzip included) never runs
-// under the lock.
+// (refreshDiscussion via UpdateRev) swaps in a fresh box along with the
+// new Rev under the shard lock — the generation changed, so the old
+// composed bytes become unreachable from the cache atomically with the
+// content change, and composing (gzip included) never runs under the
+// lock.
 type respBox struct {
 	mu sync.Mutex
 	c  atomic.Pointer[respcache.Composed]
+	// prev is the compressed comment stream of the generation this one
+	// patched, handed forward so composing deflates only the rows
+	// appended since. It is the stream VALUE, never the previous box: a
+	// run of patches nobody reads hands the same one along and retains
+	// nothing else. Zero for a fresh fill, and when this generation's
+	// stream snapshot does not extend the previous one. Immutable.
+	prev respcache.Stream
 }
 
 // composed returns the generation's composed form, building it at most
 // once. p is the caller's copy of the entry; it is the same generation
 // as the box, because UpdateRev replaces box and parts under one shard
-// lock acquisition.
+// lock acquisition. The identity body is the exact bytes writePage
+// streams — the oracle tests pin the two paths byte-identical.
 func (b *respBox) composed(p *page) *respcache.Composed {
 	if c := b.c.Load(); c != nil {
 		return c
@@ -57,23 +65,25 @@ func (b *respBox) composed(p *page) *respcache.Composed {
 	if c := b.c.Load(); c != nil {
 		return c
 	}
-	c := respcache.Compose(composeBody(p), p.rev)
+	var c *respcache.Composed
+	if p.head == "" {
+		c = respcache.Compose([]byte(p.simple), p.rev)
+	} else {
+		head := append(make([]byte, 0, len(p.head)+voteSpanMax), p.head...)
+		head = appendVoteSpan(head, p.ups, p.downs, p.count)
+		c = respcache.ComposeSegments(head, p.stream, pageFoot, b.prev, p.rev)
+	}
 	b.c.Store(c)
 	return c
 }
 
-// composeBody flattens a page entry into the exact bytes writePage
-// streams — the oracle tests pin the two paths byte-identical.
-func composeBody(p *page) []byte {
-	if p.head == "" {
-		return []byte(p.simple)
+// stream is the compressed comment stream a patch of this generation
+// hands to the next: its own once composed, else the one it inherited.
+func (b *respBox) stream() respcache.Stream {
+	if c := b.c.Load(); c != nil {
+		return c.Stream
 	}
-	b := make([]byte, 0, len(p.head)+len(p.stream)+96)
-	b = append(b, p.head...)
-	b = appendVoteSpan(b, p.ups, p.downs, p.count)
-	b = append(b, p.stream...)
-	b = append(b, "</body></html>\n"...)
-	return b
+	return b.prev
 }
 
 // respond serves one cache entry through the composed-response layer.
@@ -133,23 +143,35 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// acceptsGzip reports whether the request negotiates the gzip variant.
-// A token scan rather than a full q-value parse: the only widely sent
-// forms are "gzip" bare or with a q attribute, and an explicit q=0
-// (the one way the scan could over-accept) is checked for.
+// acceptsGzip reports whether the request negotiates the gzip variant:
+// the first gzip (or x-gzip, its RFC 9110 alias) coding on any
+// Accept-Encoding line decides, and it is a refusal exactly when its
+// weight is zero. Operates on substrings only; never allocates.
 func acceptsGzip(r *http.Request) bool {
 	for _, v := range r.Header["Accept-Encoding"] {
-		i := strings.Index(v, "gzip")
-		if i < 0 {
-			continue
+		for v != "" {
+			var tok string
+			tok, v, _ = strings.Cut(v, ",")
+			coding, params, _ := strings.Cut(tok, ";")
+			coding = strings.TrimSpace(coding)
+			if strings.EqualFold(coding, "gzip") || strings.EqualFold(coding, "x-gzip") {
+				return !zeroWeight(params)
+			}
 		}
-		rest := v[i+len("gzip"):]
-		if strings.HasPrefix(rest, ";q=0") && !strings.HasPrefix(rest, ";q=0.") {
-			continue
-		}
-		return true
 	}
 	return false
+}
+
+// zeroWeight reports whether params, the text after a coding's ";", is
+// a q-value of zero in any legal spelling: OWS around it, "0", "0.",
+// "0.0" … "0.000" (RFC 9110 §12.4.2).
+func zeroWeight(params string) bool {
+	q := strings.TrimSpace(params)
+	if len(q) < 3 || (q[0] != 'q' && q[0] != 'Q') || q[1] != '=' {
+		return false
+	}
+	q = strings.TrimPrefix(strings.TrimLeft(q[2:], "0"), ".")
+	return strings.TrimLeft(q, "0") == ""
 }
 
 // sessionToken extracts the "session" cookie's value without

@@ -40,7 +40,9 @@
 // budget at exactly 0). Because every fill and every in-place patch
 // advances the generation, a validator issued before any mutation can
 // never produce a 304 — revalidation is exactly as fresh as a full
-// response.
+// response. A patched generation inherits its predecessor's compressed
+// comment stream (respBox.prev), so composing it deflates the rows the
+// write appended, not the page.
 package dissenterweb
 
 import (
@@ -316,16 +318,24 @@ func writePage(w http.ResponseWriter, p page) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	io.WriteString(w, p.head)
-	var a [160]byte
+	var a [voteSpanMax]byte
 	w.Write(appendVoteSpan(a[:0], p.ups, p.downs, p.count))
 	w.Write(p.stream)
-	io.WriteString(w, "</body></html>\n")
+	w.Write(pageFoot)
 }
+
+// pageFoot closes a structured discussion page after its comment
+// stream. Immutable.
+var pageFoot = []byte("</body></html>\n")
+
+// voteSpanMax bounds appendVoteSpan's output: 94 bytes of markup and
+// three integers of at most 20 digits.
+const voteSpanMax = 160
 
 // appendVoteSpan renders the mutable vote/count span of a structured
 // discussion page into dst — the single source of those bytes for both
-// the streaming path (writePage) and the composed path (composeBody),
-// so the two can never drift apart.
+// the streaming path (writePage) and the composed path
+// (respBox.composed), so the two can never drift apart.
 func appendVoteSpan(dst []byte, ups, downs, count int) []byte {
 	dst = append(dst, `<span class="votes" data-up="`...)
 	dst = strconv.AppendInt(dst, int64(ups), 10)

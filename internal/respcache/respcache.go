@@ -50,6 +50,21 @@
 // Like the platform store it fronts, the cache is split across
 // independently locked shards by key hash, so concurrent hits on
 // different pages do not contend.
+//
+// # Composing a generation
+//
+// What the serving layer caches per generation is a Composed (compose.go):
+// identity body, gzip variant, ETag and ready-made header values, built
+// once per fill or patch and outside every shard lock. Minting one
+// costs what changed. No compose constructs a compressor — they are
+// pooled — and a page with a large append-only middle (a discussion's
+// comment stream) is ONE gzip member of three segments: head, the
+// middle's Stream, foot. The Stream is byte-aligned deflate blocks
+// that reference nothing outside the segment, so the next generation's
+// ComposeSegments copies them and deflates only the appended bytes,
+// until the history-less part passes a fixed fraction of the one-pass
+// size and the segment is compressed whole again. Compose(body) is the
+// same composer on a page of one segment.
 package respcache
 
 import (
