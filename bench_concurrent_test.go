@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"os"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -24,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"dissenter/internal/benchkit"
 	"dissenter/internal/dissenterweb"
 	"dissenter/internal/gabapi"
 	"dissenter/internal/ids"
@@ -483,7 +483,7 @@ func benchmarkRenderMiss(b *testing.B, path, budgetEnv string) {
 			b.StopTimer()
 			runtime.ReadMemStats(&ms1)
 			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			if max, ok := envBudget(b, budgetEnv); ok && allocsPerOp > max {
+			if max, ok := benchkit.EnvBudget(b, budgetEnv); ok && allocsPerOp > max {
 				b.Fatalf("%s render allocates %.1f objects/op, budget %v — the hot path regressed",
 					path, allocsPerOp, max)
 			}
@@ -598,22 +598,6 @@ func BenchmarkLeaderboardUnderVoteLoad(b *testing.B) {
 // BENCH_DISC_MAX_ALLOCS=<n> set it fails past the allocation budget,
 // the third CI budget beside trends and leaderboard.
 
-// envBudget reads a budget from the environment variable env; ok is
-// false when it is unset, which is how the smoke run skips the
-// assertions `make bench-budget` makes.
-func envBudget(b *testing.B, env string) (max float64, ok bool) {
-	b.Helper()
-	v := os.Getenv(env)
-	if v == "" {
-		return 0, false
-	}
-	max, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		b.Fatalf("bad %s %q: %v", env, v, err)
-	}
-	return max, true
-}
-
 // discussionScales size the comments-per-URL axis; store size is held
 // small so the only variable is page length.
 var discussionScales = []trendsScale{
@@ -661,7 +645,7 @@ func BenchmarkDiscussionRenderMiss(b *testing.B) {
 			b.StopTimer()
 			runtime.ReadMemStats(&ms1)
 			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			if max, ok := envBudget(b, "BENCH_DISC_MAX_ALLOCS"); ok && allocsPerOp > max {
+			if max, ok := benchkit.EnvBudget(b, "BENCH_DISC_MAX_ALLOCS"); ok && allocsPerOp > max {
 				b.Fatalf("discussion miss allocates %.1f objects/op at %s, budget %v — the hot path regressed",
 					allocsPerOp, sc.name, max)
 			}
@@ -709,7 +693,7 @@ func BenchmarkDiscussionFillMiss(b *testing.B) {
 		b.Fatalf("%d of %d requests missed; the rotation must outrun the cache", misses-misses0, b.N)
 	}
 	bytesPerOp := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(b.N)
-	if max, ok := envBudget(b, "BENCH_FILL_MAX_BYTES"); ok && bytesPerOp > max {
+	if max, ok := benchkit.EnvBudget(b, "BENCH_FILL_MAX_BYTES"); ok && bytesPerOp > max {
 		b.Fatalf("a cached discussion fill allocates %.0f bytes/op, budget %v — the miss path regressed",
 			bytesPerOp, max)
 	}

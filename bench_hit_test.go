@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"testing"
 
+	"dissenter/internal/benchkit"
 	"dissenter/internal/dissenterweb"
 )
 
@@ -31,7 +32,7 @@ import (
 // rationale).
 func hitAllocBudget(b *testing.B, allocsPerOp float64) {
 	b.Helper()
-	if max, ok := envBudget(b, "BENCH_HIT_MAX_ALLOCS"); ok && math.Round(allocsPerOp) > max {
+	if max, ok := benchkit.EnvBudget(b, "BENCH_HIT_MAX_ALLOCS"); ok && math.Round(allocsPerOp) > max {
 		b.Fatalf("cache hit allocates %.2f objects/op, budget %v — the zero-alloc hit path regressed",
 			allocsPerOp, max)
 	}

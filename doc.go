@@ -28,8 +28,9 @@
 // across 16 independently RWMutex-guarded shards keyed by a mixed hash
 // of the index key, and is maintained incrementally on insert — there
 // is no whole-store rebuild. Entity records are immutable once
-// inserted; slice-valued index entries are replaced copy-on-write, so
-// any slice handed to a reader is a stable snapshot. The mutable
+// inserted; the comment listings grow by appending past every header
+// handed out and the follow lists are replaced copy-on-write, so any
+// slice handed to a reader is a stable snapshot. The mutable
 // surfaces are Gab Trends URL submission (DB.SubmitURL, idempotent per
 // address), voting (DB.Vote), and live comment posting (DB.AddComment),
 // which the web simulator exposes at /discussion/begin,
@@ -92,8 +93,9 @@
 //
 // The third view is content, not ordering: the discussion fragment
 // view (internal/platform/pageindex.go) maintains, per rendered URL,
-// the four per-session-view comment streams — ID-ordered
-// concatenations of the visible pre-escaped rows — plus the
+// the per-session-view comment streams a reader has asked for —
+// ID-ordered concatenations of the visible pre-escaped rows, each cut
+// from the show-everything stream on first read — plus the
 // visibility-class counters that derive every view's visible count. A
 // posted comment escapes its one row and appends it; a discussion
 // render (DB.CommentStream) is an O(1) stream snapshot and a counter

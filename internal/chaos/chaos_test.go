@@ -96,7 +96,9 @@ func runReplica(t *testing.T, dir, primaryURL string, opt replica.Options) *repl
 // Schedule 1 — disk full during rotation. The WAL-threshold rotation
 // keeps hitting ENOSPC on its snapshot write; the persister must keep
 // group-committing to the old WAL (no event loss, no sticky death),
-// and rotate successfully once space returns.
+// re-arm each failed attempt a record floor later instead of retrying
+// on every batch, and rotate successfully once space returns and the
+// WAL has passed the re-arm point.
 func TestChaosDiskFullDuringRotation(t *testing.T) {
 	dir := t.TempDir()
 	db := platform.New(nil, nil, nil, nil)
@@ -111,7 +113,7 @@ func TestChaosDiskFullDuringRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus(t, db, 11, 10) // 40 events: several rotation attempts, all ENOSPC
+	corpus(t, db, 11, 10) // 40 events: up to five rotation attempts, all ENOSPC
 	waitFor(t, "durable to reach head under disk-full rotation", func() bool {
 		if err := pers.Err(); err != nil {
 			t.Fatalf("disk-full rotation killed the persister: %v", err)
@@ -125,9 +127,16 @@ func TestChaosDiskFullDuringRotation(t *testing.T) {
 		return inj.FireCount(faultinject.OpWrite) > 0
 	})
 
-	// Space returns; the next batch rotates for real.
+	// A failed attempt re-arms 8 records on, however many batches the
+	// 40 events arrived in (a snapshot this small is one write).
+	if n := inj.FireCount(faultinject.OpWrite); n > 40/8 {
+		t.Fatalf("%d rotation attempts over 40 events with RotateEvery 8; want at most one per 8 records", n)
+	}
+
+	// Space returns; 12 more events carry the WAL past the re-arm point
+	// (at most 8 past the last failed attempt) and it rotates for real.
 	inj.Clear()
-	corpus(t, db, 12, 2)
+	corpus(t, db, 12, 3)
 	waitFor(t, "rotation after the disk-full fault cleared", func() bool {
 		return db.EventBase() > 0
 	})

@@ -6,7 +6,9 @@
 // invariant:
 //
 //   - disk full during rotation: group commits keep landing on the old
-//     WAL, rotation retries once space returns, nothing acked is lost
+//     WAL, a failed attempt re-arms a record floor later (not on the
+//     next batch), rotation succeeds once space returns, nothing acked
+//     is lost
 //   - torn/sticky fsync: transient faults are absorbed by bounded
 //     retry; a sticky one flips /readyz while /healthz stays 200
 //   - partition mid-stream: a replica cut mid-frame reconnects with

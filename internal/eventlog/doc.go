@@ -56,6 +56,12 @@
 //	uvarint count followed by length-prefixed entity bodies,
 //	u32 CRC-32C of everything above.
 //
+// WriteSnapshot is the only encoder: it streams entity by entity
+// through a buffered writer under a running checksum, so the
+// rotation's file, the replication bootstrap response and
+// EncodeSnapshot's in-memory form are one code path that allocates
+// O(1) objects per snapshot.
+//
 // # Files on disk (wal.go, persist.go)
 //
 // A persistence directory holds at steady state one snapshot and one
@@ -67,10 +73,15 @@
 //
 // The Persister is a write-behind group-commit loop: it tails the
 // in-memory event log (DB.AwaitEvents/EventsSince), appends each new
-// batch to the WAL, fsyncs once per batch, and — past a rotation
-// threshold — cuts a fresh checkpoint, writes it tmp+rename+dir-sync,
+// batch to the WAL, fsyncs once per batch, and — when the rotation rule
+// holds — cuts a fresh checkpoint, streams it tmp+rename+dir-sync,
 // starts a new WAL at the checkpoint's sequence point, deletes the old
 // pair, and calls DB.CompactLog so the in-memory log stops growing.
-// RestoreDir inverts the layout: newest valid snapshot, then WAL
-// replay through DB.ApplyEvent.
+// The rule is geometric (rotateDiv in persist.go): the WAL holds at
+// least Options.RotateEvery records AND four times its bytes reach the
+// bytes of the snapshot it extends, so the store's size sets how much
+// log must accumulate before re-encoding the store is worth it. A
+// rotation that fails (a full disk) is attempted again a record floor
+// later, never per batch. RestoreDir inverts the layout: newest valid
+// snapshot, then WAL replay through DB.ApplyEvent.
 package eventlog

@@ -195,8 +195,10 @@ func TestStickyAfterRetryBudget(t *testing.T) {
 
 // TestRotationFaultDegradesNotFatal pins that rotation failure is
 // degradation: with snapshot writes failing, group commits keep
-// landing on the old WAL, the loop stays healthy, and once the fault
-// clears the still-over-threshold WAL rotates on the next batch.
+// landing on the old WAL and the loop stays healthy; a failed attempt
+// is not repeated on the next batch but re-armed a record floor later
+// (each attempt encodes the whole store); and once the fault clears
+// and the WAL passes the re-arm point, it rotates.
 func TestRotationFaultDegradesNotFatal(t *testing.T) {
 	dir := t.TempDir()
 	db, url := faultStore(t)
@@ -206,34 +208,51 @@ func TestRotationFaultDegradesNotFatal(t *testing.T) {
 		faultinject.Rule{Op: faultinject.OpWrite, Path: ".snap", After: 1, Err: faultinject.ErrNoSpace},
 	)
 	log := &errLog{}
+	const floor = 4
 	p, err := StartPersister(db, dir, Options{
-		RotateEvery: 4, FS: inj.FS(nil), RetryWait: time.Millisecond, OnError: log.hook,
+		RotateEvery: floor, FS: inj.FS(nil), RetryWait: time.Millisecond, OnError: log.hook,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := db.EventBase()
-	for i := 0; i < 10; i++ {
+	// One vote per group commit, so the number of batches is known: the
+	// rotation is due from the 4th on, and an attempt per batch would
+	// make 7 of them.
+	const votes = 10
+	for i := 0; i < votes; i++ {
 		db.Vote(url, 1, 0)
+		waitDurable(t, p, db.EventSeq())
 	}
-	waitDurable(t, p, db.EventSeq())
 	if err := p.Err(); err != nil {
 		t.Fatalf("rotation fault killed the loop: %v", err)
 	}
-	if n := inj.FireCount(faultinject.OpWrite); n == 0 {
-		t.Fatal("rotation never hit the injected fault")
+	// An attempt follows the commit that made its batch durable, so
+	// the first may still be ahead of us.
+	deadline := time.Now().Add(10 * time.Second)
+	for inj.FireCount(faultinject.OpWrite) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("rotation never hit the injected fault")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	transient, sticky := log.counts()
 	if transient == 0 || sticky != 0 {
 		t.Fatalf("notifications: %d transient, %d sticky; want >=1 transient, 0 sticky", transient, sticky)
 	}
+	if transient > votes/floor {
+		t.Fatalf("%d rotation attempts over %d single-record batches; want one per %d records", transient, votes, floor)
+	}
 
-	// Fault clears; the very next batch re-fires the over-threshold
-	// rotation and the WAL base finally advances.
+	// Fault clears; a further record floor of writes carries the WAL
+	// past the re-arm point, the rotation fires and the WAL base
+	// finally advances.
 	inj.Clear()
-	db.Vote(url, 1, 0)
+	for i := 0; i < floor; i++ {
+		db.Vote(url, 1, 0)
+	}
 	waitDurable(t, p, db.EventSeq())
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		wals, lerr := listSeqs(faultinject.OS, dir, "wal-", ".wal")
 		if lerr == nil && len(wals) > 0 && wals[len(wals)-1] > base {
@@ -333,7 +352,7 @@ func TestRestoreSkipsTornCreateWAL(t *testing.T) {
 	// Hand-craft the crash window: the rotation snapshot became durable
 	// and CreateWAL tore mid-header.
 	db.Vote(url, 1, 0) // an event only the new snapshot covers
-	if err := writeSnapshotFile(faultinject.OS, dir, db.Checkpoint()); err != nil {
+	if _, err := writeSnapshotFile(faultinject.OS, dir, db.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 	torn := walPath(dir, db.EventSeq())

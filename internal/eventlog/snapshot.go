@@ -1,6 +1,8 @@
 package eventlog
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -18,25 +20,33 @@ const SnapshotVersion = 1
 
 var snapMagic = [4]byte{'D', 'S', 'N', 'P'}
 
-// EncodeSnapshot encodes a consistent cut. Entity bodies reuse the
-// record codec's encodings, each length-prefixed so future fields can
-// be appended without a version bump.
-func EncodeSnapshot(cp platform.Checkpoint) []byte {
-	dst := append([]byte(nil), snapMagic[:]...)
-	dst = append(dst, SnapshotVersion)
-	dst = binary.AppendUvarint(dst, cp.Seq)
+// WriteSnapshot streams a consistent cut to w and returns the
+// snapshot's size in bytes (on error, the bytes encoded so far, not
+// necessarily delivered). It is the one snapshot encoder: the
+// rotation's file write, the Publisher's /replication/snapshot
+// response and EncodeSnapshot all run it. Entities are encoded one at
+// a time into a reused scratch buffer — bodies reuse the record
+// codec's encodings, each length-prefixed so future fields can be
+// appended without a version bump — and leave through a bufio.Writer
+// under a running CRC-32C, so a snapshot costs O(1) allocations
+// however large the store is.
+func WriteSnapshot(w io.Writer, cp platform.Checkpoint) (int64, error) {
+	e := snapEncoder{w: bufio.NewWriterSize(w, 64<<10)}
+	e.write(snapMagic[:])
+	e.write(append(e.num[:0], SnapshotVersion))
+	e.uvarint(cp.Seq)
 
-	dst = binary.AppendUvarint(dst, uint64(len(cp.Users)))
+	e.uvarint(uint64(len(cp.Users)))
 	for _, u := range cp.Users {
-		dst = appendSized(dst, func(d []byte) []byte { return appendUser(d, u) })
+		e.sized(appendUser(e.body[:0], u))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(cp.URLs)))
+	e.uvarint(uint64(len(cp.URLs)))
 	for _, cu := range cp.URLs {
-		dst = appendSized(dst, func(d []byte) []byte { return appendURL(d, cu) })
+		e.sized(appendURL(e.body[:0], cu))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(cp.Comments)))
+	e.uvarint(uint64(len(cp.Comments)))
 	for _, c := range cp.Comments {
-		dst = appendSized(dst, func(d []byte) []byte { return appendComment(d, c) })
+		e.sized(appendComment(e.body[:0], c))
 	}
 	// Map order is randomized; sort so equal checkpoints encode to
 	// equal bytes (the golden and round-trip tests rely on it).
@@ -45,27 +55,54 @@ func EncodeSnapshot(cp platform.Checkpoint) []byte {
 		froms = append(froms, from)
 	}
 	slices.Sort(froms)
-	dst = binary.AppendUvarint(dst, uint64(len(cp.Follows)))
+	e.uvarint(uint64(len(froms)))
 	for _, from := range froms {
 		tos := cp.Follows[from]
-		dst = binary.AppendVarint(dst, int64(from))
-		dst = binary.AppendUvarint(dst, uint64(len(tos)))
+		e.varint(int64(from))
+		e.uvarint(uint64(len(tos)))
 		for _, to := range tos {
-			dst = binary.AppendVarint(dst, int64(to))
+			e.varint(int64(to))
 		}
 	}
-	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst, castagnoli))
+	e.w.Write(binary.BigEndian.AppendUint32(e.num[:0], e.sum))
+	// bufio.Writer errors are sticky: the first failed write surfaces
+	// here, whichever entity it interrupted.
+	return e.n + 4, e.w.Flush()
 }
 
-// appendSized appends f's output prefixed with its uvarint length:
-// encode into the tail, copy it out, write the length, re-append.
-// Snapshot writes are rare (rotation), so the extra copy is cheap.
-func appendSized(dst []byte, f func([]byte) []byte) []byte {
-	start := len(dst)
-	dst = f(dst)
-	body := append([]byte(nil), dst[start:]...)
-	dst = binary.AppendUvarint(dst[:start], uint64(len(body)))
-	return append(dst, body...)
+// EncodeSnapshot is WriteSnapshot into memory.
+func EncodeSnapshot(cp platform.Checkpoint) []byte {
+	var buf bytes.Buffer
+	WriteSnapshot(&buf, cp) // a bytes.Buffer write cannot fail
+	return buf.Bytes()
+}
+
+// snapEncoder is WriteSnapshot's state: the buffered output, the
+// checksum and size of everything written to it, a scratch array for
+// varints, and the entity body reused across entities.
+type snapEncoder struct {
+	w    *bufio.Writer
+	sum  uint32
+	n    int64
+	num  [binary.MaxVarintLen64]byte
+	body []byte
+}
+
+func (e *snapEncoder) write(b []byte) {
+	e.sum = crc32.Update(e.sum, castagnoli, b)
+	e.n += int64(len(b))
+	e.w.Write(b)
+}
+
+func (e *snapEncoder) uvarint(v uint64) { e.write(binary.AppendUvarint(e.num[:0], v)) }
+func (e *snapEncoder) varint(v int64)   { e.write(binary.AppendVarint(e.num[:0], v)) }
+
+// sized writes one entity body prefixed with its uvarint length and
+// keeps the (possibly grown) buffer for the next entity.
+func (e *snapEncoder) sized(body []byte) {
+	e.uvarint(uint64(len(body)))
+	e.write(body)
+	e.body = body
 }
 
 // DecodeSnapshot parses an encoded snapshot, verifying magic, version,
@@ -154,13 +191,7 @@ func (r *reader) section() *reader {
 	return sub
 }
 
-// WriteSnapshot encodes cp and writes it to w.
-func WriteSnapshot(w io.Writer, cp platform.Checkpoint) error {
-	_, err := w.Write(EncodeSnapshot(cp))
-	return err
-}
-
-// ReadSnapshot reads w's counterpart: the whole stream is one
+// ReadSnapshot is WriteSnapshot's counterpart: the whole stream is one
 // snapshot. Snapshots are bounded by the corpus size, which already
 // lives in memory on both ends.
 func ReadSnapshot(r io.Reader) (platform.Checkpoint, error) {

@@ -32,6 +32,7 @@ type WAL struct {
 	w    *bufio.Writer
 	base uint64
 	last uint64
+	size int64 // header plus every whole frame appended or recovered
 	buf  []byte
 }
 
@@ -54,7 +55,8 @@ func CreateWALFS(fsys faultinject.FS, path string, base uint64) (*WAL, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(walHeader(base)); err != nil {
+	hdr := walHeader(base)
+	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		fsys.Remove(path)
 		return nil, err
@@ -64,7 +66,7 @@ func CreateWALFS(fsys faultinject.FS, path string, base uint64) (*WAL, error) {
 		fsys.Remove(path)
 		return nil, err
 	}
-	return &WAL{path: path, f: f, w: bufio.NewWriter(f), base: base, last: base}, nil
+	return &WAL{path: path, f: f, w: bufio.NewWriter(f), base: base, last: base, size: int64(len(hdr))}, nil
 }
 
 // OpenWAL opens an existing WAL, replaying every decodable record (in
@@ -153,7 +155,7 @@ func OpenWALFS(fsys faultinject.FS, path string, apply func(Record) error) (*WAL
 		f.Close()
 		return nil, skipped, err
 	}
-	return &WAL{path: path, f: f, w: bufio.NewWriter(f), base: base, last: last}, skipped, nil
+	return &WAL{path: path, f: f, w: bufio.NewWriter(f), base: base, last: last, size: int64(good)}, skipped, nil
 }
 
 // Base returns the sequence point the WAL starts after.
@@ -162,6 +164,11 @@ func (w *WAL) Base() uint64 { return w.base }
 // LastSeq returns the sequence number of the last appended (or
 // recovered) record — base when the WAL is empty.
 func (w *WAL) LastSeq() uint64 { return w.last }
+
+// Size returns the WAL's length in bytes, buffered appends included —
+// what the Persister weighs against the snapshot's size to decide a
+// rotation.
+func (w *WAL) Size() int64 { return w.size }
 
 // Path returns the WAL's file path.
 func (w *WAL) Path() string { return w.path }
@@ -181,6 +188,7 @@ func (w *WAL) Append(rec Record) error {
 		return err
 	}
 	w.last = rec.Seq
+	w.size += int64(len(w.buf))
 	return nil
 }
 

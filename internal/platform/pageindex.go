@@ -15,13 +15,13 @@ import (
 // the cached page its readers are hitting, and a re-render that walks
 // and re-escapes thousands of comments per write is O(page). This view
 // is the derived state that keeps that WRITE O(delta): per rendered
-// URL, a urlPage keeps the four per-session-view comment streams —
-// each the concatenation, in creation (ID) order, of the pre-escaped
-// rows visible under that view — plus the visibility-class counters
-// that derive every view's visible-comment count (the class/mask
-// scheme of trendindex.go). A CommentAdded escapes the one new row and
-// appends it to each stream it is visible in; dissenterweb's coherence
-// view then swaps the grown snapshot into the cached page.
+// URL, a urlPage keeps the per-session-view comment streams — each the
+// concatenation, in creation (ID) order, of the pre-escaped rows
+// visible under that view — plus the visibility-class counters that
+// derive every view's visible-comment count (the class/mask scheme of
+// trendindex.go). A CommentAdded escapes the one new row and appends
+// it to each materialized stream it is visible in; dissenterweb's
+// coherence view then swaps the grown snapshot into the cached page.
 //
 // It is not a render cache. Rendered output has exactly one cache,
 // internal/respcache, which holds the composed bytes; nothing here
@@ -29,16 +29,22 @@ import (
 // Home pages keep no derived state at all: HomeURLs is one pass over
 // the author's comment snapshot, paid once per response-cache fill.
 //
-// The state is LAZY: nothing is materialized at construction (a
-// 1M-comment corpus would pin four HTML copies of every page nobody
-// asked for) and nothing is maintained for pages that have never been
-// rendered. The first CommentStream call for a URL builds its page
-// from the sorted base index inside the pages shard write lock; from
-// then on the event stream (events.go) maintains it. The handshake is
-// sound under write concurrency: a comment's base-index insert
-// happens-before its event dispatch, so an apply either observes the
-// materialized page (and folds the comment in) or the builder's index
-// snapshot already contains the comment — never neither.
+// The state is LAZY twice over. Nothing is materialized at
+// construction and nothing is maintained for pages that have never
+// been rendered: the first CommentStream call for a URL builds its
+// page from the sorted base index inside the pages shard write lock,
+// and from then on the event stream (events.go) maintains it. And a
+// page pins only the views somebody asked for: the build escapes every
+// row once into the show-everything stream (which the other three are
+// subsets of) and a view is filtered out of it, a copy and no
+// escaping, the first time a session with those settings reads the
+// page. A page read under one session costs two copies of its HTML,
+// not four, and a post appends to two streams, not four. The
+// handshake is sound under write concurrency: a comment's base-index
+// insert happens-before its event dispatch, so an apply either
+// observes the materialized page (and folds the comment in) or the
+// builder's index snapshot already contains the comment — never
+// neither.
 //
 // Ordering: streams list comments in ID order, matching CommentsOnURL.
 // Events for one URL can arrive out of ID order under write
@@ -74,7 +80,7 @@ func AppendCommentRow(dst []byte, class string, c *Comment, withParent bool) []b
 }
 
 // maxMaterializedPages bounds the lazily materialized state. A page
-// holds up to four concatenated copies of its rows (one per view), so
+// holds up to four concatenated copies of its rows (one per view read), so
 // a crawl that touches EVERY page of a huge corpus would otherwise pin
 // several times the corpus' HTML forever. Pages are rebuildable from
 // the base indexes, so the bound is a wholesale reset: crossing it
@@ -137,8 +143,12 @@ func (ix *pageIndex) page(db *DB, urlID ids.ObjectID) *urlPage {
 	return p
 }
 
-// urlPage is one materialized discussion page: the four view streams
-// and the class counters they are counted by, under one short mutex.
+// allRows is the view mask that shows every class: its stream holds
+// every row of the page and is the one the others are filtered from.
+const allRows = classNSFW | classOffensive
+
+// urlPage is one materialized discussion page: the view streams and
+// the class counters they are counted by, under one short mutex.
 type urlPage struct {
 	mu     sync.Mutex
 	counts classCounts
@@ -149,16 +159,22 @@ type urlPage struct {
 	lastID ids.ObjectID
 	n      int
 	// views[v] is the ID-ordered concatenation of the rows visible
-	// under view mask v. Streams are append-only between rebuilds;
-	// readers snapshot with the capacity clipped to the length, so an
-	// append into spare capacity never races a held snapshot (the same
-	// discipline as the store's entity slices).
-	views [4][]byte
+	// under view mask v, or nil while no reader has asked for v.
+	// views[allRows] always exists; rowEnd[i] is where row i ends in it
+	// and rowClass[i] its visibility class, which is all viewLocked
+	// needs to cut another view out of it. Streams are append-only
+	// between rebuilds; readers snapshot with the capacity clipped to
+	// the length, so an append into spare capacity never races a held
+	// snapshot (the same discipline as the store's entity slices).
+	views    [4][]byte
+	rowEnd   []int
+	rowClass []uint8
 }
 
 // add folds one inserted comment into the page, called from Apply with
 // the base indexes already reflecting the insert. The row is escaped
-// once, outside the page lock, and appended to every view showing it.
+// once, outside the page lock, and appended to every materialized view
+// showing it.
 func (p *urlPage) add(db *DB, c *Comment) {
 	var scratch [512]byte
 	row := AppendCommentRow(scratch[:0], "comment", c, true)
@@ -173,34 +189,57 @@ func (p *urlPage) add(db *DB, c *Comment) {
 	p.lastID = c.ID
 	p.n++
 	for v := range p.views {
-		if cls&^v == 0 {
+		if p.views[v] != nil && cls&^v == 0 {
 			p.views[v] = append(p.views[v], row...)
 		}
 	}
+	p.rowEnd = append(p.rowEnd, len(p.views[allRows]))
+	p.rowClass = append(p.rowClass, uint8(cls))
 }
 
 // rebuildLocked recomputes the whole page state from the sorted
-// per-URL comment index, escaping each row once into a reused buffer.
-// Callers hold p.mu, except the materializing constructor, whose page
-// is not yet shared.
+// per-URL comment index, escaping each row once into the
+// show-everything stream. The other views are dropped and come back,
+// filtered from the new stream, when next read. Callers hold p.mu,
+// except the materializing constructor, whose page is not yet shared.
 func (p *urlPage) rebuildLocked(db *DB, urlID ids.ObjectID) {
 	cs, _ := db.commentsByURL.get(urlID)
 	var counts classCounts
-	var views [4][]byte
 	var lastID ids.ObjectID
-	var row []byte
+	all := []byte{} // non-nil: materialized, however empty
+	rowEnd := make([]int, 0, len(cs))
+	rowClass := make([]uint8, 0, len(cs))
 	for _, c := range cs {
-		row = AppendCommentRow(row[:0], "comment", c, true)
+		all = AppendCommentRow(all, "comment", c, true)
 		cls := commentClass(c)
 		counts[cls]++
-		for v := range views {
-			if cls&^v == 0 {
-				views[v] = append(views[v], row...)
-			}
-		}
+		rowEnd = append(rowEnd, len(all))
+		rowClass = append(rowClass, uint8(cls))
 		lastID = c.ID
 	}
-	p.counts, p.views, p.lastID, p.n = counts, views, lastID, len(cs)
+	p.counts, p.lastID, p.n = counts, lastID, len(cs)
+	p.views = [4][]byte{allRows: all}
+	p.rowEnd, p.rowClass = rowEnd, rowClass
+}
+
+// viewLocked returns view v's stream, cutting it out of the
+// show-everything stream on first use: the rows whose class v exposes,
+// copied in order. Callers hold p.mu.
+func (p *urlPage) viewLocked(v int) []byte {
+	if p.views[v] != nil {
+		return p.views[v]
+	}
+	all := p.views[allRows]
+	out := make([]byte, 0, len(all)) // what v hides is its room to grow
+	start := 0
+	for i, end := range p.rowEnd {
+		if int(p.rowClass[i])&^v == 0 {
+			out = append(out, all[start:end]...)
+		}
+		start = end
+	}
+	p.views[v] = out
+	return out
 }
 
 // CommentStream returns the URL's rendered comment stream for a
@@ -210,13 +249,14 @@ func (p *urlPage) rebuildLocked(db *DB, urlID ids.ObjectID) {
 // from the same snapshot under the page's mutex, so the count always
 // equals the number of rows in the stream. The returned slice is a
 // stable snapshot (capacity clipped); callers must not modify it.
-// First call for a URL materializes its page state; subsequent writes
-// maintain it in O(row).
+// First call for a URL materializes its page state and first call for
+// a view cuts that view out of it; subsequent writes maintain both in
+// O(row).
 func (db *DB) CommentStream(urlID ids.ObjectID, showNSFW, showOffensive bool) (stream []byte, visible int) {
 	v := viewMask(showNSFW, showOffensive)
 	p := db.pages.page(db, urlID)
 	p.mu.Lock()
-	s := p.views[v]
+	s := p.viewLocked(v)
 	n := visibleCount(p.counts, v)
 	p.mu.Unlock()
 	return s[:len(s):len(s)], n

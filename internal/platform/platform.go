@@ -9,12 +9,15 @@
 // The store (DB) is safe for heavy concurrent use: every lookup index is
 // hash-sharded across independently RWMutex-guarded segments and
 // maintained incrementally on insert, so simulators can serve many
-// crawler clients while Gab Trends submissions and votes stream in. See
-// store.go for the write paths and the snapshot discipline, and
-// events.go for the event-dispatch pipeline every write ends in — the
-// seam that feeds the materialized views (trendindex.go, voteindex.go,
-// pageindex.go) and makes the mutation history replayable
-// (DB.EventsSince → DB.ApplyEvent).
+// crawler clients while Gab Trends submissions and votes stream in. The
+// grouped comment indexes (per URL, per author) are append-in-place
+// with pinned-length readers: a post writes one slot past every slice
+// header handed out, readers get capacity-clipped headers, and only an
+// out-of-order ID copies the listing. See store.go for the write paths
+// and the snapshot discipline, and events.go for the event-dispatch
+// pipeline every write ends in — the seam that feeds the materialized
+// views (trendindex.go, voteindex.go, pageindex.go) and makes the
+// mutation history replayable (DB.EventsSince → DB.ApplyEvent).
 package platform
 
 import (

@@ -17,6 +17,14 @@ import (
 // `go test -race` this fails against any unsynchronized implementation
 // (the pre-sharding DB was a plain bundle of maps rebuilt by a full
 // reindex, which this access pattern tears apart).
+//
+// It is also the oracle for the append-in-place comment listings: the
+// writer mostly tail-appends (creation-ordered IDs) and every seventh
+// post carries an older ID, a genuine middle insert; each reader holds
+// a page's listing across a whole round of other reads and requires it
+// sorted, unchanged element for element when it looks again, and
+// capacity-clipped, so appending to it reallocates instead of writing
+// into the array the store appends to.
 func TestConcurrentReadersOneWriter(t *testing.T) {
 	db := buildValid()
 	alice := db.UserByUsername("alice")
@@ -29,6 +37,7 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	outOfOrder := 0 // the writer's until wg.Wait
 
 	// One writer: every mutable surface of the store.
 	wg.Add(1)
@@ -49,6 +58,19 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 				Text:      "concurrent",
 				CreatedAt: at.Add(time.Second),
 			})
+			if i%7 == 0 && i >= 125 {
+				// Minted between this page's earlier comments (one per
+				// 50 s, the first a second after the URL was seen):
+				// sorts into the middle of its listing.
+				outOfOrder++
+				db.AddComment(&Comment{
+					ID:        gen.NewAt(at.Add(-75 * time.Second)),
+					URLID:     cu.ID,
+					AuthorID:  alice.AuthorID,
+					Text:      "out of order",
+					CreatedAt: at,
+				})
+			}
 			db.Vote(cu.ID, 1, 0)
 			if i%10 == 0 {
 				db.AddUser(&User{
@@ -69,19 +91,45 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			var held, heldCopy []*Comment // a listing kept across a round
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
+				for k := range held {
+					if held[k] != heldCopy[k] {
+						t.Errorf("reader %d: held listing changed at %d of %d", r, k, len(held))
+						break
+					}
+				}
 				_ = db.UserByUsername("alice")
 				_ = db.UserByGabID(ids.GabID(1 + i%120))
 				_ = db.MaxGabID()
 				if cu := db.URLByString(fmt.Sprintf("https://example.com/race/%d", i%50)); cu != nil {
-					for _, c := range db.CommentsOnURL(cu.ID) {
-						_ = c.IsReply()
+					held = db.CommentsOnURL(cu.ID)
+					heldCopy = append(heldCopy[:0], held...)
+					for k, c := range held {
+						if k > 0 && c.ID.Before(held[k-1].ID) {
+							t.Errorf("reader %d: listing out of order at %d of %d", r, k, len(held))
+							break
+						}
 					}
+					if n := len(held); n > 0 {
+						if grown := append(held, held[0]); &grown[0] == &held[0] {
+							t.Errorf("reader %d: append to a returned listing wrote into the store's array", r)
+						}
+					}
+					var last *Comment
+					db.RangeCommentsOnURL(cu.ID, func(c *Comment) bool {
+						if last != nil && c.ID.Before(last.ID) {
+							t.Errorf("reader %d: RangeCommentsOnURL out of order", r)
+							return false
+						}
+						last = c
+						return true
+					})
 					_, _ = db.Votes(cu.ID)
 				}
 				_ = db.CommentsByAuthor(alice.AuthorID)
@@ -116,8 +164,8 @@ func TestConcurrentReadersOneWriter(t *testing.T) {
 			t.Fatalf("URL %q lost its comments", raw)
 		}
 	}
-	if got := len(allComments(db)); got != 2+writes {
-		t.Fatalf("comments = %d, want %d", got, 2+writes)
+	if got, want := len(allComments(db)), 2+writes+outOfOrder; got != want || outOfOrder == 0 {
+		t.Fatalf("comments = %d, want %d", got, want)
 	}
 }
 

@@ -19,8 +19,9 @@ const (
 )
 
 // shardedMap is a hash-sharded map with a sync.RWMutex per shard. V is
-// stored by value; slice-valued maps must be updated copy-on-write (see
-// update) so that snapshots handed to readers are never mutated in place.
+// stored by value; a slice-valued map's update must never write an
+// element a reader's header covers (see update): replace the slice, or
+// append past every header handed out.
 type shardedMap[K comparable, V any] struct {
 	hash   func(K) uint64
 	shards [numShards]struct {
@@ -59,8 +60,10 @@ func (s *shardedMap[K, V]) set(k K, v V) {
 	sh.mu.Unlock()
 }
 
-// update replaces the value under k with f(old). f must not mutate the
-// old value in place: concurrent readers may still hold it.
+// update replaces the value under k with f(old). Concurrent readers
+// may still hold old, so f must not write any element within its
+// length; appending into its spare capacity is safe, because update is
+// the only writer and readers pin the length they fetched.
 func (s *shardedMap[K, V]) update(k K, f func(V) V) {
 	sh := s.shard(k)
 	sh.mu.Lock()

@@ -18,9 +18,11 @@ import (
 // by ID hash, and maintained incrementally on insert; there is no
 // whole-store rebuild. Entity records (*User, *CommentURL, *Comment)
 // are treated as immutable once inserted: mutable state that changes at
-// serve time (vote tallies) lives in its own sharded index, and
-// slice-valued indexes are updated copy-on-write so snapshots handed to
-// readers are never written again.
+// serve time (vote tallies) lives in its own sharded index, and no
+// slice handed to a reader is ever written where the reader can see:
+// the grouped comment listings (per URL, per author) are
+// append-in-place with pinned-length readers — see insertSorted — and
+// the follow lists are replaced copy-on-write.
 //
 // Every write method ends in the event-dispatch pipeline (events.go):
 // it appends a typed event to the store's log and fans it out to the
@@ -103,8 +105,9 @@ type voteDelta struct {
 //
 // Construction happens before the store is shared, so it bulk-builds
 // the grouped indexes — append everything, sort each list once —
-// instead of going through the copy-on-write insert path, which would
-// cost O(k²) on the largest comment page or follower list.
+// instead of going through the insert paths, which would search each
+// comment listing per comment and cost O(k²) on the largest follower
+// list.
 func New(users []*User, urls []*CommentURL, comments []*Comment, follows map[ids.GabID][]ids.GabID) *DB {
 	db := &DB{
 		users:            users,
@@ -258,10 +261,19 @@ func (db *DB) AddComment(c *Comment) {
 	db.dispatch(CommentAdded{Comment: c})
 }
 
-// insertSorted returns a new slice with c inserted in ID (creation)
-// order. Copy-on-write: the old backing array is never shifted, because
-// concurrent readers may still be iterating it.
+// insertSorted returns old with c inserted in ID (creation) order. IDs
+// are minted in creation order, so c almost always sorts last and is
+// appended into the list's spare capacity, exactly as db.comments and
+// the event log grow: a reader holds a header that pins its length, so
+// the slot written is one no reader can see, and the cost is O(1)
+// amortised instead of a copy of the page. Only a genuine middle
+// insert (a replica applying events the primary logged out of ID
+// order) copies, because the old backing array is never shifted under
+// the readers still iterating it.
 func insertSorted(old []*Comment, c *Comment) []*Comment {
+	if n := len(old); n == 0 || !c.ID.Before(old[n-1].ID) {
+		return append(old, c)
+	}
 	i := sort.Search(len(old), func(i int) bool { return c.ID.Before(old[i].ID) })
 	out := make([]*Comment, 0, len(old)+1)
 	out = append(out, old[:i]...)
@@ -376,9 +388,12 @@ func (db *DB) URLByString(raw string) *CommentURL {
 
 // CommentsOnURL returns the comments of one comment page in creation
 // order. The slice is a stable snapshot; callers must not modify it.
+// Its capacity is clipped to its length (the EventsSince idiom), so a
+// caller appending to it reallocates instead of racing AddComment for
+// the listing's spare backing array.
 func (db *DB) CommentsOnURL(id ids.ObjectID) []*Comment {
 	cs, _ := db.commentsByURL.get(id)
-	return cs
+	return cs[:len(cs):len(cs)]
 }
 
 // CommentByID resolves a comment-id.
@@ -388,11 +403,11 @@ func (db *DB) CommentByID(id ids.ObjectID) *Comment {
 }
 
 // CommentsByAuthor returns all comments by one Dissenter author in
-// creation order. The slice is a stable snapshot; callers must not
-// modify it.
+// creation order. The slice is a stable snapshot, capacity-clipped like
+// CommentsOnURL's; callers must not modify it.
 func (db *DB) CommentsByAuthor(id ids.ObjectID) []*Comment {
 	cs, _ := db.commentsByAuthor.get(id)
-	return cs
+	return cs[:len(cs):len(cs)]
 }
 
 // Following returns the Gab users id follows, in edge-arrival order.

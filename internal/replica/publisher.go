@@ -127,14 +127,15 @@ func (p *Publisher) serveEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveSnapshot writes a fresh consistent checkpoint in the eventlog
-// snapshot format. The X-Snapshot-Seq header names the cut's sequence
+// serveSnapshot streams a fresh consistent checkpoint in the eventlog
+// snapshot format, entity by entity — the response is never held in
+// memory whole. The X-Snapshot-Seq header names the cut's sequence
 // point (also embedded in the payload).
 func (p *Publisher) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	cp := p.DB.Checkpoint()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Snapshot-Seq", strconv.FormatUint(cp.Seq, 10))
-	if err := eventlog.WriteSnapshot(w, cp); err != nil {
+	if _, err := eventlog.WriteSnapshot(w, cp); err != nil {
 		p.logf("replica: snapshot write: %v", err)
 	}
 }

@@ -22,8 +22,6 @@ type Options struct {
 	// client-level timeout. Tests inject transport faults by setting a
 	// client whose Transport is faultinject.Injector.Transport.
 	Client *http.Client
-	// RotateEvery is passed to the replica's local Persister.
-	RotateEvery int
 	// ReconnectWait is the BASE pause between stream attempts after a
 	// failure (default 250ms). Consecutive failures double the pause
 	// up to maxBackoff times the base, with jitter so a fleet of
@@ -78,8 +76,7 @@ func (r *Replica) logf(format string, args ...any) {
 // while it keeps serving stale reads.
 func (r *Replica) persistOpts() eventlog.Options {
 	return eventlog.Options{
-		RotateEvery: r.opt.RotateEvery,
-		FS:          r.fs,
+		FS: r.fs,
 		OnError: func(err error, sticky bool) {
 			r.logf("replica: persist (sticky=%v): %v", sticky, err)
 		},
