@@ -12,6 +12,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"time"
 )
 
@@ -166,8 +167,16 @@ func (d *Dataset) Texts() []string {
 	return out
 }
 
+// graphEdge is one graph.jsonl line: a user and whom they follow.
+type graphEdge struct {
+	From string   `json:"from"`
+	To   []string `json:"to"`
+}
+
 // Save writes the dataset as JSONL files under dir (users.jsonl,
 // urls.jsonl, comments.jsonl, graph.jsonl), creating dir if needed.
+// Records are written in slice order and the graph by username, so a
+// dataset saves to the same bytes every time.
 func (d *Dataset) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("corpus: %w", err)
@@ -181,62 +190,33 @@ func (d *Dataset) Save(dir string) error {
 	if err := writeJSONL(filepath.Join(dir, "comments.jsonl"), d.Comments); err != nil {
 		return err
 	}
-	type edge struct {
-		From string   `json:"from"`
-		To   []string `json:"to"`
-	}
-	edges := make([]edge, 0, len(d.Graph))
+	edges := make([]graphEdge, 0, len(d.Graph))
 	for from, to := range d.Graph {
-		edges = append(edges, edge{from, to})
+		edges = append(edges, graphEdge{from, to})
 	}
+	sort.Slice(edges, func(i, j int) bool { return edges[i].From < edges[j].From })
 	return writeJSONL(filepath.Join(dir, "graph.jsonl"), edges)
 }
 
 // Load reads a dataset previously written by Save and reindexes it.
 func Load(dir string) (*Dataset, error) {
 	d := &Dataset{Graph: map[string][]string{}}
-	if err := readJSONL(filepath.Join(dir, "users.jsonl"), func(line []byte) error {
-		var u User
-		if err := json.Unmarshal(line, &u); err != nil {
-			return err
-		}
-		d.Users = append(d.Users, u)
-		return nil
-	}); err != nil {
+	var err error
+	if d.Users, err = readJSONL[User](filepath.Join(dir, "users.jsonl")); err != nil {
 		return nil, err
 	}
-	if err := readJSONL(filepath.Join(dir, "urls.jsonl"), func(line []byte) error {
-		var u URL
-		if err := json.Unmarshal(line, &u); err != nil {
-			return err
-		}
-		d.URLs = append(d.URLs, u)
-		return nil
-	}); err != nil {
+	if d.URLs, err = readJSONL[URL](filepath.Join(dir, "urls.jsonl")); err != nil {
 		return nil, err
 	}
-	if err := readJSONL(filepath.Join(dir, "comments.jsonl"), func(line []byte) error {
-		var c Comment
-		if err := json.Unmarshal(line, &c); err != nil {
-			return err
-		}
-		d.Comments = append(d.Comments, c)
-		return nil
-	}); err != nil {
+	if d.Comments, err = readJSONL[Comment](filepath.Join(dir, "comments.jsonl")); err != nil {
 		return nil, err
 	}
-	if err := readJSONL(filepath.Join(dir, "graph.jsonl"), func(line []byte) error {
-		var e struct {
-			From string   `json:"from"`
-			To   []string `json:"to"`
-		}
-		if err := json.Unmarshal(line, &e); err != nil {
-			return err
-		}
+	edges, err := readJSONL[graphEdge](filepath.Join(dir, "graph.jsonl"))
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range edges {
 		d.Graph[e.From] = e.To
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	d.Reindex()
 	return d, nil
@@ -262,25 +242,28 @@ func writeJSONL[T any](path string, items []T) error {
 	return f.Close()
 }
 
-func readJSONL(path string, fn func(line []byte) error) error {
+func readJSONL[T any](path string) ([]T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("corpus: %w", err)
+		return nil, fmt.Errorf("corpus: %w", err)
 	}
 	defer f.Close()
+	var items []T
 	r := bufio.NewReaderSize(f, 1<<20)
 	for {
 		line, err := r.ReadBytes('\n')
 		if len(line) > 1 {
-			if ferr := fn(line); ferr != nil {
-				return fmt.Errorf("corpus: parse %s: %w", path, ferr)
+			var item T
+			if perr := json.Unmarshal(line, &item); perr != nil {
+				return nil, fmt.Errorf("corpus: parse %s: %w", path, perr)
 			}
+			items = append(items, item)
 		}
 		if err == io.EOF {
-			return nil
+			return items, nil
 		}
 		if err != nil {
-			return fmt.Errorf("corpus: read %s: %w", path, err)
+			return nil, fmt.Errorf("corpus: read %s: %w", path, err)
 		}
 	}
 }

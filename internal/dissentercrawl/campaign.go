@@ -59,13 +59,12 @@ func (c *Campaign) Run(ctx context.Context) (*corpus.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	gabByUsername := make(map[string]gabcrawl.Account, len(accounts))
+	c.gabByUsername = make(map[string]gabcrawl.Account, len(accounts))
 	usernames := make([]string, 0, len(accounts))
 	for _, a := range accounts {
-		gabByUsername[a.Username] = a
+		c.gabByUsername[a.Username] = a
 		usernames = append(usernames, a.Username)
 	}
-	c.gabByUsername = gabByUsername
 
 	dissenterNames, err := c.probe(ctx, usernames)
 	if err != nil {
@@ -75,20 +74,31 @@ func (c *Campaign) Run(ctx context.Context) (*corpus.Dataset, error) {
 	ds := &corpus.Dataset{Graph: map[string][]string{}}
 	c.seenURLIDs = map[string]string{}
 	c.urlSet = map[string]bool{}
-	if err := c.harvestUsers(ctx, ds, dissenterNames, gabByUsername, c.urlSet); err != nil {
-		return nil, fmt.Errorf("campaign: %w", err)
-	}
-
-	baseComments, err := c.mirrorComments(ctx, ds, c.urlSet, c.Web)
+	c.base = map[string]corpus.Comment{}
+	// Mirror each Dissenter home page into the dataset and collect the
+	// commented-URL universe.
+	_, err = c.sweepHomePages(ctx, dissenterNames, []*Crawler{c.Web}, func(name string, up UserPage) {
+		u := corpus.User{
+			AuthorID:    up.AuthorID,
+			Username:    up.Username,
+			DisplayName: up.DisplayName,
+			Bio:         up.Bio,
+		}
+		if a, ok := c.gabByUsername[name]; ok {
+			u.GabID = int64(a.GabID)
+			u.GabCreated = a.CreatedAt
+		}
+		ds.Users = append(ds.Users, u)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	c.base = baseComments
-	for _, rec := range baseComments {
-		ds.Comments = append(ds.Comments, rec)
+
+	if _, err := c.mirrorPlain(ctx, ds, c.urlSet); err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
-	if err := c.differential(ctx, ds, dissenterNames, c.urlSet, baseComments); err != nil {
+	if err := c.differential(ctx, ds, dissenterNames); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
@@ -96,12 +106,22 @@ func (c *Campaign) Run(ctx context.Context) (*corpus.Dataset, error) {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
-	if err := c.socialCrawl(ctx, ds, gabByUsername); err != nil {
+	if err := c.socialCrawl(ctx, ds); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
-	ds.Reindex()
+	finish(ds)
 	return ds, nil
+}
+
+// finish puts the mirror in its one saved order — users by author-id,
+// comments by comment-id; mirrorComments keeps the URL table sorted —
+// and indexes it. Workers append in completion order, so without this
+// two crawls of one platform save the same set as different bytes.
+func finish(ds *corpus.Dataset) {
+	sort.Slice(ds.Users, func(i, j int) bool { return ds.Users[i].AuthorID < ds.Users[j].AuthorID })
+	sort.Slice(ds.Comments, func(i, j int) bool { return ds.Comments[i].ID < ds.Comments[j].ID })
+	ds.Reindex()
 }
 
 // mineAndHarvestFixpoint iterates hidden-metadata mining against
@@ -112,10 +132,10 @@ func (c *Campaign) Run(ctx context.Context) (*corpus.Dataset, error) {
 // further unknown authors.
 func (c *Campaign) mineAndHarvestFixpoint(ctx context.Context, ds *corpus.Dataset) error {
 	for round := 0; round < 4; round++ {
-		if err := c.mineHiddenMeta(ctx, ds, c.gabByUsername); err != nil {
+		if err := c.mineHiddenMeta(ctx, ds); err != nil {
 			return err
 		}
-		grew, err := c.harvestMissingUserPages(ctx, ds, c.urlSet, c.base)
+		grew, err := c.harvestMissingUserPages(ctx, ds)
 		if err != nil {
 			return err
 		}
@@ -149,38 +169,71 @@ func (c *Campaign) probe(ctx context.Context, usernames []string) ([]string, err
 	return found, nil
 }
 
-// harvestUsers mirrors each Dissenter home page into the dataset and
-// collects the commented-URL universe.
-func (c *Campaign) harvestUsers(ctx context.Context, ds *corpus.Dataset, names []string, gab map[string]gabcrawl.Account, urlSet map[string]bool) error {
-	var mu sync.Mutex
-	return crawlkit.ForEach(ctx, names, c.Workers, func(ctx context.Context, name string) error {
-		up, err := c.Web.FetchUserPage(ctx, name)
-		if err != nil {
-			return err
-		}
-		u := corpus.User{
-			AuthorID:    up.AuthorID,
-			Username:    up.Username,
-			DisplayName: up.DisplayName,
-			Bio:         up.Bio,
-		}
-		if a, ok := gab[name]; ok {
-			u.GabID = int64(a.GabID)
-			u.GabCreated = a.CreatedAt
-		}
-		mu.Lock()
-		ds.Users = append(ds.Users, u)
-		for _, raw := range up.URLs {
-			urlSet[raw] = true
-		}
-		mu.Unlock()
-		return nil
-	})
+// pass is one authenticated session of the differential crawl and the
+// label a comment earns by being visible only under it (§3.2).
+type pass struct {
+	web   *Crawler
+	label func(*corpus.Comment)
 }
 
-// mirrorComments fetches the comment page of every known URL with the
+// passes lists the authenticated sessions the campaign was given, in
+// labeling order (NSFW+offensive double-labels resolve first-wins).
+func (c *Campaign) passes() []pass {
+	var out []pass
+	if c.NSFWWeb != nil {
+		out = append(out, pass{c.NSFWWeb, func(cm *corpus.Comment) { cm.NSFW = true }})
+	}
+	if c.OffensiveWeb != nil {
+		out = append(out, pass{c.OffensiveWeb, func(cm *corpus.Comment) { cm.Offensive = true }})
+	}
+	return out
+}
+
+// sessions lists every crawler the campaign holds, anonymous first.
+func (c *Campaign) sessions() []*Crawler {
+	webs := []*Crawler{c.Web}
+	for _, p := range c.passes() {
+		webs = append(webs, p.web)
+	}
+	return webs
+}
+
+// sweepHomePages fetches every named home page under each of webs and
+// returns the URLs they list that the campaign had not seen, which are
+// now part of c.urlSet. visit, when non-nil, is handed each parsed page
+// (serialised with the other visits).
+func (c *Campaign) sweepHomePages(ctx context.Context, names []string, webs []*Crawler, visit func(name string, up UserPage)) (map[string]bool, error) {
+	fresh := map[string]bool{}
+	var mu sync.Mutex
+	for _, web := range webs {
+		err := crawlkit.ForEach(ctx, names, c.Workers, func(ctx context.Context, name string) error {
+			up, err := web.FetchUserPage(ctx, name)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if visit != nil {
+				visit(name, up)
+			}
+			for _, raw := range up.URLs {
+				if !c.urlSet[raw] {
+					c.urlSet[raw] = true
+					fresh[raw] = true
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return fresh, nil
+}
+
+// mirrorComments fetches the comment page of every given URL with the
 // given crawler and returns the observed comments keyed by comment-id.
-// On the first (anonymous) pass it also records the URL table.
+// A page seen for the first time is also recorded in the URL table.
 func (c *Campaign) mirrorComments(ctx context.Context, ds *corpus.Dataset, urlSet map[string]bool, web *Crawler) (map[string]corpus.Comment, error) {
 	urls := make([]string, 0, len(urlSet))
 	for u := range urlSet {
@@ -222,90 +275,43 @@ func (c *Campaign) mirrorComments(ctx context.Context, ds *corpus.Dataset, urlSe
 	return seen, nil
 }
 
-// differential re-spiders with the authenticated sessions — user pages
-// first (shadow-only URLs never appear on anonymous profiles), then the
-// expanded URL set — and labels comments that only appear with a given
-// view setting enabled (§3.2).
-func (c *Campaign) differential(ctx context.Context, ds *corpus.Dataset, names []string, urlSet map[string]bool, base map[string]corpus.Comment) error {
-	passes := []struct {
-		web   *Crawler
-		label func(*corpus.Comment)
-	}{
-		{c.NSFWWeb, func(cm *corpus.Comment) { cm.NSFW = true }},
-		{c.OffensiveWeb, func(cm *corpus.Comment) { cm.Offensive = true }},
+// mirrorPlain mirrors urls anonymously and merges what it saw into the
+// mirror, unlabeled. It returns how many comments were new.
+func (c *Campaign) mirrorPlain(ctx context.Context, ds *corpus.Dataset, urls map[string]bool) (int, error) {
+	found, err := c.mirrorComments(ctx, ds, urls, c.Web)
+	if err != nil {
+		return 0, err
 	}
-	for _, pass := range passes {
-		if pass.web == nil {
-			continue
-		}
-		passSet := make(map[string]bool, len(urlSet))
-		for u := range urlSet {
-			passSet[u] = true
-		}
-		newURLs := map[string]bool{}
-		var mu sync.Mutex
-		err := crawlkit.ForEach(ctx, names, c.Workers, func(ctx context.Context, name string) error {
-			up, err := pass.web.FetchUserPage(ctx, name)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			for _, raw := range up.URLs {
-				if !passSet[raw] {
-					passSet[raw] = true
-					newURLs[raw] = true
-				}
-				if !urlSet[raw] {
-					urlSet[raw] = true
-				}
-			}
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		// URLs surfacing only under this session still need an anonymous
-		// baseline: without it, plain comments sharing a page with shadow
-		// content would be mislabeled as hidden.
-		if len(newURLs) > 0 {
-			anonFound, err := c.mirrorComments(ctx, ds, newURLs, c.Web)
-			if err != nil {
-				return err
-			}
-			for id, rec := range anonFound {
-				if _, ok := base[id]; !ok {
-					ds.Comments = append(ds.Comments, rec)
-					base[id] = rec
-				}
-			}
-		}
-		found, err := c.mirrorComments(ctx, ds, passSet, pass.web)
-		if err != nil {
-			return err
-		}
-		if _, err := c.mergeAuthedFindings(ctx, ds, base, found, pass.label); err != nil {
-			return err
+	added := 0
+	for id, rec := range found {
+		if _, ok := c.base[id]; !ok {
+			ds.Comments = append(ds.Comments, rec)
+			c.base[id] = rec
+			added++
 		}
 	}
-	return nil
+	return added, nil
 }
 
-// mergeAuthedFindings folds an authenticated pass's observations into
-// the mirror. A comment seen by the authenticated session but absent
-// from the baseline is only labeled hidden after a fresh anonymous
-// revisit of its page — performed AFTER the authenticated observation —
-// still lacks it. On a frozen corpus the revisit changes nothing; on a
-// live platform it is what keeps the differential sound: a plain
-// comment posted between the original baseline and the authenticated
-// pass shows up in the revisit (comments are append-only) and is merged
-// unlabeled instead of being mislabeled as shadow content. It returns
-// how many comments the merge added.
-func (c *Campaign) mergeAuthedFindings(ctx context.Context, ds *corpus.Dataset, base map[string]corpus.Comment, found map[string]corpus.Comment, label func(*corpus.Comment)) (int, error) {
+// mirrorAuthed mirrors urls under one authenticated session and folds
+// its observations into the mirror. A comment seen by the authenticated
+// session but absent from the baseline is only labeled hidden after a
+// fresh anonymous revisit of its page — performed AFTER the
+// authenticated observation — still lacks it. On a frozen corpus the
+// revisit changes nothing; on a live platform it is what keeps the
+// differential sound: a plain comment posted between the original
+// baseline and the authenticated pass shows up in the revisit (comments
+// are append-only) and is merged unlabeled instead of being mislabeled
+// as shadow content. It returns how many comments the merge added.
+func (c *Campaign) mirrorAuthed(ctx context.Context, ds *corpus.Dataset, urls map[string]bool, p pass) (int, error) {
+	found, err := c.mirrorComments(ctx, ds, urls, p.web)
+	if err != nil {
+		return 0, err
+	}
 	candidates := map[string]corpus.Comment{}
 	revisit := map[string]bool{}
 	for id, rec := range found {
-		if _, ok := base[id]; ok {
+		if _, ok := c.base[id]; ok {
 			continue
 		}
 		candidates[id] = rec
@@ -316,30 +322,67 @@ func (c *Campaign) mergeAuthedFindings(ctx context.Context, ds *corpus.Dataset, 
 	if len(candidates) == 0 {
 		return 0, nil
 	}
-	anonSeen, err := c.mirrorComments(ctx, ds, revisit, c.Web)
+	// Anything the anonymous revisit can see is plain; merge it first so
+	// the labeling loop below skips it.
+	added, err := c.mirrorPlain(ctx, ds, revisit)
 	if err != nil {
 		return 0, err
 	}
-	added := 0
-	// Anything the anonymous revisit can see is plain; merge it first so
-	// the labeling loop below skips it.
-	for id, rec := range anonSeen {
-		if _, ok := base[id]; !ok {
-			ds.Comments = append(ds.Comments, rec)
-			base[id] = rec
-			added++
-		}
-	}
 	for id, rec := range candidates {
-		if _, ok := base[id]; ok {
+		if _, ok := c.base[id]; ok {
 			continue // revisit proved it plain (or another pass won)
 		}
-		label(&rec)
+		p.label(&rec)
 		ds.Comments = append(ds.Comments, rec)
-		base[id] = rec // NSFW+offensive double-labels resolve first-wins
+		c.base[id] = rec
 		added++
 	}
 	return added, nil
+}
+
+// mirrorLabeled mirrors urls under every session — anonymously first,
+// then each authenticated pass with revisit-verified labeling — and
+// returns how many comments the mirror gained.
+func (c *Campaign) mirrorLabeled(ctx context.Context, ds *corpus.Dataset, urls map[string]bool) (int, error) {
+	added, err := c.mirrorPlain(ctx, ds, urls)
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range c.passes() {
+		n, err := c.mirrorAuthed(ctx, ds, urls, p)
+		if err != nil {
+			return 0, err
+		}
+		added += n
+	}
+	return added, nil
+}
+
+// differential re-spiders with the authenticated sessions — user pages
+// first (shadow-only URLs never appear on anonymous profiles), then the
+// expanded URL set — and labels comments that only appear with a given
+// view setting enabled (§3.2). It is mirrorLabeled unrolled: the
+// anonymous baseline of the universe already exists, so only the URLs a
+// session's home pages add are mirrored anonymously.
+func (c *Campaign) differential(ctx context.Context, ds *corpus.Dataset, names []string) error {
+	for _, p := range c.passes() {
+		fresh, err := c.sweepHomePages(ctx, names, []*Crawler{p.web}, nil)
+		if err != nil {
+			return err
+		}
+		// URLs surfacing only under this session still need an anonymous
+		// baseline: without it, plain comments sharing a page with shadow
+		// content would be mislabeled as hidden.
+		if len(fresh) > 0 {
+			if _, err := c.mirrorPlain(ctx, ds, fresh); err != nil {
+				return err
+			}
+		}
+		if _, err := c.mirrorAuthed(ctx, ds, c.urlSet, p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rawURLOf resolves a mirrored commenturl-id back to the raw URL it was
@@ -354,15 +397,16 @@ func (c *Campaign) rawURLOf(urlID string) (string, bool) {
 // mineHiddenMeta fetches one comment page per distinct author to recover
 // the hidden commentAuthor metadata, creating user records for authors
 // whose Gab accounts no longer exist (§4.1.1).
-func (c *Campaign) mineHiddenMeta(ctx context.Context, ds *corpus.Dataset, gab map[string]gabcrawl.Account) error {
+func (c *Campaign) mineHiddenMeta(ctx context.Context, ds *corpus.Dataset) error {
 	userIdx := map[string]int{}
 	for i := range ds.Users {
 		userIdx[ds.Users[i].AuthorID] = i
 	}
-	// One representative comment per author.
+	// One representative comment per author: the lowest comment-id, so
+	// the choice does not depend on the order workers finished in.
 	repComment := map[string]string{}
 	for _, cm := range ds.Comments {
-		if _, ok := repComment[cm.AuthorID]; !ok {
+		if rep, ok := repComment[cm.AuthorID]; !ok || cm.ID < rep {
 			repComment[cm.AuthorID] = cm.ID
 		}
 	}
@@ -424,7 +468,7 @@ func (c *Campaign) mineHiddenMeta(ctx context.Context, ds *corpus.Dataset, gab m
 // usernames, so their profile pages (and any URLs only they commented
 // on) are reachable only after hidden-metadata mining names them. It
 // reports whether anything new was discovered.
-func (c *Campaign) harvestMissingUserPages(ctx context.Context, ds *corpus.Dataset, urlSet map[string]bool, base map[string]corpus.Comment) (bool, error) {
+func (c *Campaign) harvestMissingUserPages(ctx context.Context, ds *corpus.Dataset) (bool, error) {
 	if c.harvestedMissing == nil {
 		c.harvestedMissing = map[string]bool{}
 	}
@@ -442,82 +486,31 @@ func (c *Campaign) harvestMissingUserPages(ctx context.Context, ds *corpus.Datas
 		return false, nil
 	}
 	sort.Strings(names)
-	newSet := map[string]bool{}
-	var mu sync.Mutex
 	// Fetch each page with every session: a deleted user's profile may
 	// list URLs only when the viewer can see their shadow comments.
-	for _, web := range []*Crawler{c.Web, c.NSFWWeb, c.OffensiveWeb} {
-		if web == nil {
-			continue
+	fresh, err := c.sweepHomePages(ctx, names, c.sessions(), func(name string, up UserPage) {
+		u := &ds.Users[idxByName[name]]
+		if u.DisplayName == "" {
+			u.DisplayName = up.DisplayName
 		}
-		err := crawlkit.ForEach(ctx, names, c.Workers, func(ctx context.Context, name string) error {
-			up, err := web.FetchUserPage(ctx, name)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			u := &ds.Users[idxByName[name]]
-			if u.DisplayName == "" {
-				u.DisplayName = up.DisplayName
-			}
-			if u.Bio == "" {
-				u.Bio = up.Bio
-			}
-			for _, raw := range up.URLs {
-				if !urlSet[raw] {
-					urlSet[raw] = true
-					newSet[raw] = true
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return false, err
+		if u.Bio == "" {
+			u.Bio = up.Bio
 		}
-	}
-	if len(newSet) == 0 {
-		return false, nil
-	}
-	// Mirror the fresh URLs with every session, labeling shadow content
-	// exactly as the main differential pass does: the anonymous pass
-	// merges unlabeled, and the authenticated passes label only what a
-	// post-observation anonymous revisit still cannot see.
-	anonFound, err := c.mirrorComments(ctx, ds, newSet, c.Web)
-	if err != nil {
+	})
+	if err != nil || len(fresh) == 0 {
 		return false, err
 	}
-	for id, rec := range anonFound {
-		if _, ok := base[id]; !ok {
-			ds.Comments = append(ds.Comments, rec)
-			base[id] = rec
-		}
-	}
-	webs := []struct {
-		web   *Crawler
-		label func(*corpus.Comment)
-	}{
-		{c.NSFWWeb, func(cm *corpus.Comment) { cm.NSFW = true }},
-		{c.OffensiveWeb, func(cm *corpus.Comment) { cm.Offensive = true }},
-	}
-	for _, pass := range webs {
-		if pass.web == nil {
-			continue
-		}
-		found, err := c.mirrorComments(ctx, ds, newSet, pass.web)
-		if err != nil {
-			return false, err
-		}
-		if _, err := c.mergeAuthedFindings(ctx, ds, base, found, pass.label); err != nil {
-			return false, err
-		}
+	// Shadow content on the fresh URLs is labeled exactly as the main
+	// differential pass labels it.
+	if _, err := c.mirrorLabeled(ctx, ds, fresh); err != nil {
+		return false, err
 	}
 	return true, nil
 }
 
 // socialCrawl pulls the Gab follow graph for every Dissenter user and
 // keeps only edges between Dissenter users (§3.4).
-func (c *Campaign) socialCrawl(ctx context.Context, ds *corpus.Dataset, gab map[string]gabcrawl.Account) error {
+func (c *Campaign) socialCrawl(ctx context.Context, ds *corpus.Dataset) error {
 	dissenter := map[string]bool{}
 	var names []string
 	for i := range ds.Users {
@@ -527,7 +520,7 @@ func (c *Campaign) socialCrawl(ctx context.Context, ds *corpus.Dataset, gab map[
 	sort.Strings(names)
 	var mu sync.Mutex
 	return crawlkit.ForEach(ctx, names, c.Workers, func(ctx context.Context, name string) error {
-		acct, ok := gab[name]
+		acct, ok := c.gabByUsername[name]
 		if !ok {
 			return nil // deleted Gab account: no social data available
 		}

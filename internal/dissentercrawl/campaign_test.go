@@ -39,7 +39,8 @@ func newCampaign(t *testing.T) *Campaign {
 	}
 }
 
-// runCampaign caches the crawl result across tests (it is deterministic).
+// runCampaign caches the crawl result across tests (it is deterministic:
+// TestRunStableFrozenCorpus compares a second crawl's saved bytes).
 var cached *corpus.Dataset
 
 func runCampaign(t *testing.T) *corpus.Dataset {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dissenter/internal/corpus"
-	"dissenter/internal/crawlkit"
 )
 
 // Live growth: the paper's measurement campaign ran against a platform
@@ -93,22 +92,6 @@ func (p *Poster) Posted() []PostedComment {
 	return out
 }
 
-// RunStable is Run followed by Stabilize: the crawl discipline for a
-// platform that is growing while it is measured. It returns the
-// dataset, whether the mirror reached a fixpoint within maxRounds
-// revisit rounds, and the first error. Note that a fixpoint observed
-// while writers are still active only reflects a momentary lull; for a
-// convergence that means "the mirror holds everything", wait for the
-// writers and then call Stabilize, as examples/live-crawl does.
-func (c *Campaign) RunStable(ctx context.Context, maxRounds int) (*corpus.Dataset, bool, error) {
-	ds, err := c.Run(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	stable, err := c.Stabilize(ctx, ds, maxRounds)
-	return ds, stable, err
-}
-
 // Stabilize re-spiders the platform until a full revisit round — home
 // pages with every session, then the whole URL universe anonymously and
 // with each authenticated session — discovers no new URL or comment, or
@@ -117,6 +100,10 @@ func (c *Campaign) RunStable(ctx context.Context, maxRounds int) (*corpus.Datase
 // pass, so comments that appeared mid-crawl are labeled correctly. It
 // requires a completed Run on the same Campaign (it continues from
 // Run's crawl state) and reports whether the mirror reached a fixpoint.
+// Note that a fixpoint observed while writers are still active only
+// reflects a momentary lull; for a convergence that means "the mirror
+// holds everything", wait for the writers first, as examples/live-crawl
+// does.
 func (c *Campaign) Stabilize(ctx context.Context, ds *corpus.Dataset, maxRounds int) (bool, error) {
 	if c.base == nil {
 		return false, fmt.Errorf("dissentercrawl: Stabilize requires a completed Run")
@@ -124,117 +111,55 @@ func (c *Campaign) Stabilize(ctx context.Context, ds *corpus.Dataset, maxRounds 
 	if maxRounds <= 0 {
 		maxRounds = 8
 	}
+	defer finish(ds)
 	for round := 0; round < maxRounds; round++ {
 		grew, err := c.revisitRound(ctx, ds)
 		if err != nil {
 			return false, fmt.Errorf("campaign: stabilize round %d: %w", round, err)
 		}
 		if !grew {
-			ds.Reindex()
 			return true, nil
 		}
 	}
-	ds.Reindex()
 	return false, nil
 }
 
 // revisitRound performs one full re-spider and reports whether it grew
 // the mirror.
 func (c *Campaign) revisitRound(ctx context.Context, ds *corpus.Dataset) (bool, error) {
-	grew := false
-
-	// 1. Re-harvest every known user's home page with every session: a
-	// URL first commented during live growth is only reachable through
-	// its author's (possibly session-gated) listing.
+	// Re-harvest every known user's home page with every session: a URL
+	// first commented during live growth is only reachable through its
+	// author's (possibly session-gated) listing.
 	names := make([]string, 0, len(ds.Users))
 	for i := range ds.Users {
 		names = append(names, ds.Users[i].Username)
 	}
 	sort.Strings(names)
-	var mu sync.Mutex
-	for _, web := range []*Crawler{c.Web, c.NSFWWeb, c.OffensiveWeb} {
-		if web == nil {
-			continue
-		}
-		err := crawlkit.ForEach(ctx, names, c.Workers, func(ctx context.Context, name string) error {
-			up, err := web.FetchUserPage(ctx, name)
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, raw := range up.URLs {
-				if !c.urlSet[raw] {
-					c.urlSet[raw] = true
-					grew = true
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return false, err
-		}
-	}
-
-	// 2. Anonymous re-mirror of the whole universe: new plain comments
-	// merge unlabeled.
-	anonSeen, err := c.mirrorComments(ctx, ds, c.urlSet, c.Web)
+	fresh, err := c.sweepHomePages(ctx, names, c.sessions(), nil)
 	if err != nil {
 		return false, err
 	}
-	for id, rec := range anonSeen {
-		if _, ok := c.base[id]; !ok {
-			ds.Comments = append(ds.Comments, rec)
-			c.base[id] = rec
-			grew = true
-		}
+	// Re-mirror the whole universe: new plain comments merge unlabeled,
+	// authenticated findings are revisit-verified.
+	added, err := c.mirrorLabeled(ctx, ds, c.urlSet)
+	if err != nil {
+		return false, err
+	}
+	if len(fresh) == 0 && added == 0 {
+		return false, nil
 	}
 
-	// 3. Authenticated re-mirrors with revisit-verified labeling.
-	passes := []struct {
-		web   *Crawler
-		label func(*corpus.Comment)
-	}{
-		{c.NSFWWeb, func(cm *corpus.Comment) { cm.NSFW = true }},
-		{c.OffensiveWeb, func(cm *corpus.Comment) { cm.Offensive = true }},
-	}
-	for _, pass := range passes {
-		if pass.web == nil {
-			continue
-		}
-		found, err := c.mirrorComments(ctx, ds, c.urlSet, pass.web)
-		if err != nil {
-			return false, err
-		}
-		added, err := c.mergeAuthedFindings(ctx, ds, c.base, found, pass.label)
-		if err != nil {
-			return false, err
-		}
-		if added > 0 {
-			grew = true
-		}
-	}
-
-	// 4. New comments may name authors the mirror has never met (e.g. a
+	// New comments may name authors the mirror has never met (e.g. a
 	// previously silent account that spoke mid-crawl); mine their hidden
 	// metadata and harvest their pages exactly as Run does.
-	if grew {
-		known := make(map[string]bool, len(ds.Users))
-		for i := range ds.Users {
-			known[ds.Users[i].AuthorID] = true
-		}
-		unknownAuthors := false
-		for _, cm := range ds.Comments {
-			if !known[cm.AuthorID] {
-				unknownAuthors = true
-				break
-			}
-		}
-		if unknownAuthors {
-			if err := c.mineAndHarvestFixpoint(ctx, ds); err != nil {
-				return false, err
-			}
+	known := make(map[string]bool, len(ds.Users))
+	for i := range ds.Users {
+		known[ds.Users[i].AuthorID] = true
+	}
+	for _, cm := range ds.Comments {
+		if !known[cm.AuthorID] {
+			return true, c.mineAndHarvestFixpoint(ctx, ds)
 		}
 	}
-	return grew, nil
+	return true, nil
 }

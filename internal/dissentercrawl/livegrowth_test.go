@@ -1,8 +1,11 @@
 package dissentercrawl
 
 import (
+	"bytes"
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -161,9 +164,16 @@ func TestStabilizeRequiresRun(t *testing.T) {
 
 // TestRunStableFrozenCorpus: on a platform nobody is writing to, the
 // first revisit round must already be a fixpoint and the mirror must
-// match the plain Run result.
+// match the plain Run result — to the byte, as saved: a second campaign
+// over the same platform, stabilized, writes the directory the first
+// one wrote.
 func TestRunStableFrozenCorpus(t *testing.T) {
-	ds, stable, err := newCampaign(t).RunStable(context.Background(), 3)
+	c := newCampaign(t)
+	ds, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable, err := c.Stabilize(context.Background(), ds, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,5 +182,25 @@ func TestRunStableFrozenCorpus(t *testing.T) {
 	}
 	if truth := out.DB.Census(); len(ds.Comments) != truth.Comments {
 		t.Errorf("stable mirror holds %d comments, ground truth %d", len(ds.Comments), truth.Comments)
+	}
+	plainDir, stableDir := t.TempDir(), t.TempDir()
+	if err := runCampaign(t).Save(plainDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Save(stableDir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"users.jsonl", "urls.jsonl", "comments.jsonl", "graph.jsonl"} {
+		plain, err := os.ReadFile(filepath.Join(plainDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := os.ReadFile(filepath.Join(stableDir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(plain, again) {
+			t.Errorf("%s: two campaigns over one platform saved different bytes", name)
+		}
 	}
 }
