@@ -144,7 +144,7 @@ func main() {
 	}
 	mux.Handle("/watch", out.YouTube)
 	mux.Handle("/channel/", out.YouTube)
-	mux.Handle("/v1/comments:analyze", perspective.Handler(0))
+	mux.Handle("/v1/comments:analyze", perspective.Handler())
 	mux.Handle("/reddit/", reddit)
 	mux.Handle("/api/user/", reddit)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {

@@ -33,7 +33,7 @@ func main() {
 	dict := toxdict.Default()
 
 	// 2. Perspective over HTTP (§3.5.2): the paper "outsources" scoring.
-	srv := httptest.NewServer(perspective.Handler(0))
+	srv := httptest.NewServer(perspective.Handler())
 	defer srv.Close()
 	client := perspective.NewClient(srv.URL, srv.Client())
 

@@ -84,18 +84,23 @@ var ErrGaveUp = errors.New("crawlkit: retries exhausted")
 // Retry-After). 4xx responses other than 429 are returned, not retried —
 // a 404 is an answer, not a failure.
 func (f *Fetcher) Get(ctx context.Context, url string) (Result, error) {
-	return f.do(ctx, http.MethodGet, url, "")
+	return f.do(ctx, http.MethodGet, url, "", "")
 }
 
-// PostForm submits a form-encoded POST with Get's retry policy. Note
-// the policy retries transport failures, so a write that succeeded
-// server-side but lost its response may be resubmitted; callers that
-// need exactly-once writes must deduplicate on the server.
+// Post submits body under the given Content-Type with Get's retry
+// policy. Note the policy retries transport failures, so a write that
+// succeeded server-side but lost its response may be resubmitted;
+// callers that need exactly-once writes must deduplicate on the server.
+func (f *Fetcher) Post(ctx context.Context, url, contentType, body string) (Result, error) {
+	return f.do(ctx, http.MethodPost, url, contentType, body)
+}
+
+// PostForm is Post of a form-encoded body.
 func (f *Fetcher) PostForm(ctx context.Context, url string, form neturl.Values) (Result, error) {
-	return f.do(ctx, http.MethodPost, url, form.Encode())
+	return f.Post(ctx, url, "application/x-www-form-urlencoded", form.Encode())
 }
 
-func (f *Fetcher) do(ctx context.Context, method, url, payload string) (Result, error) {
+func (f *Fetcher) do(ctx context.Context, method, url, contentType, payload string) (Result, error) {
 	var lastErr error
 	for attempt := 0; attempt <= f.maxRetries; attempt++ {
 		if attempt > 0 {
@@ -110,7 +115,7 @@ func (f *Fetcher) do(ctx context.Context, method, url, payload string) (Result, 
 			case <-time.After(wait):
 			}
 		}
-		res, err := f.fetchOnce(ctx, method, url, payload)
+		res, err := f.fetchOnce(ctx, method, url, contentType, payload)
 		if err == nil {
 			return res, nil
 		}
@@ -154,7 +159,7 @@ func retryAfter(err error) (time.Duration, bool) {
 	return 0, false
 }
 
-func (f *Fetcher) fetchOnce(ctx context.Context, method, url, payload string) (Result, error) {
+func (f *Fetcher) fetchOnce(ctx context.Context, method, url, contentType, payload string) (Result, error) {
 	var rd io.Reader
 	if payload != "" {
 		rd = strings.NewReader(payload)
@@ -163,8 +168,8 @@ func (f *Fetcher) fetchOnce(ctx context.Context, method, url, payload string) (R
 	if err != nil {
 		return Result{}, fmt.Errorf("crawlkit: build request: %w", err)
 	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
 	req.Header.Set("User-Agent", userAgent)
 	for _, c := range f.cookies {

@@ -1,15 +1,12 @@
 package perspective
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
-	"time"
+
+	"dissenter/internal/crawlkit"
 )
 
 // The wire format mirrors the real Perspective API's comments:analyze
@@ -46,22 +43,11 @@ type apiError struct {
 }
 
 // Handler returns an http.Handler serving POST /v1/comments:analyze.
-// It enforces a per-instance QPS limit when qps > 0, answering 429 when
-// exhausted — the client's backoff path needs something to exercise.
-func Handler(qps int) http.Handler {
-	var lim *rateLimiter
-	if qps > 0 {
-		lim = newRateLimiter(qps)
-	}
+func Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/comments:analyze", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeAPIError(w, http.StatusMethodNotAllowed, "POST required")
-			return
-		}
-		if lim != nil && !lim.allow() {
-			w.Header().Set("Retry-After", "1")
-			writeAPIError(w, http.StatusTooManyRequests, "rate limit exceeded")
 			return
 		}
 		var req AnalyzeRequest
@@ -101,54 +87,22 @@ func writeAPIError(w http.ResponseWriter, code int, msg string) {
 	_ = json.NewEncoder(w).Encode(e)
 }
 
-// rateLimiter is a coarse fixed-window QPS limiter.
-type rateLimiter struct {
-	mu     sync.Mutex
-	qps    int
-	window time.Time
-	used   int
-}
-
-func newRateLimiter(qps int) *rateLimiter { return &rateLimiter{qps: qps} }
-
-func (l *rateLimiter) allow() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := time.Now()
-	if now.Sub(l.window) >= time.Second {
-		l.window = now
-		l.used = 0
-	}
-	if l.used >= l.qps {
-		return false
-	}
-	l.used++
-	return true
-}
-
 // Client calls a Perspective-style endpoint. The zero value is unusable;
 // construct with NewClient.
 type Client struct {
-	baseURL    string
-	httpClient *http.Client
-	maxRetries int
+	baseURL string
+	fetcher *crawlkit.Fetcher
 }
 
 // NewClient builds a client for the endpoint at baseURL (no trailing
-// slash). A nil httpClient uses a default with a 10s timeout.
+// slash). A nil httpClient uses crawlkit's default.
 func NewClient(baseURL string, httpClient *http.Client) *Client {
-	if httpClient == nil {
-		httpClient = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &Client{baseURL: baseURL, httpClient: httpClient, maxRetries: 5}
+	return &Client{baseURL: baseURL, fetcher: crawlkit.NewFetcher(httpClient)}
 }
 
-// ErrRateLimited is returned when the endpoint keeps answering 429 past
-// the retry budget.
-var ErrRateLimited = errors.New("perspective: rate limited")
-
-// Analyze scores one comment with the requested models over HTTP,
-// retrying 429s with linear backoff.
+// Analyze scores one comment with the requested models over HTTP, under
+// crawlkit's retry policy (429 honoring Retry-After, 5xx, transport
+// errors).
 func (c *Client) Analyze(ctx context.Context, text string, models []Model) (map[Model]float64, error) {
 	var req AnalyzeRequest
 	req.Comment.Text = text
@@ -160,57 +114,22 @@ func (c *Client) Analyze(ctx context.Context, text string, models []Model) (map[
 	if err != nil {
 		return nil, fmt.Errorf("perspective: encode request: %w", err)
 	}
-	for attempt := 0; ; attempt++ {
-		scores, wait, err := c.post(ctx, body)
-		if err == nil {
-			return scores, nil
-		}
-		if wait <= 0 || attempt >= c.maxRetries {
-			return nil, err
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(wait):
-		}
-	}
-}
-
-// post performs one request. On a retryable failure it returns the delay
-// to wait before the next attempt (honoring Retry-After when present).
-func (c *Client) post(ctx context.Context, body []byte) (map[Model]float64, time.Duration, error) {
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.baseURL+"/v1/comments:analyze", bytes.NewReader(body))
+	res, err := c.fetcher.Post(ctx, c.baseURL+"/v1/comments:analyze", "application/json", string(body))
 	if err != nil {
-		return nil, 0, fmt.Errorf("perspective: build request: %w", err)
+		return nil, fmt.Errorf("perspective: %w", err)
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	resp, err := c.httpClient.Do(httpReq)
-	if err != nil {
-		return nil, 0, fmt.Errorf("perspective: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		wait := 200 * time.Millisecond
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {
-				wait = time.Duration(secs) * time.Second
-			}
-		}
-		return nil, wait, ErrRateLimited
-	}
-	if resp.StatusCode != http.StatusOK {
+	if res.Status != http.StatusOK {
 		var e apiError
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, 0, fmt.Errorf("perspective: HTTP %d: %s", resp.StatusCode, e.Error.Message)
+		_ = json.Unmarshal(res.Body, &e)
+		return nil, fmt.Errorf("perspective: HTTP %d: %s", res.Status, e.Error.Message)
 	}
 	var out AnalyzeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, 0, fmt.Errorf("perspective: decode response: %w", err)
+	if err := json.Unmarshal(res.Body, &out); err != nil {
+		return nil, fmt.Errorf("perspective: decode response: %w", err)
 	}
 	scores := make(map[Model]float64, len(out.AttributeScores))
 	for m, as := range out.AttributeScores {
 		scores[m] = as.SummaryScore.Value
 	}
-	return scores, 0, nil
+	return scores, nil
 }

@@ -2,7 +2,9 @@ package perspective
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -124,7 +126,7 @@ func TestScoreAll(t *testing.T) {
 }
 
 func TestHTTPRoundTrip(t *testing.T) {
-	srv := httptest.NewServer(Handler(0))
+	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, srv.Client())
 	text := "the author is a pathetic fraud"
@@ -141,7 +143,7 @@ func TestHTTPRoundTrip(t *testing.T) {
 }
 
 func TestHTTPBadRequests(t *testing.T) {
-	srv := httptest.NewServer(Handler(0))
+	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 	client := NewClient(srv.URL, srv.Client())
 	if _, err := client.Analyze(context.Background(), "x", nil); err == nil {
@@ -152,17 +154,28 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestHTTPRateLimitRetry: one 429-then-200 exchange. The client has no
+// retry loop of its own; this is crawlkit.Fetcher's, reached through
+// Analyze's JSON POST.
 func TestHTTPRateLimitRetry(t *testing.T) {
-	srv := httptest.NewServer(Handler(1)) // 1 QPS
+	var limited atomic.Int32
+	api := Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if limited.Add(1) == 1 {
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+			return
+		}
+		api.ServeHTTP(w, r)
+	}))
 	defer srv.Close()
 	client := NewClient(srv.URL, srv.Client())
-	ctx := context.Background()
-	// Two quick requests: the second must eventually succeed via retry.
-	if _, err := client.Analyze(ctx, "first", []Model{SevereToxicity}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Analyze(ctx, "second", []Model{SevereToxicity}); err != nil {
+	scores, err := client.Analyze(context.Background(), "you idiot", []Model{SevereToxicity})
+	if err != nil {
 		t.Fatalf("retry did not recover from 429: %v", err)
+	}
+	if limited.Load() != 2 || scores[SevereToxicity] != Score(SevereToxicity, "you idiot") {
+		t.Fatalf("after %d requests got %v", limited.Load(), scores)
 	}
 }
 

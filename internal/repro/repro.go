@@ -145,8 +145,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 
 	// YouTube crawl (§3.3).
-	ytCrawler := youtube.NewCrawler(ytURL, nil)
-	res.YTSummary, err = ytCrawler.CrawlAll(ctx, res.Study.YouTubeURLs())
+	res.YTSummary, err = youtube.NewCrawler(ytURL, nil).CrawlAll(ctx, res.Study.YouTubeURLs(), opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: youtube: %w", err)
 	}

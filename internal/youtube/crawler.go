@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"strings"
-	"time"
+	"sync"
+
+	"dissenter/internal/crawlkit"
 )
 
 // The paper drives Selenium because the fields it needs "reside in large
@@ -32,44 +32,31 @@ var ErrNotYouTubePage = errors.New("youtube: page contains no ytInitialData blob
 
 // Crawler fetches simulated YouTube pages. Construct with NewCrawler.
 type Crawler struct {
-	base       string
-	httpClient *http.Client
+	base    string
+	fetcher *crawlkit.Fetcher
 }
 
 // NewCrawler builds a crawler that rewrites YouTube URLs onto the
-// simulator at base (e.g. an httptest.Server URL). A nil client gets a
-// 10-second timeout default.
+// simulator at base (e.g. an httptest.Server URL). A nil client gets
+// crawlkit's default.
 func NewCrawler(base string, client *http.Client) *Crawler {
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	return &Crawler{base: strings.TrimSuffix(base, "/"), httpClient: client}
+	return &Crawler{base: strings.TrimSuffix(base, "/"), fetcher: crawlkit.NewFetcher(client)}
 }
 
 // Fetch retrieves and mines one YouTube URL (in its original
 // youtube.com/youtu.be form; the crawler maps it onto the simulator).
 func (c *Crawler) Fetch(ctx context.Context, rawurl string) (PageData, error) {
-	target := c.base + pathKey(rawurl)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
-	if err != nil {
-		return PageData{}, fmt.Errorf("youtube: build request: %w", err)
-	}
-	resp, err := c.httpClient.Do(req)
+	res, err := c.fetcher.Get(ctx, c.base+pathKey(rawurl))
 	if err != nil {
 		return PageData{}, fmt.Errorf("youtube: fetch %s: %w", rawurl, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	switch res.Status {
+	case http.StatusNotFound:
 		return PageData{Status: StatusUnavailable, Kind: KindVideo}, nil
+	case http.StatusOK:
+		return ParsePage(string(res.Body))
 	}
-	if resp.StatusCode != http.StatusOK {
-		return PageData{}, fmt.Errorf("youtube: fetch %s: HTTP %d", rawurl, resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return PageData{}, fmt.Errorf("youtube: read %s: %w", rawurl, err)
-	}
-	return ParsePage(string(body))
+	return PageData{}, fmt.Errorf("youtube: fetch %s: HTTP %d", rawurl, res.Status)
 }
 
 // ParsePage extracts metadata from the HTML of a simulated YouTube page.
@@ -116,27 +103,28 @@ type Summary struct {
 	CommentedByOwner map[string]int
 }
 
-// CrawlAll fetches every URL and aggregates the results. Fetch errors are
-// counted as generic unavailable, mirroring the paper's re-request-then-
-// classify handling.
-func (c *Crawler) CrawlAll(ctx context.Context, urls []string) (Summary, error) {
+// CrawlAll fetches every URL with `workers` goroutines and aggregates
+// the results: failed fetches are re-requested (crawlkit.Fetcher's
+// retries, then crawlkit.ForEach's follow-up passes) and a page that
+// answers without a metadata blob is classified generic unavailable —
+// the paper's re-request-then-classify handling.
+func (c *Crawler) CrawlAll(ctx context.Context, urls []string, workers int) (Summary, error) {
 	sum := Summary{
 		ByKind:           map[Kind]int{},
 		ByStatus:         map[Status]int{},
 		CommentedByOwner: map[string]int{},
 	}
-	for _, u := range urls {
-		if ctx.Err() != nil {
-			return sum, ctx.Err()
-		}
+	var mu sync.Mutex
+	err := crawlkit.ForEach(ctx, urls, workers, func(ctx context.Context, u string) error {
 		pd, err := c.Fetch(ctx, u)
-		if err != nil {
-			if errors.Is(err, ErrNotYouTubePage) {
-				pd = PageData{Status: StatusUnavailable, Kind: KindVideo}
-			} else {
-				return sum, err
-			}
+		if errors.Is(err, ErrNotYouTubePage) {
+			pd, err = PageData{Status: StatusUnavailable, Kind: KindVideo}, nil
 		}
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
 		sum.Total++
 		sum.ByKind[pd.Kind]++
 		sum.ByStatus[pd.Status]++
@@ -148,19 +136,7 @@ func (c *Crawler) CrawlAll(ctx context.Context, urls []string) (Summary, error) 
 				sum.CommentedByOwner[pd.Owner]++
 			}
 		}
-	}
-	return sum, nil
-}
-
-// VideoID extracts the v= parameter of a YouTube watch URL, or the
-// youtu.be path component.
-func VideoID(rawurl string) string {
-	u, err := url.Parse(rawurl)
-	if err != nil {
-		return ""
-	}
-	if strings.HasSuffix(u.Hostname(), "youtu.be") {
-		return strings.TrimPrefix(u.Path, "/")
-	}
-	return u.Query().Get("v")
+		return nil
+	})
+	return sum, err
 }

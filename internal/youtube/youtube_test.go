@@ -2,8 +2,10 @@ package youtube
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -95,11 +97,19 @@ func TestServeAndCrawl(t *testing.T) {
 	}
 }
 
+// TestCrawlAll crawls a healthy site and one that answers 503 to every
+// third request: the re-request machinery must absorb the failures and
+// the tally, which is commutative, must come out the same.
 func TestCrawlAll(t *testing.T) {
-	s := testSite()
-	srv := httptest.NewServer(s)
-	defer srv.Close()
-	c := NewCrawler(srv.URL, srv.Client())
+	site := testSite()
+	var requests atomic.Uint64
+	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if requests.Add(1)%3 == 0 {
+			http.Error(w, "transient storage error", http.StatusServiceUnavailable)
+			return
+		}
+		site.ServeHTTP(w, r)
+	})
 	urls := []string{
 		"https://www.youtube.com/watch?v=abc123",
 		"https://youtu.be/def456",
@@ -107,24 +117,33 @@ func TestCrawlAll(t *testing.T) {
 		"https://www.youtube.com/watch?v=hate01",
 		"https://www.youtube.com/channel/UCxyz",
 	}
-	sum, err := c.CrawlAll(context.Background(), urls)
-	if err != nil {
-		t.Fatal(err)
+	for name, h := range map[string]http.Handler{"healthy": site, "flaky": flaky} {
+		t.Run(name, func(t *testing.T) {
+			srv := httptest.NewServer(h)
+			defer srv.Close()
+			sum, err := NewCrawler(srv.URL, srv.Client()).CrawlAll(context.Background(), urls, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.Total != 5 {
+				t.Errorf("Total = %d", sum.Total)
+			}
+			if sum.ByKind[KindVideo] != 4 || sum.ByKind[KindChannel] != 1 {
+				t.Errorf("ByKind = %v", sum.ByKind)
+			}
+			if sum.ByStatus[StatusActive] != 3 || sum.ByStatus[StatusTerminated] != 1 || sum.ByStatus[StatusHateRemoved] != 1 {
+				t.Errorf("ByStatus = %v", sum.ByStatus)
+			}
+			if sum.ActiveCommentsDisabled != 1 {
+				t.Errorf("ActiveCommentsDisabled = %d", sum.ActiveCommentsDisabled)
+			}
+			if sum.CommentedByOwner["Fox News"] != 1 {
+				t.Errorf("CommentedByOwner = %v", sum.CommentedByOwner)
+			}
+		})
 	}
-	if sum.Total != 5 {
-		t.Errorf("Total = %d", sum.Total)
-	}
-	if sum.ByKind[KindVideo] != 4 || sum.ByKind[KindChannel] != 1 {
-		t.Errorf("ByKind = %v", sum.ByKind)
-	}
-	if sum.ByStatus[StatusActive] != 3 || sum.ByStatus[StatusTerminated] != 1 || sum.ByStatus[StatusHateRemoved] != 1 {
-		t.Errorf("ByStatus = %v", sum.ByStatus)
-	}
-	if sum.ActiveCommentsDisabled != 1 {
-		t.Errorf("ActiveCommentsDisabled = %d", sum.ActiveCommentsDisabled)
-	}
-	if sum.CommentedByOwner["Fox News"] != 1 {
-		t.Errorf("CommentedByOwner = %v", sum.CommentedByOwner)
+	if requests.Load() < 7 {
+		t.Errorf("flaky site saw %d requests; the 503s were not re-requested", requests.Load())
 	}
 }
 
@@ -148,19 +167,5 @@ func TestRenderPageHidesDataFromStaticHTML(t *testing.T) {
 	head := page[:strings.Index(page, "<script>")]
 	if strings.Contains(head, "Secret Title") {
 		t.Error("real title leaked into static HTML")
-	}
-}
-
-func TestVideoID(t *testing.T) {
-	cases := map[string]string{
-		"https://www.youtube.com/watch?v=abc123": "abc123",
-		"https://youtu.be/xyz":                   "xyz",
-		"https://example.com/watch?v=q":          "q",
-		"::bad::":                                "",
-	}
-	for in, want := range cases {
-		if got := VideoID(in); got != want {
-			t.Errorf("VideoID(%q) = %q, want %q", in, got, want)
-		}
 	}
 }
