@@ -1,8 +1,12 @@
 // Command dissenter-analyze loads a crawled corpus (JSONL, as written by
-// dissenter-crawl) and prints the §4 analyses that need no external
-// services: headline statistics, Tables 1–2, Figures 3–5 and 8, URL
-// forensics, languages, the shadow overlay, the social network, and the
-// hateful core.
+// dissenter-crawl or dissenter-repro -out) and prints the §4 analyses
+// that need no external service, in dissenter-repro's paper-vs-measured
+// comparison format and through the same code (repro.WriteCorpusReport):
+// headline statistics, Tables 1–2, URL forensics, Figures 3–5 and 8, the
+// social network and hateful core, languages, the shadow overlay, and
+// the §6 and NLP blocks. The blocks that read a side product of the live
+// crawl (Figure 2, Table 3, Figures 6–7, YouTube, the shadow validation
+// sample) are dissenter-repro's alone.
 //
 // Usage:
 //
@@ -12,126 +16,50 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
-	"dissenter/internal/allsides"
 	"dissenter/internal/analysis"
 	"dissenter/internal/corpus"
 	"dissenter/internal/graph"
-	"dissenter/internal/perspective"
-	"dissenter/internal/report"
-	"dissenter/internal/stats"
+	"dissenter/internal/repro"
+	"dissenter/internal/synth"
 )
 
 func main() {
-	dir := flag.String("corpus", "corpus", "corpus directory (JSONL)")
-	coreMin := flag.Int("core-min-comments", 100, "hateful-core minimum comment count (paper: 100)")
-	coreTox := flag.Float64("core-toxicity", 0.3, "hateful-core median toxicity threshold (paper: 0.3)")
-	flag.Parse()
-
-	ds, err := corpus.Load(*dir)
-	if err != nil {
-		log.Fatalf("load corpus: %v", err)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	s := analysis.NewStudy(ds)
-	w := os.Stdout
-
-	h := s.Headline()
-	head := &report.Table{Title: "Headline (§4.1)", Headers: []string{"metric", "value"}}
-	head.AddRow("users", report.N(h.Users))
-	head.AddRow("active users", fmt.Sprintf("%s (%s)", report.N(h.ActiveUsers), report.Pct(h.ActiveFraction)))
-	head.AddRow("comments", report.N(h.Comments))
-	head.AddRow("replies", report.N(h.Replies))
-	head.AddRow("URLs", report.N(h.URLs))
-	head.AddRow("first-month joins", report.Pct(h.FirstMonthJoins))
-	head.AddRow("deleted-Gab commenters", report.N(h.DeletedGabUsers))
-	head.AddRow("censorship bios", report.Pct(h.CensorshipBios))
-	head.AddRow("longest comment", report.N(h.LongestComment)+" chars")
-	head.Render(w)
-	fmt.Fprintln(w)
-
-	t1 := s.Table1()
-	t1tab := &report.Table{Title: fmt.Sprintf("Table 1 (n=%s active users)", report.N(t1.N)),
-		Headers: []string{"attribute", "count", "share"}}
-	for _, flag := range []string{"canLogin", "canPost", "canReport", "canChat", "canVote",
-		"isBanned", "isAdmin", "isModerator", "is_pro", "is_donor", "is_investor",
-		"is_premium", "is_tippable", "is_private", "verified"} {
-		t1tab.AddRow(flag, report.N(t1.Flags[flag]), report.Pct(float64(t1.Flags[flag])/float64(maxi(1, t1.N))))
-	}
-	for _, f := range []string{"pro", "verified", "standard", "nsfw", "offensive"} {
-		t1tab.AddRow("filter:"+f, report.N(t1.Filters[f]), report.Pct(float64(t1.Filters[f])/float64(maxi(1, t1.N))))
-	}
-	t1tab.Render(w)
-	fmt.Fprintln(w)
-
-	t2 := s.Table2()
-	t2tab := &report.Table{Title: "Table 2", Headers: []string{"rank", "tld", "share", "domain", "share"}}
-	for i := 0; i < 10 && i < len(t2.TLDs) && i < len(t2.Domains); i++ {
-		t2tab.AddRow(fmt.Sprintf("%d", i+1),
-			t2.TLDs[i].Name, report.Pct(float64(t2.TLDs[i].N)/float64(t2.Total)),
-			t2.Domains[i].Name, report.Pct(float64(t2.Domains[i].N)/float64(t2.Total)))
-	}
-	t2tab.Render(w)
-	fmt.Fprintln(w)
-
-	f3 := s.Figure3()
-	fmt.Fprintf(w, "Figure 3: 90%% of comments from %s of active users  %s\n\n",
-		report.Pct(f3.TopShare90), report.Sparkline(f3.Curve))
-
-	f4 := s.Figure4()
-	for _, m := range analysis.Figure4Models {
-		report.CDFBlock(w, fmt.Sprintf("Figure 4 — %s", m), f4.ECDFs[m])
-	}
-	fmt.Fprintln(w)
-
-	f5 := s.Figure5()
-	fmt.Fprintf(w, "Figure 5: zero-vote URLs %s, positive %s, negative %s; zero-vote mean toxicity %.3f vs voted %.3f\n\n",
-		report.N(f5.ZeroURLs), report.N(f5.PositiveURLs), report.N(f5.NegativeURLs),
-		f5.ZeroVoteMean, f5.VotedMean)
-
-	f8 := s.Figure8()
-	biasTab := &report.Table{Title: "Figure 8a — SEVERE_TOXICITY by bias",
-		Headers: []string{"bias", "n", "mean", "median"}}
-	for _, b := range allsides.AllCategories() {
-		sum := f8.Summaries[b]
-		biasTab.AddRow(b.String(), report.N(sum.N), fmt.Sprintf("%.3f", sum.Mean), fmt.Sprintf("%.3f", sum.Median))
-	}
-	biasTab.Render(w)
-	fmt.Fprintln(w)
-
-	mix := s.LanguageMix()
-	langTab := &report.Table{Title: "Languages (§4.2.3)", Headers: []string{"language", "share"}}
-	for _, code := range []string{"en", "de", "fr", "es", "it", "pt", "nl"} {
-		langTab.AddRow(code, report.Pct(mix.Shares[code]))
-	}
-	langTab.Render(w)
-	fmt.Fprintln(w)
-
-	so := s.ShadowOverlay()
-	fmt.Fprintf(w, "Shadow overlay (§4.3.1): %s NSFW (%s), %s offensive (%s)\n\n",
-		report.N(so.NSFW), report.Pct(so.NSFWRate), report.N(so.Offensive), report.Pct(so.OffRate))
-
-	ss := s.SocialStats()
-	fmt.Fprintf(w, "Social graph: %s nodes, %s edges, %s isolated; alpha_in=%.2f alpha_out=%.2f\n",
-		report.N(ss.Nodes), report.N(ss.Edges), report.N(ss.Isolated), ss.InFit.Alpha, ss.OutFit.Alpha)
-
-	core := s.HatefulCore(graph.HatefulCoreParams{MinComments: *coreMin, MedianToxicity: *coreTox})
-	fmt.Fprintf(w, "Hateful core (>=%d comments, median toxicity >=%.2f): %d users in %d components (largest %d)\n",
-		*coreMin, *coreTox, core.TotalUsers, len(core.Components), core.Largest)
-	for i, comp := range core.Components {
-		fmt.Fprintf(w, "  component %d (%d): %v\n", i+1, len(comp), comp)
-	}
-
-	// Overall toxicity summary for orientation.
-	sev := stats.NewECDF(s.Scores(perspective.SevereToxicity))
-	fmt.Fprintf(w, "\nSEVERE_TOXICITY: median %.3f, %s of comments >= 0.5\n",
-		sev.Quantile(0.5), report.Pct(sev.FractionAbove(0.5)))
 }
 
-func maxi(a, b int) int {
-	if a > b {
-		return a
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("dissenter-analyze", flag.ContinueOnError)
+	dir := fs.String("corpus", "corpus", "corpus directory (JSONL)")
+	coreMin := fs.Int("core-min-comments", 100, "hateful-core minimum comment count (paper: 100)")
+	coreTox := fs.Float64("core-toxicity", 0.3, "hateful-core median toxicity threshold (paper: 0.3)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	return b
+	ds, err := corpus.Load(*dir)
+	if err != nil {
+		return fmt.Errorf("load corpus: %w", err)
+	}
+	if len(ds.Users) == 0 || len(ds.URLs) == 0 {
+		return fmt.Errorf("corpus %s holds no users or no URLs", *dir)
+	}
+	// A saved corpus does not record the run that produced it: the
+	// "paper x scale" column and the expected hateful-core construction
+	// follow from the scale its user count implies, and the seeded
+	// blocks (defense, NLP) run with the binaries' default seed, 1.
+	res := &repro.Result{
+		Cfg:   synth.NewConfig(float64(len(ds.Users))/synth.PaperDissenterUsers, 1),
+		DS:    ds,
+		Study: analysis.NewStudy(ds),
+		Core:  graph.HatefulCoreParams{MinComments: *coreMin, MedianToxicity: *coreTox},
+	}
+	fmt.Fprintf(w, "Dissenter corpus analysis — %d users, %d URLs, %d comments (scale %.5f by user count)\n",
+		len(ds.Users), len(ds.URLs), len(ds.Comments), res.Cfg.Scale)
+	res.WriteCorpusReport(w)
+	return nil
 }

@@ -49,7 +49,7 @@ func main() {
 
 	// The hateful core (§4.5.1): mutual follows + >=N comments + median
 	// toxicity >= 0.3.
-	params := res.CoreParams()
+	params := res.Core
 	core := s.HatefulCore(params)
 	fmt.Printf("\nhateful core (>=%d comments, median toxicity >= %.1f):\n",
 		params.MinComments, params.MedianToxicity)

@@ -37,7 +37,7 @@ func main() {
 		sev.FractionAbove(0.5)*100)
 
 	// The hateful core: mutually-following, prolific, toxic users.
-	core := res.Study.HatefulCore(res.CoreParams())
+	core := res.Study.HatefulCore(res.Core)
 	fmt.Printf("Hateful core: %d users in %d mutual-follow components (largest %d)\n",
 		core.TotalUsers, len(core.Components), core.Largest)
 }

@@ -147,17 +147,3 @@ func countTag(body, commentID string) int {
 	}
 	return n
 }
-
-func TestDisabledCacheStillServes(t *testing.T) {
-	s, srv := newTestServer(t, WithURLRateLimit(0, 0), WithResponseCache(0, 0))
-	cu := busyURL(t, out)
-	page := srv.URL + "/discussion?url=" + url.QueryEscape(cu.URL)
-	_, first := fetch(t, page, "")
-	_, second := fetch(t, page, "")
-	if first != second {
-		t.Error("renders diverged without cache")
-	}
-	if h, m := s.CacheStats(); h != 0 || m != 0 {
-		t.Errorf("disabled cache reported stats %d/%d", h, m)
-	}
-}

@@ -28,9 +28,8 @@ import (
 
 // EventInvalidator returns the platform.View that keeps this server's
 // response cache coherent with its store. NewServer has already
-// registered it (unless caching is disabled), and DB.RegisterView is
-// idempotent per view value, so registering the returned view again is
-// a no-op.
+// registered it, and DB.RegisterView is idempotent per view value, so
+// registering the returned view again is a no-op.
 func (s *Server) EventInvalidator() platform.View {
 	return eventInvalidator{s}
 }

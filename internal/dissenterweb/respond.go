@@ -54,8 +54,8 @@ type respBox struct {
 // composed returns the generation's composed form, building it at most
 // once. p is the caller's copy of the entry; it is the same generation
 // as the box, because UpdateRev replaces box and parts under one shard
-// lock acquisition. The identity body is the exact bytes writePage
-// streams — the oracle tests pin the two paths byte-identical.
+// lock acquisition. TestSegmentedGzipOracle pins the identity body
+// against a part-by-part reference rendering of the same page.
 func (b *respBox) composed(p *page) *respcache.Composed {
 	if c := b.c.Load(); c != nil {
 		return c
@@ -87,14 +87,7 @@ func (b *respBox) stream() respcache.Stream {
 }
 
 // respond serves one cache entry through the composed-response layer.
-// Entries from a disabled cache (no resp box) fall back to the
-// streaming writePage path: with nothing cached there is no stable
-// generation to validate or pre-compress against.
 func (s *Server) respond(w http.ResponseWriter, r *http.Request, p page) {
-	if p.resp == nil {
-		writePage(w, p)
-		return
-	}
 	c := p.resp.composed(&p)
 	h := w.Header()
 	h["Etag"] = c.ETagHdr

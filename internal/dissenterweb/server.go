@@ -81,9 +81,9 @@ type Server struct {
 	db    *platform.DB
 	idgen *ids.Generator
 	cache *respcache.Cache[page]
-	// cacheConfigured marks that WithResponseCache ran, so NewServer
-	// does not build the default cache just to throw it away.
-	cacheConfigured bool
+
+	cacheSize int // response-cache capacity and TTL NewServer builds with
+	cacheTTL  time.Duration
 
 	urlLimit  int // requests per URL per window (10/min observed)
 	urlWindow time.Duration
@@ -177,13 +177,10 @@ const (
 	DefaultCacheTTL  = 30 * time.Second
 )
 
-// WithResponseCache overrides the response cache's capacity and TTL.
-// size <= 0 or ttl <= 0 disables caching entirely.
+// WithResponseCache overrides the response cache's capacity and TTL,
+// both positive (respcache.New): a Server always has a cache.
 func WithResponseCache(size int, ttl time.Duration) Option {
-	return func(s *Server) {
-		s.cache = respcache.New[page](size, ttl)
-		s.cacheConfigured = true
-	}
+	return func(s *Server) { s.cacheSize, s.cacheTTL = size, ttl }
 }
 
 // WithHealth routes /healthz (liveness, always 200) and /readyz
@@ -208,14 +205,15 @@ func ReadOnly() Option {
 // commenturl-ids for same-second submissions.
 var serverSeq atomic.Uint64
 
-// NewServer builds the web app simulator over db and, unless caching
-// is disabled, attaches the server's cache-coherence view to db
-// (coherence.go) — for the life of db, so build one Server per store
-// rather than one per request.
+// NewServer builds the web app simulator over db and attaches the
+// server's cache-coherence view to db (coherence.go) — for the life of
+// db, so build one Server per store rather than one per request.
 func NewServer(db *platform.DB, opts ...Option) *Server {
 	s := &Server{
 		db:        db,
 		idgen:     ids.NewGenerator(0xD15C0551 ^ serverSeq.Add(1)<<32 ^ uint64(time.Now().UnixNano())),
+		cacheSize: DefaultCacheSize,
+		cacheTTL:  DefaultCacheTTL,
 		urlLimit:  10,
 		urlWindow: time.Minute,
 		sessions:  map[string]Session{},
@@ -224,12 +222,8 @@ func NewServer(db *platform.DB, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if !s.cacheConfigured {
-		s.cache = respcache.New[page](DefaultCacheSize, DefaultCacheTTL)
-	}
-	if s.cache != nil {
-		db.RegisterView(s.EventInvalidator())
-	}
+	s.cache = respcache.New[page](s.cacheSize, s.cacheTTL)
+	db.RegisterView(s.EventInvalidator())
 	return s
 }
 
@@ -294,8 +288,7 @@ func visible(c *platform.Comment, sess Session) bool {
 // (rev, stamped by the cache) and a shared respBox that lazily holds
 // the composed response — final bytes, write-time gzip variant, ETag —
 // so cache hits shovel pre-built bytes instead of rendering (see
-// respond.go). Entries from a disabled cache leave both zero and are
-// streamed by writePage.
+// respond.go).
 type page struct {
 	simple string
 
@@ -307,23 +300,6 @@ type page struct {
 	resp *respBox
 }
 
-// writePage sends a cached or freshly filled entry. Structured entries
-// are written part by part — the mutable span is rendered from its
-// integers into a stack buffer — so serving never re-assembles a body
-// string.
-func writePage(w http.ResponseWriter, p page) {
-	if p.head == "" {
-		writeHTML(w, p.simple)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	io.WriteString(w, p.head)
-	var a [voteSpanMax]byte
-	w.Write(appendVoteSpan(a[:0], p.ups, p.downs, p.count))
-	w.Write(p.stream)
-	w.Write(pageFoot)
-}
-
 // pageFoot closes a structured discussion page after its comment
 // stream. Immutable.
 var pageFoot = []byte("</body></html>\n")
@@ -333,9 +309,7 @@ var pageFoot = []byte("</body></html>\n")
 const voteSpanMax = 160
 
 // appendVoteSpan renders the mutable vote/count span of a structured
-// discussion page into dst — the single source of those bytes for both
-// the streaming path (writePage) and the composed path
-// (respBox.composed), so the two can never drift apart.
+// discussion page into dst.
 func appendVoteSpan(dst []byte, ups, downs, count int) []byte {
 	dst = append(dst, `<span class="votes" data-up="`...)
 	dst = strconv.AppendInt(dst, int64(ups), 10)
@@ -353,13 +327,8 @@ func appendVoteSpan(dst []byte, ups, downs, count int) []byte {
 // one render and stamps the generation; the fill composes eagerly, so
 // the response bytes and gzip variant are built once per generation,
 // not by the first hit that happens to want them. GetBytes leaves miss
-// accounting to the GetOrFillRev fall-through. With caching disabled
-// the render is streamed as-is.
+// accounting to the GetOrFillRev fall-through.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte, render func() page) {
-	if s.cache == nil {
-		writePage(w, render())
-		return
-	}
 	if p, ok := s.cache.GetBytes(key); ok {
 		s.respond(w, r, p)
 		return
@@ -374,8 +343,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key []byte,
 	s.respond(w, r, p)
 }
 
-// CacheStats exposes the response cache's hit/miss counters (zero when
-// caching is disabled); the load benchmarks report them.
+// CacheStats exposes the response cache's hit/miss counters.
 func (s *Server) CacheStats() (hits, misses uint64) { return s.cache.Stats() }
 
 // rateLimitEntries reports the number of live rate-limit windows; the

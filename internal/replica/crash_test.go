@@ -52,8 +52,7 @@ func TestReplicaChildProcess(t *testing.T) {
 	bind := func(db *platform.DB) {
 		web := dissenterweb.NewServer(db,
 			dissenterweb.ReadOnly(),
-			dissenterweb.WithURLRateLimit(0, 0),
-			dissenterweb.WithResponseCache(0, 0))
+			dissenterweb.WithURLRateLimit(0, 0))
 		for tok, sess := range crashSessions {
 			web.RegisterSession(tok, sess)
 		}
@@ -200,8 +199,7 @@ func TestReplicaCrashRecovery(t *testing.T) {
 	pub := httptest.NewServer(&Publisher{DB: primary})
 	t.Cleanup(pub.Close)
 	pweb := dissenterweb.NewServer(primary,
-		dissenterweb.WithURLRateLimit(0, 0),
-		dissenterweb.WithResponseCache(0, 0))
+		dissenterweb.WithURLRateLimit(0, 0))
 	for tok, sess := range crashSessions {
 		pweb.RegisterSession(tok, sess)
 	}

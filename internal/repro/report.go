@@ -10,36 +10,92 @@ import (
 	"dissenter/internal/perspective"
 	"dissenter/internal/report"
 	"dissenter/internal/stats"
+	"dissenter/internal/synth"
 	"dissenter/internal/youtube"
 )
 
-// writeReport renders the complete §4 reproduction. Every block ends
-// with paper-vs-measured comparisons; "holds" refers to the qualitative
-// claim, since absolute numbers scale with the corpus.
-func writeReport(w io.Writer, r *Result) {
-	s := r.Study
+// The §4 reproduction is an ordered list of blocks — a table or a
+// figure each — every one preceded by a blank line. A block ends with
+// paper-vs-measured comparisons; "holds" refers to the qualitative
+// claim, since absolute numbers scale with the corpus. A block marked
+// crawl reads a side product of the live crawl (Accounts, Matches and
+// the baselines, YTSummary); the others need only the Study, so a
+// saved corpus is enough to print them.
+var blocks = []struct {
+	crawl bool
+	write func(io.Writer, *Result)
+}{
+	{false, headline},
+	{false, table1},
+	{false, table2},
+	{false, urlForensics},
+	{true, figure2},
+	{false, figure3},
+	{false, figure4},
+	{false, figure5},
+	{true, table3Figure6},
+	{true, figure7},
+	{false, figure8},
+	{false, socialNetwork},
+	{true, youTube},
+	{false, languages},
+	{false, shadowOverlay},
+	{false, covertChannels},
+	{false, proactiveDefense},
+	{false, nlpPipeline},
+}
+
+// WriteReport renders every table and figure with paper-vs-measured
+// comparisons to w.
+func (r *Result) WriteReport(w io.Writer) {
 	fmt.Fprintf(w, "Dissenter reproduction — scale %.5f (1/%.0f), seed %d\n",
 		r.Cfg.Scale, 1/r.Cfg.Scale, r.Cfg.Seed)
-	fmt.Fprintf(w, "crawl: %d users, %d URLs, %d comments in %s\n\n",
+	fmt.Fprintf(w, "crawl: %d users, %d URLs, %d comments in %s\n",
 		len(r.DS.Users), len(r.DS.URLs), len(r.DS.Comments),
 		r.CrawlDuration.Round(10*time.Millisecond))
+	for _, b := range blocks {
+		fmt.Fprintln(w)
+		b.write(w, r)
+	}
+}
 
-	// S1 — headline.
-	h := s.Headline()
+// WriteCorpusReport renders the blocks that read no crawl side product
+// — what a Result built from a saved corpus (Cfg, DS, Study, Core) can
+// print — through the code WriteReport runs.
+func (r *Result) WriteCorpusReport(w io.Writer) {
+	for _, b := range blocks {
+		if !b.crawl {
+			fmt.Fprintln(w)
+			b.write(w, r)
+		}
+	}
+}
+
+func scaled(paperN int, scale float64) string {
+	return fmt.Sprintf("%s x scale = %s", report.N(paperN), report.N(int(float64(paperN)*scale)))
+}
+
+// share is n/of as a fraction, 0 when of is 0.
+func share(n, of int) float64 { return float64(n) / float64(max(1, of)) }
+
+// S1 — headline.
+func headline(w io.Writer, r *Result) {
+	h := r.Study.Headline()
 	report.ComparisonBlock(w, "S1 headline statistics (§4.1)", []report.Comparison{
-		{Metric: "Dissenter users", Paper: scaled(101_000, r.Cfg.Scale), Measured: report.N(h.Users), Holds: h.Users > 0},
-		{Metric: "comments+replies", Paper: scaled(1_680_000, r.Cfg.Scale), Measured: report.N(h.Comments), Holds: h.Comments > 0},
-		{Metric: "distinct URLs", Paper: scaled(588_000, r.Cfg.Scale), Measured: report.N(h.URLs), Holds: h.URLs > 0},
+		{Metric: "Dissenter users", Paper: scaled(synth.PaperDissenterUsers, r.Cfg.Scale), Measured: report.N(h.Users), Holds: h.Users > 0},
+		{Metric: "comments+replies", Paper: scaled(synth.PaperComments, r.Cfg.Scale), Measured: report.N(h.Comments), Holds: h.Comments > 0},
+		{Metric: "distinct URLs", Paper: scaled(synth.PaperURLs, r.Cfg.Scale), Measured: report.N(h.URLs), Holds: h.URLs > 0},
 		{Metric: "active-user fraction", Paper: "47%", Measured: report.Pct(h.ActiveFraction), Holds: h.ActiveFraction > 0.35 && h.ActiveFraction < 0.6},
 		{Metric: "joined in first month", Paper: "77%", Measured: report.Pct(h.FirstMonthJoins), Holds: h.FirstMonthJoins > 0.6 && h.FirstMonthJoins < 0.9},
 		{Metric: "deleted-Gab commenters", Paper: scaled(1_300, r.Cfg.Scale), Measured: report.N(h.DeletedGabUsers), Holds: h.DeletedGabUsers > 0},
 		{Metric: "bios mentioning censorship", Paper: "25%", Measured: report.Pct(h.CensorshipBios), Holds: h.CensorshipBios > 0.15 && h.CensorshipBios < 0.35},
 		{Metric: "longest comment (chars)", Paper: ">90,000", Measured: report.N(h.LongestComment), Holds: h.LongestComment > 90_000},
 	})
-	fmt.Fprintln(w)
+}
 
-	// T1 — flags.
-	t1 := s.Table1()
+// T1 — flags.
+func table1(w io.Writer, r *Result) {
+	t1 := r.Study.Table1()
 	flagTab := &report.Table{Title: "Table 1 — user flags & view filters (active users, n=" + report.N(t1.N) + ")",
 		Headers: []string{"attribute", "count", "share", "paper"}}
 	paperT1 := map[string]string{
@@ -49,19 +105,18 @@ func writeReport(w io.Writer, r *Result) {
 	for _, flag := range []string{"canLogin", "canPost", "canReport", "canChat", "canVote",
 		"isBanned", "isAdmin", "isModerator", "is_pro", "is_donor", "is_investor",
 		"is_premium", "is_tippable", "is_private", "verified"} {
-		flagTab.AddRow(flag, report.N(t1.Flags[flag]),
-			report.Pct(float64(t1.Flags[flag])/float64(max(1, t1.N))), paperT1[flag])
+		flagTab.AddRow(flag, report.N(t1.Flags[flag]), report.Pct(share(t1.Flags[flag], t1.N)), paperT1[flag])
 	}
 	for _, f := range []string{"pro", "verified", "standard", "nsfw", "offensive"} {
-		flagTab.AddRow("filter:"+f, report.N(t1.Filters[f]),
-			report.Pct(float64(t1.Filters[f])/float64(max(1, t1.N))),
+		flagTab.AddRow("filter:"+f, report.N(t1.Filters[f]), report.Pct(share(t1.Filters[f], t1.N)),
 			map[string]string{"nsfw": "15.04%", "offensive": "7.33%"}[f])
 	}
 	flagTab.Render(w)
-	fmt.Fprintln(w)
+}
 
-	// T2 — TLDs and domains.
-	t2 := s.Table2()
+// T2 — TLDs and domains.
+func table2(w io.Writer, r *Result) {
+	t2 := r.Study.Table2()
 	t2tab := &report.Table{Title: "Table 2 — top TLDs and domains",
 		Headers: []string{"rank", "tld", "share", "domain", "share", "paper domain"}}
 	paperDomains := []string{"youtube.com 20.75%", "twitter.com 6.87%", "breitbart.com 4.03%",
@@ -74,33 +129,35 @@ func writeReport(w io.Writer, r *Result) {
 			paperDomains[i])
 	}
 	t2tab.Render(w)
-	fmt.Fprintln(w)
+}
 
-	// URL forensics (§4.2.1).
-	uf := s.URLForensics()
+// URL forensics (§4.2.1).
+func urlForensics(w io.Writer, r *Result) {
+	uf := r.Study.URLForensics()
+	https := share(uf.SchemeCounts[0], len(r.DS.URLs))
 	report.ComparisonBlock(w, "§4.2.1 URL forensics", []report.Comparison{
-		{Metric: "https share", Paper: "97%",
-			Measured: report.Pct(float64(uf.SchemeCounts[0]) / float64(max(1, t2.Total))),
-			Holds:    float64(uf.SchemeCounts[0])/float64(max(1, t2.Total)) > 0.9},
+		{Metric: "https share", Paper: "97%", Measured: report.Pct(https), Holds: https > 0.9},
 		{Metric: "file:// URLs", Paper: "13 (absolute)", Measured: report.N(uf.SchemeCounts[3]), Holds: uf.SchemeCounts[3] > 0},
 		{Metric: "scheme-twin URLs", Paper: "400 (absolute)", Measured: report.N(uf.OverCount.SchemeOnly), Holds: uf.OverCount.SchemeOnly > 0},
 		{Metric: "slash-twin URLs", Paper: "60 (absolute)", Measured: report.N(uf.OverCount.SlashOnly), Holds: uf.OverCount.SlashOnly > 0},
 		{Metric: "top median-volume domain", Paper: "thewatcherfiles.com",
 			Measured: uf.TopMedianVolume[0].Domain, Holds: uf.TopMedianVolume[0].Domain == "thewatcherfiles.com"},
 	})
-	fmt.Fprintln(w)
+}
 
-	// F2 — Gab ID growth.
+// F2 — Gab ID growth.
+func figure2(w io.Writer, r *Result) {
 	f2 := analysis.Figure2FromAccounts(r.Accounts)
 	report.ComparisonBlock(w, "Figure 2 — Gab IDs over time", []report.Comparison{
-		{Metric: "enumerated accounts", Paper: scaled(1_300_000, r.Cfg.Scale), Measured: report.N(f2.Accounts), Holds: f2.Accounts > 0},
+		{Metric: "enumerated accounts", Paper: scaled(synth.PaperGabUsers, r.Cfg.Scale), Measured: report.N(f2.Accounts), Holds: f2.Accounts > 0},
 		{Metric: "ID anomalies present", Paper: "two periods", Measured: report.N(f2.Inversions) + " inversions", Holds: f2.Inversions > 0},
 		{Metric: "mostly monotone", Paper: "yes", Measured: report.Pct(f2.MonotoneFraction), Holds: f2.MonotoneFraction > 0.95},
 	})
-	fmt.Fprintln(w)
+}
 
-	// F3 — comments per user.
-	f3 := s.Figure3()
+// F3 — comments per user.
+func figure3(w io.Writer, r *Result) {
+	f3 := r.Study.Figure3()
 	report.ComparisonBlock(w, "Figure 3 — comment concentration", []report.Comparison{
 		{Metric: "users producing 90% of comments", Paper: "14% of active",
 			Measured: report.Pct(f3.TopShare90), Holds: f3.TopShare90 < 0.45},
@@ -108,16 +165,14 @@ func writeReport(w io.Writer, r *Result) {
 			// The fixed-size core inflates the median in tiny corpora.
 			Measured: fmt.Sprintf("%.0f", f3.MedianPerUser), Holds: f3.MedianPerUser <= 15},
 	})
-	fmt.Fprintf(w, "Lorenz curve: %s\n\n", report.Sparkline(f3.Curve))
+	fmt.Fprintf(w, "Lorenz curve: %s\n", report.Sparkline(f3.Curve))
+}
 
-	// F4 — shadow overlay.
-	f4 := s.Figure4()
+// F4 — shadow overlay.
+func figure4(w io.Writer, r *Result) {
+	f4 := r.Study.Figure4()
 	for _, m := range analysis.Figure4Models {
-		report.CDFBlock(w, fmt.Sprintf("Figure 4 — %s (all vs shadow)", m), map[string]*stats.ECDF{
-			"all":       f4.ECDFs[m]["all"],
-			"nsfw":      f4.ECDFs[m]["nsfw"],
-			"offensive": f4.ECDFs[m]["offensive"],
-		})
+		report.CDFBlock(w, fmt.Sprintf("Figure 4 — %s (all vs shadow)", m), f4.ECDFs[m])
 	}
 	ltr := f4.ECDFs[perspective.LikelyToReject]
 	report.ComparisonBlock(w, "Figure 4 takeaways", []report.Comparison{
@@ -128,10 +183,11 @@ func writeReport(w io.Writer, r *Result) {
 			// Both medians saturate near 1.0; compare with noise headroom.
 			Holds: ltr["offensive"].Quantile(0.5) >= ltr["nsfw"].Quantile(0.5)-0.02},
 	})
-	fmt.Fprintln(w)
+}
 
-	// F5 — votes.
-	f5 := s.Figure5()
+// F5 — votes.
+func figure5(w io.Writer, r *Result) {
+	f5 := r.Study.Figure5()
 	report.ComparisonBlock(w, "Figure 5 — toxicity vs net votes", []report.Comparison{
 		{Metric: "zero-vote URLs", Paper: "71% (420k/588k)",
 			Measured: report.N(f5.ZeroURLs), Holds: f5.ZeroURLs > f5.PositiveURLs},
@@ -140,10 +196,11 @@ func writeReport(w io.Writer, r *Result) {
 		{Metric: "zero-vote comments most toxic", Paper: "yes",
 			Measured: fmt.Sprintf("%.3f vs %.3f", f5.ZeroVoteMean, f5.VotedMean), Holds: f5.ZeroVoteMean > f5.VotedMean},
 	})
-	fmt.Fprintln(w)
+}
 
-	// T3 + F6 — baselines and comment ratio.
-	t3 := analysis.Table3(r.NYT.NominalSize, r.DM.NominalSize, r.RedditCommentTotal(), len(r.Matches))
+// T3 + F6 — baselines and comment ratio.
+func table3Figure6(w io.Writer, r *Result) {
+	t3 := analysis.Table3(r.NYT.NominalSize, r.DM.NominalSize, len(analysis.RedditTexts(r.Matches)), len(r.Matches))
 	t3tab := &report.Table{Title: "Table 3 — baseline datasets", Headers: []string{"dataset", "comments", "dissenter users"}}
 	for _, row := range t3 {
 		du := "N/A"
@@ -153,41 +210,44 @@ func writeReport(w io.Writer, r *Result) {
 		t3tab.AddRow(row.Dataset, report.N(row.Comments), du)
 	}
 	t3tab.Render(w)
-	f6 := s.Figure6(r.Matches)
+	f6 := r.Study.Figure6(r.Matches)
+	matched := share(f6.MatchedUsers, len(r.DS.Users))
 	report.ComparisonBlock(w, "Figure 6 — Dissenter/Reddit comment ratio", []report.Comparison{
-		{Metric: "matched usernames", Paper: "56%",
-			Measured: report.Pct(float64(f6.MatchedUsers) / float64(max(1, len(r.DS.Users)))),
-			Holds:    float64(f6.MatchedUsers)/float64(max(1, len(r.DS.Users))) > 0.45},
+		{Metric: "matched usernames", Paper: "56%", Measured: report.Pct(matched), Holds: matched > 0.45},
 		{Metric: "Dissenter-only users", Paper: ">1/3", Measured: report.Pct(f6.DissenterOnly), Holds: f6.DissenterOnly > 0.25},
 		{Metric: "Reddit-only users", Paper: "20%", Measured: report.Pct(f6.RedditOnly), Holds: f6.RedditOnly > 0.05},
 	})
-	fmt.Fprintln(w)
+}
 
-	// F7 — cross-platform comparisons.
-	sources := r.Figure7Sources()
-	for _, m := range []perspective.Model{perspective.LikelyToReject, perspective.SevereToxicity, perspective.AttackOnAuthor} {
-		fig := s.Figure7(m, sources)
-		report.CDFBlock(w, fmt.Sprintf("Figure 7 — %s by platform", m), fig.ECDFs)
+// F7 — cross-platform comparisons.
+func figure7(w io.Writer, r *Result) {
+	sources := map[string][]string{
+		"Reddit":     analysis.RedditTexts(r.Matches),
+		"NY Times":   r.NYT.Comments,
+		"Daily Mail": r.DM.Comments,
 	}
-	sev := s.Figure7(perspective.SevereToxicity, sources)
-	ltr7 := s.Figure7(perspective.LikelyToReject, sources)
-	dSev := sev.ECDFs["Dissenter"].FractionAbove(0.5)
-	rSev := sev.ECDFs["Reddit"].FractionAbove(0.5)
+	figs := map[perspective.Model]map[string]*stats.ECDF{}
+	for _, m := range []perspective.Model{perspective.LikelyToReject, perspective.SevereToxicity, perspective.AttackOnAuthor} {
+		figs[m] = r.Study.Figure7(m, sources).ECDFs
+		report.CDFBlock(w, fmt.Sprintf("Figure 7 — %s by platform", m), figs[m])
+	}
+	ltr, sev, attack := figs[perspective.LikelyToReject], figs[perspective.SevereToxicity], figs[perspective.AttackOnAuthor]
+	dSev := sev["Dissenter"].FractionAbove(0.5)
+	rSev := sev["Reddit"].FractionAbove(0.5)
 	report.ComparisonBlock(w, "Figure 7 takeaways", []report.Comparison{
 		{Metric: "Dissenter LTR >= 0.5", Paper: ">75%",
-			Measured: report.Pct(ltr7.ECDFs["Dissenter"].FractionAbove(0.5)),
-			Holds:    ltr7.ECDFs["Dissenter"].FractionAbove(0.5) > 0.55},
+			Measured: report.Pct(ltr["Dissenter"].FractionAbove(0.5)), Holds: ltr["Dissenter"].FractionAbove(0.5) > 0.55},
 		{Metric: "Dissenter severe-tox >= 0.5", Paper: "≈20%", Measured: report.Pct(dSev), Holds: dSev > 0.1 && dSev < 0.4},
-		{Metric: "≈2x Reddit's fraction", Paper: "2x", Measured: fmt.Sprintf("%.1fx", dSev/maxf(rSev, 1e-9)), Holds: dSev > 1.3*rSev},
+		{Metric: "≈2x Reddit's fraction", Paper: "2x", Measured: fmt.Sprintf("%.1fx", dSev/max(rSev, 1e-9)), Holds: dSev > 1.3*rSev},
 		{Metric: "ATTACK_ON_AUTHOR not drastically different", Paper: "yes",
-			Measured: fmt.Sprintf("Δmedian=%.3f", s.Figure7(perspective.AttackOnAuthor, sources).ECDFs["Dissenter"].Quantile(0.5)-
-				s.Figure7(perspective.AttackOnAuthor, sources).ECDFs["Reddit"].Quantile(0.5)),
-			Holds: true},
+			Measured: fmt.Sprintf("Δmedian=%.3f", attack["Dissenter"].Quantile(0.5)-attack["Reddit"].Quantile(0.5)),
+			Holds:    true},
 	})
-	fmt.Fprintln(w)
+}
 
-	// F8 — bias.
-	f8 := s.Figure8()
+// F8 — bias.
+func figure8(w io.Writer, r *Result) {
+	f8 := r.Study.Figure8()
 	biasTab := &report.Table{Title: "Figure 8a — SEVERE_TOXICITY by Allsides bias",
 		Headers: []string{"bias", "n", "mean", "median", "p90"}}
 	for _, b := range allsides.AllCategories() {
@@ -208,20 +268,21 @@ func writeReport(w io.Writer, r *Result) {
 		{Metric: "center-vs-right KS", Paper: "p < 0.01",
 			Measured: fmt.Sprintf("D=%.3f p=%.4f", ksCR.D, ksCR.P), Holds: ksCR.P < 0.05},
 	})
-	fmt.Fprintln(w)
+}
 
-	// F9 + S5 — social network.
-	ss := s.SocialStats()
-	core := s.HatefulCore(r.CoreParams())
+// F9 + S5 — social network.
+func socialNetwork(w io.Writer, r *Result) {
+	ss := r.Study.SocialStats()
+	core := r.Study.HatefulCore(r.Core)
 	compSizes := make([]int, len(core.Components))
 	for i, c := range core.Components {
 		compSizes[i] = len(c)
 	}
+	isolated := share(ss.Isolated, ss.Nodes)
 	report.ComparisonBlock(w, "§4.5 social network & hateful core", []report.Comparison{
 		{Metric: "graph nodes", Paper: "45,524 (with >=1 comment)", Measured: report.N(ss.Nodes), Holds: ss.Nodes > 0},
 		{Metric: "isolated users", Paper: "15,702 (34%)",
-			Measured: fmt.Sprintf("%s (%s)", report.N(ss.Isolated), report.Pct(float64(ss.Isolated)/float64(max(1, ss.Nodes)))),
-			Holds:    float64(ss.Isolated)/float64(max(1, ss.Nodes)) > 0.15},
+			Measured: fmt.Sprintf("%s (%s)", report.N(ss.Isolated), report.Pct(isolated)), Holds: isolated > 0.15},
 		{Metric: "degree power law", Paper: "both in and out",
 			Measured: fmt.Sprintf("alpha_in=%.2f alpha_out=%.2f", ss.InFit.Alpha, ss.OutFit.Alpha),
 			Holds:    ss.InFit.Alpha > 1 && ss.OutFit.Alpha > 1},
@@ -232,18 +293,18 @@ func writeReport(w io.Writer, r *Result) {
 			Holds:    len(core.Components) == len(r.Cfg.HatefulCoreComponents)},
 	})
 	fmt.Fprintf(w, "Fig 9b toxicity vs followers (mean): %s\n", report.Sparkline(ss.ToxicityVsFollowersMean))
-	fmt.Fprintf(w, "Fig 9c toxicity vs following (mean): %s\n\n", report.Sparkline(ss.ToxicityVsFollowingMean))
+	fmt.Fprintf(w, "Fig 9c toxicity vs following (mean): %s\n", report.Sparkline(ss.ToxicityVsFollowingMean))
+}
 
-	// S2 — YouTube.
+// S2 — YouTube.
+func youTube(w io.Writer, r *Result) {
 	bd := analysis.YouTubeBreakdownFrom(r.YTSummary, r.Out.YouTube.OwnerTotal)
+	videos := share(bd.ByKind[youtube.KindVideo], bd.URLs)
+	active := share(bd.ByStatus[youtube.StatusActive], bd.URLs)
 	report.ComparisonBlock(w, "§4.2.2 YouTube", []report.Comparison{
 		{Metric: "YouTube URLs", Paper: scaled(128_000, r.Cfg.Scale), Measured: report.N(bd.URLs), Holds: bd.URLs > 0},
-		{Metric: "video kind share", Paper: "97.7%",
-			Measured: report.Pct(float64(bd.ByKind[youtube.KindVideo]) / float64(max(1, bd.URLs))),
-			Holds:    float64(bd.ByKind[youtube.KindVideo])/float64(max(1, bd.URLs)) > 0.9},
-		{Metric: "active videos", Paper: "85% (109k/128k)",
-			Measured: report.Pct(float64(bd.ByStatus[youtube.StatusActive]) / float64(max(1, bd.URLs))),
-			Holds:    float64(bd.ByStatus[youtube.StatusActive])/float64(max(1, bd.URLs)) > 0.7},
+		{Metric: "video kind share", Paper: "97.7%", Measured: report.Pct(videos), Holds: videos > 0.9},
+		{Metric: "active videos", Paper: "85% (109k/128k)", Measured: report.Pct(active), Holds: active > 0.7},
 		{Metric: "hate-policy removals", Paper: "≈400", Measured: report.N(bd.ByStatus[youtube.StatusHateRemoved]), Holds: true},
 		{Metric: "comments disabled (active)", Paper: "10%", Measured: report.Pct(bd.ActiveCommentsDisabledShare),
 			Holds: bd.ActiveCommentsDisabledShare > 0.04 && bd.ActiveCommentsDisabledShare < 0.2},
@@ -254,33 +315,39 @@ func writeReport(w io.Writer, r *Result) {
 		{Metric: "Fox vs CNN coverage", Paper: "4.7% vs 0.5%",
 			Measured: fmt.Sprintf("%s vs %s", report.Pct(bd.FoxCoverage), report.Pct(bd.CNNCoverage)), Holds: bd.FoxCoverage > bd.CNNCoverage},
 	})
-	fmt.Fprintln(w)
+}
 
-	// S3 — languages.
-	mix := s.LanguageMix()
+// S3 — languages.
+func languages(w io.Writer, r *Result) {
+	mix := r.Study.LanguageMix()
 	report.ComparisonBlock(w, "§4.2.3 languages", []report.Comparison{
 		{Metric: "English", Paper: "94%", Measured: report.Pct(mix.Shares["en"]), Holds: mix.Shares["en"] > 0.85},
 		{Metric: "German", Paper: "2%", Measured: report.Pct(mix.Shares["de"]), Holds: mix.Shares["de"] > 0.005},
 	})
-	fmt.Fprintln(w)
+}
 
-	// S4 — shadow counts + the 100-sample validation.
-	so := s.ShadowOverlay()
-	report.ComparisonBlock(w, "§4.3.1 shadow overlay", []report.Comparison{
+// S4 — shadow counts, and the 100-sample validation when the run had
+// live sessions to validate with.
+func shadowOverlay(w io.Writer, r *Result) {
+	so := r.Study.ShadowOverlay()
+	rows := []report.Comparison{
 		{Metric: "NSFW comments", Paper: "≈10k (0.6%)",
 			Measured: fmt.Sprintf("%s (%s)", report.N(so.NSFW), report.Pct(so.NSFWRate)),
 			Holds:    so.NSFWRate > 0.001 && so.NSFWRate < 0.02},
 		{Metric: "offensive comments", Paper: "≈8k (0.5%)",
 			Measured: fmt.Sprintf("%s (%s)", report.N(so.Offensive), report.Pct(so.OffRate)),
 			Holds:    so.OffRate > 0.001 && so.OffRate < 0.02},
-		{Metric: "validation sample confirmed", Paper: "100/100",
-			Measured: fmt.Sprintf("%d/%d", r.Validation.Confirmed, r.Validation.Checked),
-			Holds:    r.Validation.AllConfirmed()},
-	})
-	fmt.Fprintln(w)
+	}
+	if v := r.Validation; v != nil {
+		rows = append(rows, report.Comparison{Metric: "validation sample confirmed", Paper: "100/100",
+			Measured: fmt.Sprintf("%d/%d", v.Confirmed, v.Checked), Holds: v.AllConfirmed()})
+	}
+	report.ComparisonBlock(w, "§4.3.1 shadow overlay", rows)
+}
 
-	// §6 — covert-channel screening (the paper's future work).
-	cc := s.CovertChannels()
+// §6 — covert-channel screening (the paper's future work).
+func covertChannels(w io.Writer, r *Result) {
+	cc := r.Study.CovertChannels()
 	report.ComparisonBlock(w, "§6 covert-channel screening", []report.Comparison{
 		{Metric: "non-web-scheme anchors", Paper: "possible (chrome://, file://, any scheme)",
 			Measured: report.N(cc.BySignal[analysis.SignalNonWebScheme]), Holds: cc.BySignal[analysis.SignalNonWebScheme] > 0},
@@ -289,10 +356,11 @@ func writeReport(w io.Writer, r *Result) {
 		{Metric: "multi-party hidden conversations", Paper: "(future work)",
 			Measured: report.N(cc.Conversations), Holds: true},
 	})
-	fmt.Fprintln(w)
+}
 
-	// §6 — the proactive-defense counter-measure, quantified.
-	def := s.ProactiveDefenseSweep(10, 3, 0.3, r.Cfg.Seed)
+// §6 — the proactive-defense counter-measure, quantified.
+func proactiveDefense(w io.Writer, r *Result) {
+	def := r.Study.ProactiveDefenseSweep(10, 3, 0.3, r.Cfg.Seed)
 	report.ComparisonBlock(w, "§6 proactive defense (positive flooding)", []report.Comparison{
 		{Metric: "toxic pages flippable below 0.3 median", Paper: "proposed, untested",
 			Measured: fmt.Sprintf("%d/%d", def.FeasiblePages, def.PagesEvaluated),
@@ -300,10 +368,12 @@ func writeReport(w io.Writer, r *Result) {
 		{Metric: "producer effort (injected/organic)", Paper: "(future work)",
 			Measured: fmt.Sprintf("%.1fx", def.MeanInjectionRatio), Holds: true},
 	})
-	fmt.Fprintln(w)
+}
 
-	// S6 — NLP.
-	nlp := s.RunNLP(nlpTrainScale(r.Cfg.Scale), 5, r.Cfg.Seed+9)
+// S6 — NLP. The training-corpus scale tracks the run's, clamped so the
+// Davidson-corpus training cost stays proportionate.
+func nlpPipeline(w io.Writer, r *Result) {
+	nlp := r.Study.RunNLP(min(max(r.Cfg.Scale*4, 0.01), 1), 5, r.Cfg.Seed+9)
 	report.ComparisonBlock(w, "§3.5.3 NLP pipeline", []report.Comparison{
 		{Metric: "5-fold weighted F1", Paper: "0.87", Measured: fmt.Sprintf("%.3f", nlp.CVMeanF1), Holds: nlp.CVMeanF1 > 0.75},
 		{Metric: "hate rarest predicted class", Paper: "(implied)",
@@ -311,34 +381,4 @@ func writeReport(w io.Writer, r *Result) {
 				nlp.ClassShares[0]*100, nlp.ClassShares[1]*100, nlp.ClassShares[2]*100),
 			Holds: nlp.ClassShares[0] < nlp.ClassShares[1]},
 	})
-}
-
-// nlpTrainScale keeps the Davidson-corpus training cost proportionate.
-func nlpTrainScale(scale float64) float64 {
-	s := scale * 4
-	if s > 1 {
-		s = 1
-	}
-	if s < 0.01 {
-		s = 0.01
-	}
-	return s
-}
-
-func scaled(paperN int, scale float64) string {
-	return fmt.Sprintf("%s x scale = %s", report.N(paperN), report.N(int(float64(paperN)*scale)))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

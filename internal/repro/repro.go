@@ -9,7 +9,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sort"
@@ -23,7 +22,6 @@ import (
 	"dissenter/internal/gabapi"
 	"dissenter/internal/gabcrawl"
 	"dissenter/internal/graph"
-	"dissenter/internal/platform"
 	"dissenter/internal/pushshift"
 	"dissenter/internal/synth"
 	"dissenter/internal/youtube"
@@ -36,32 +34,30 @@ type Result struct {
 	DS       *corpus.Dataset
 	Accounts []gabcrawl.Account
 	Study    *analysis.Study
+	// Core holds the hateful-core thresholds appropriate for the run's
+	// scale (the constructed core's minimum comment count).
+	Core graph.HatefulCoreParams
 
 	YTSummary youtube.Summary
 	Matches   []pushshift.MatchResult
 	NYT, DM   baselines.Corpus
 
-	// Validation is the §3.2 shadow-sample check (100 comments).
-	Validation dissentercrawl.ShadowValidation
+	// Validation is the §3.2 shadow-sample check (100 comments); nil
+	// when there was no live platform to check against.
+	Validation *dissentercrawl.ShadowValidation
 
 	// CrawlDuration is the wall time of the HTTP campaign.
 	CrawlDuration time.Duration
 }
+
+// baselineSample caps the generated news-site corpora.
+const baselineSample = 20_000
 
 // Options configure a run.
 type Options struct {
 	Scale   float64 // 0 = synth.DefaultScale (1/64)
 	Seed    int64
 	Workers int // 0 = 16
-	// BaselineSample caps the generated news-site corpora (0 = 20k).
-	BaselineSample int
-}
-
-// ServeGabAPI starts a loopback Gab API server over db for callers that
-// need to re-crawl outside Run (ablation benches). Stop it with the
-// returned func.
-func ServeGabAPI(db *platform.DB) (string, func(), error) {
-	return serve(gabapi.NewServer(db, gabapi.WithRateLimit(0, 0)))
 }
 
 // serve starts an http.Server on a loopback listener and returns its
@@ -85,9 +81,6 @@ func serve(h http.Handler) (string, func(), error) {
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 16
-	}
-	if opts.BaselineSample <= 0 {
-		opts.BaselineSample = 20_000
 	}
 	cfg := synth.NewConfig(opts.Scale, opts.Seed)
 	out := synth.Generate(cfg)
@@ -132,7 +125,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: shadow validation: %w", err)
 	}
-	crawlDur := time.Since(start)
 
 	res := &Result{
 		Cfg:           cfg,
@@ -140,8 +132,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		DS:            ds,
 		Accounts:      accounts,
 		Study:         analysis.NewStudy(ds),
-		Validation:    validation,
-		CrawlDuration: crawlDur,
+		Core:          graph.HatefulCoreParams{MinComments: cfg.HatefulCoreMinComments, MedianToxicity: 0.3},
+		Validation:    &validation,
+		CrawlDuration: time.Since(start),
 	}
 
 	// YouTube crawl (§3.3).
@@ -166,40 +159,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("repro: pushshift: %w", err)
 	}
 
-	res.NYT = baselines.NYTimes(opts.BaselineSample, opts.Seed+2)
-	res.DM = baselines.DailyMail(opts.BaselineSample, opts.Seed+3)
+	res.NYT = baselines.NYTimes(baselineSample, opts.Seed+2)
+	res.DM = baselines.DailyMail(baselineSample, opts.Seed+3)
 	return res, nil
-}
-
-// CoreParams returns the hateful-core thresholds appropriate for the
-// run's scale (the constructed core's minimum comment count).
-func (r *Result) CoreParams() graph.HatefulCoreParams {
-	return graph.HatefulCoreParams{
-		MinComments:    r.Cfg.HatefulCoreMinComments,
-		MedianToxicity: 0.3,
-	}
-}
-
-// Figure7Sources assembles the baseline text corpora for Figure 7.
-func (r *Result) Figure7Sources() map[string][]string {
-	return map[string][]string{
-		"Reddit":     analysis.RedditTexts(r.Matches),
-		"NY Times":   r.NYT.Comments,
-		"Daily Mail": r.DM.Comments,
-	}
-}
-
-// RedditCommentTotal counts the fetched Reddit corpus (Table 3).
-func (r *Result) RedditCommentTotal() int {
-	total := 0
-	for _, m := range r.Matches {
-		total += len(m.Comments)
-	}
-	return total
-}
-
-// WriteReport renders every table and figure with paper-vs-measured
-// comparisons to w.
-func (r *Result) WriteReport(w io.Writer) {
-	writeReport(w, r)
 }

@@ -78,8 +78,7 @@ import (
 const cacheShards = 16
 
 // Cache is a fixed-capacity sharded LRU with per-entry expiry. The zero
-// value is not usable; construct with New. A nil *Cache is a valid
-// no-op cache, which is how callers disable caching.
+// value is not usable; construct with New.
 type Cache[V any] struct {
 	shards [cacheShards]lruShard[V]
 }
@@ -128,11 +127,12 @@ type entry[V any] struct {
 }
 
 // New builds a cache holding roughly maxSize entries, each valid for
-// ttl. maxSize <= 0 or ttl <= 0 returns nil: a disabled cache on which
-// every method is a safe no-op.
+// ttl. Both must be positive; like make with a negative length, a
+// cache of no capacity or no lifetime is a programming error and
+// panics.
 func New[V any](maxSize int, ttl time.Duration) *Cache[V] {
 	if maxSize <= 0 || ttl <= 0 {
-		return nil
+		panic("respcache: New: size and TTL must be positive")
 	}
 	perShard := (maxSize + cacheShards - 1) / cacheShards
 	c := &Cache[V]{}
@@ -159,8 +159,7 @@ func (c *Cache[V]) shard(key string) *lruShard[V] {
 // shard-monotonic sequence number. Two distinct generations never
 // share a Rev (Seq only moves forward), which makes ETag a sound
 // strong validator: byte-different bodies always carry different tags.
-// The zero Rev is reserved for the unstamped renders of a disabled
-// cache; stamped generations always have Seq >= 1.
+// Stamped generations always have Seq >= 1.
 type Rev struct {
 	Epoch, Seq uint64
 }
@@ -179,15 +178,11 @@ func (r Rev) ETag() string {
 // cache for the same key. The second return reports whether the
 // caller was served without running fill itself (a cache hit or a
 // coalesced wait); followers of a flight count as hits in Stats, since
-// the cache saved their render. On a nil cache, and for the
-// self-render fallback of a waiter whose flight leader panicked, fill
-// still receives a freshly minted (or zero, when nil) Rev so the
-// response it composes is internally consistent — it just is never
-// cached.
+// the cache saved their render. For the self-render fallback of a
+// waiter whose flight leader panicked, fill still receives a freshly
+// minted Rev so the response it composes is internally consistent — it
+// just is never cached.
 func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
-	if c == nil {
-		return fill(Rev{}), false
-	}
 	s := c.shard(key)
 	s.mu.Lock()
 	if e, ok := s.items[key]; ok && !s.now().After(e.expires) {
@@ -253,9 +248,6 @@ func (c *Cache[V]) GetOrFillRev(key string, fill func(Rev) V) (V, bool) {
 // Returns false when no unexpired entry exists — callers then fall
 // back to Invalidate, which also discards any fill racing the write.
 func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
-	if c == nil {
-		return false
-	}
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,9 +273,6 @@ func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
 // between).
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	var zero V
-	if c == nil {
-		return zero, false
-	}
 	s := &c.shards[hashkit.FNV1aBytes(key)%cacheShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,9 +293,6 @@ func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 // in-flight GetOrFillRev: its waiters still receive its value, but it
 // is never cached and later misses start a fresh fill.
 func (c *Cache[V]) Invalidate(key string) {
-	if c == nil {
-		return
-	}
 	s := c.shard(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -320,9 +306,6 @@ func (c *Cache[V]) Invalidate(key string) {
 // Len returns the number of live entries (including any not yet
 // observed to be expired).
 func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
 	n := 0
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -335,9 +318,6 @@ func (c *Cache[V]) Len() int {
 
 // Stats reports cumulative hit/miss counts.
 func (c *Cache[V]) Stats() (hits, misses uint64) {
-	if c == nil {
-		return 0, 0
-	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()

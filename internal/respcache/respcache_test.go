@@ -406,30 +406,21 @@ func TestUpdateRevPatchesLiveEntriesOnly(t *testing.T) {
 	}
 }
 
-func TestNilCacheIsDisabled(t *testing.T) {
-	var c *Cache[string]
-	if got := New[string](0, time.Minute); got != nil {
-		t.Fatal("size 0 should disable the cache")
-	}
-	if got := New[string](10, 0); got != nil {
-		t.Fatal("ttl 0 should disable the cache")
-	}
-	// Every method must be a safe no-op on nil.
-	if _, ok := get(c, "a"); ok {
-		t.Fatal("nil cache returned a hit")
-	}
-	c.Invalidate("a")
-	if v, rev, served := fill(c, "a", "filled"); v != "filled" || served || rev != (Rev{}) {
-		t.Fatalf("nil GetOrFillRev = %q, %+v, %v; want fill passthrough under the zero Rev", v, rev, served)
-	}
-	if c.UpdateRev("a", func(v string, _ Rev) string { return v }) {
-		t.Fatal("nil cache accepted a patch")
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil cache has entries")
-	}
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatal("nil cache has stats")
+// TestNewRejectsNonPositive: there is no disabled mode; a cache of no
+// capacity or no lifetime is refused at construction.
+func TestNewRejectsNonPositive(t *testing.T) {
+	for _, args := range []struct {
+		size int
+		ttl  time.Duration
+	}{{0, time.Minute}, {-1, time.Minute}, {10, 0}, {10, -time.Second}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, %v) did not panic", args.size, args.ttl)
+				}
+			}()
+			New[string](args.size, args.ttl)
+		}()
 	}
 }
 
