@@ -18,24 +18,30 @@ RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
             ./internal/faultinject/... ./internal/httpguard/... \
             ./internal/gateway/... ./internal/chaos/... \
             ./internal/gabapi/... ./internal/dissenterweb/... \
-            ./internal/crawlkit/... ./internal/dissentercrawl/...
+            ./internal/crawlkit/... ./internal/dissentercrawl/... \
+            ./internal/youtube/...
 
-# Allocation budgets for one cache-miss render of the write-maintained
-# rankings (both measured 14) and of a discussion page served from the
-# fragment view (measured 5, constant in comments-per-URL; headroom
-# for noise). A regression past these fails bench-budget. The HIT
-# budget is exact: a cache hit serves composed bytes and must allocate
-# NOTHING — the benchmark rounds its MemStats delta to the nearest
-# integer, so there is no noise to leave headroom for.
+# Allocation budgets. The three miss budgets count the objects of one
+# cache-miss serve of a write-maintained page — trends, leaderboard, a
+# discussion page from the fragment view — on the path production runs:
+# cache on, every entry expired by the next request (TTL 1 ns), so an
+# op renders, composes (gzip included) and refills. Measured 19-20,
+# 19-20 and 18-20, constant in store size (1k vs 100k URLs) and in
+# comments per page (100 vs 10k). Until PR 17 these ran with the cache
+# off and read 14, 14 and 5: the difference is the composer's own
+# objects (the Composed, its body and gzip buffers, its header values),
+# which that mode never executed — a measurement correction, not a
+# regression, and 64 still holds with 3x headroom. The HIT budget is
+# exact: a cache hit serves composed bytes and must allocate NOTHING —
+# the benchmark rounds its MemStats delta to the nearest integer, so
+# there is no noise to leave headroom for.
 #
-# The three miss budgets run with the cache OFF and count objects, not
-# bytes: they never execute respcache.Compose. FILL_BYTES_BUDGET is the
-# one that does — a discussion miss with the cache on and the keys
-# rotating past its capacity, as crawl_scan runs it — and it counts
-# bytes allocated per fill (measured 2.4 kB; 1.2 MB when a compressor
-# was constructed per fill, which is 28 objects and passed the object
-# budgets for six PRs). The headroom covers the pool constructing a
-# compressor or two inside the measured 1000 fills.
+# FILL_BYTES_BUDGET counts BYTES per fill — a discussion miss with the
+# keys rotating past the cache's capacity, as crawl_scan runs it
+# (measured 2.4 kB; 1.2 MB when a compressor was constructed per fill,
+# which is 28 objects and passes any object budget). The headroom
+# covers the pool constructing a compressor or two inside the measured
+# 1000 fills (3.6 and 4.8 kB are both seen).
 #
 # SNAPSHOT_ALLOCS_BUDGET is the one that runs the snapshot encoder:
 # objects allocated by one eventlog.WriteSnapshot of the 1/64-scale
@@ -79,21 +85,19 @@ crash-recovery:
 	$(GO) test -count=1 -v -run TestReplicaCrashRecovery ./internal/replica/
 	$(GO) test -count=1 -v -run TestPrimaryCrashRecovery ./internal/eventlog/
 
-# Smoke-run every benchmark once so bench code can never rot; use
-# `go test -bench=Concurrent -cpu 1,2,4,8 .` for real numbers and
-# `bash bench/run.sh` (BENCHMARK.json) for the gated ones. The second
-# invocation sweeps the in-process cache-hit benchmarks across -cpu
-# 1,2,4.
+# Smoke-run every benchmark once so bench code can never rot (about
+# 15 s): the root package's budgets, gateway probe and paper ablations,
+# and the package-level ones. `bash bench/run.sh` (BENCHMARK.json) is
+# where latency and throughput are measured and gated.
 bench:
 	$(GO) test -run 'ProbablyNoSuchTest' -bench=. -benchtime=1x ./...
-	$(GO) test -run 'ProbablyNoSuchTest' -bench 'Hit' -cpu 1,2,4 -benchtime=100x .
 
-# Budget assertions on the hot read paths: a cache-miss trends or
-# leaderboard render must stay under its allocation budget regardless
-# of store size (both are served from write-maintained indexes,
-# O(TrendLimit) / O(LeaderLimit)), a hit must allocate nothing, a
-# cached fill must stay under its bytes budget, and a snapshot must
-# allocate O(1) objects however many entities it encodes.
+# Budget assertions on the hot read paths: a cache-miss trends,
+# leaderboard or discussion serve must stay under its allocation budget
+# regardless of store and page size (all three read write-maintained
+# views), a hit must allocate nothing, a cached fill must stay under
+# its bytes budget, and a snapshot must allocate O(1) objects however
+# many entities it encodes.
 bench-budget:
 	BENCH_TRENDS_MAX_ALLOCS=$(TRENDS_ALLOC_BUDGET) \
 		$(GO) test -run 'ProbablyNoSuchTest' -bench BenchmarkTrendsRenderMiss -benchtime=200x .

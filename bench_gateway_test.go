@@ -7,6 +7,7 @@ package dissenter_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -22,7 +23,7 @@ import (
 // the proxied path runs exactly as in production: probed backend,
 // fresh tier, buffered copy.
 func BenchmarkGatewayReadOverhead(b *testing.B) {
-	f := trendsBenchFixture(b, trendsScales[0])
+	f := sharedFixture(rankingScales[0])
 	web := dissenterweb.NewServer(f.db, dissenterweb.WithURLRateLimit(0, 0))
 	mux := http.NewServeMux()
 	mux.HandleFunc("/replication-status", func(w http.ResponseWriter, r *http.Request) {
@@ -38,8 +39,17 @@ func BenchmarkGatewayReadOverhead(b *testing.B) {
 	front := httptest.NewServer(gw)
 	defer front.Close()
 
-	client := benchClient()
-	benchGet(b, client, backend.URL+"/trends") // warm the trends cache once
+	// A keep-alive client sized for RunParallel's workers.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
+	get := func(b *testing.B, url string) {
+		resp, err := client.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	get(b, backend.URL+"/trends") // warm the trends cache once
 
 	for _, bc := range []struct{ name, url string }{
 		{"direct", backend.URL + "/trends"},
@@ -49,7 +59,7 @@ func BenchmarkGatewayReadOverhead(b *testing.B) {
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					benchGet(b, client, bc.url)
+					get(b, bc.url)
 				}
 			})
 		})
