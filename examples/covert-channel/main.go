@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"time"
 
 	"dissenter/internal/dissenterweb"
@@ -66,7 +67,7 @@ func main() {
 	page := fetch(srv.URL + "/discussion?url=" + url.QueryEscape(anchor))
 	fmt.Println("== the dead drop, as seen by someone who knows the anchor ==")
 	for _, m := range msgs {
-		fmt.Printf("  message present: %v  (%q)\n", contains(page, m.text), m.text)
+		fmt.Printf("  message present: %v  (%q)\n", strings.Contains(page, m.text), m.text)
 	}
 
 	// ...while the content owner, enumerating every URL they actually
@@ -95,22 +96,8 @@ func fetch(u string) string {
 	return string(body)
 }
 
-func contains(haystack, needle string) bool {
-	return len(haystack) > 0 && len(needle) > 0 &&
-		len(haystack) >= len(needle) && indexOf(haystack, needle) >= 0
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
-}
-
 func firstLineWith(page, marker string) string {
-	if indexOf(page, marker) >= 0 {
+	if strings.Contains(page, marker) {
 		return "No comments yet. Be the first to dissent!"
 	}
 	return "(thread exists!)"

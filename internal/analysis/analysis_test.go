@@ -3,6 +3,7 @@ package analysis
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"dissenter/internal/allsides"
@@ -388,7 +389,7 @@ func TestFigure8BiasEffects(t *testing.T) {
 	// hundred per bucket, so gate at 0.05 here (the 1/64-scale bench
 	// reaches the paper's threshold).
 	ks := fig.KS[[2]allsides.Bias{allsides.Center, allsides.Right}]
-	if !ks.Significant(0.05) {
+	if ks.P >= 0.05 {
 		t.Errorf("Center-vs-Right KS p = %.4f, paper < 0.01", ks.P)
 	}
 }
@@ -498,8 +499,16 @@ func TestYouTubeBreakdown(t *testing.T) {
 	}
 	ytSrv := httptest.NewServer(fixtureOut.YouTube)
 	t.Cleanup(ytSrv.Close)
+	// URLs that merely mention YouTube are not YouTube URLs: the corpus
+	// with two such decoys added selects exactly the same set.
+	decoyed := &corpus.Dataset{URLs: append(append([]corpus.URL{}, s.DS.URLs...),
+		corpus.URL{ID: "decoy-query", URL: "https://example.com/?ref=youtube.com/x"},
+		corpus.URL{ID: "decoy-path", URL: "https://example.com/mirror/youtu.be/abc"})}
+	if got := NewStudy(decoyed).YouTubeURLs(); !reflect.DeepEqual(got, urls) {
+		t.Errorf("decoy URLs changed the YouTube set: %d URLs, want %d", len(got), len(urls))
+	}
 	crawler := youtube.NewCrawler(ytSrv.URL, ytSrv.Client())
-	sum, err := crawler.CrawlAll(context.Background(), urls)
+	sum, err := crawler.CrawlAll(context.Background(), urls, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package analysis
 
 import (
+	"maps"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"dissenter/internal/allsides"
@@ -53,7 +56,7 @@ func (s *Study) Headline() Headline {
 		if id, err := ids.Parse(u.AuthorID); err == nil && id.Time().Before(cutoff) {
 			firstMonth++
 		}
-		if containsCensorship(u.Bio) {
+		if strings.Contains(strings.ToLower(u.Bio), "censorship") {
 			withBio++
 		}
 		return true
@@ -77,27 +80,6 @@ func (s *Study) Headline() Headline {
 		return true
 	})
 	return h
-}
-
-func containsCensorship(bio string) bool {
-	lower := make([]byte, len(bio))
-	for i := 0; i < len(bio); i++ {
-		c := bio[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		lower[i] = c
-	}
-	return indexOf(string(lower), "censorship") >= 0
-}
-
-func indexOf(s, sub string) int {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return i
-		}
-	}
-	return -1
 }
 
 // ---------------------------------------------------------------------
@@ -185,7 +167,7 @@ func (s *Study) URLForensics() URLForensics {
 		volumes[dom] = append(volumes[dom], float64(len(s.DS.CommentsOnURL(u.ID))))
 	}
 	out.OverCount = urlkit.AnalyzeOverCount(urls)
-	for _, dom := range sortedKeys(volumes) {
+	for _, dom := range slices.Sorted(maps.Keys(volumes)) {
 		out.TopMedianVolume = append(out.TopMedianVolume, DomainVolume{
 			Domain: dom,
 			Median: stats.Median(volumes[dom]),
@@ -216,7 +198,7 @@ type Figure3 struct {
 func (s *Study) Figure3() Figure3 {
 	counts := s.UserCommentCounts()
 	contrib := make([]float64, 0, len(counts))
-	for _, name := range sortedKeys(counts) {
+	for _, name := range slices.Sorted(maps.Keys(counts)) {
 		contrib = append(contrib, float64(counts[name]))
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(contrib)))
@@ -238,13 +220,6 @@ func (s *Study) Figure3() Figure3 {
 		}
 	}
 	return fig
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------
@@ -419,14 +394,9 @@ type LanguageMix struct {
 
 // LanguageMix computes S3.
 func (s *Study) LanguageMix() LanguageMix {
-	langs := s.Languages()
-	counts := map[string]int{}
-	for _, r := range langs {
-		counts[string(r.Lang)]++
-	}
-	out := LanguageMix{Total: len(langs), Shares: map[string]float64{}}
-	for code, n := range counts {
-		out.Shares[code] = float64(n) / float64(len(langs))
+	out := LanguageMix{Total: len(s.DS.Comments), Shares: map[string]float64{}}
+	for lang, share := range s.lang.Distribution(s.DS.Texts()) {
+		out.Shares[string(lang)] = share
 	}
 	return out
 }

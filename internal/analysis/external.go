@@ -6,6 +6,7 @@ import (
 	"dissenter/internal/gabcrawl"
 	"dissenter/internal/hatespeech"
 	"dissenter/internal/stats"
+	"dissenter/internal/urlkit"
 	"dissenter/internal/youtube"
 )
 
@@ -110,21 +111,12 @@ func (s *Study) YouTubeURLs() []string {
 	var out []string
 	for i := range s.DS.URLs {
 		u := s.DS.URLs[i].URL
-		if isYouTube(u) {
+		if urlkit.IsYouTube(u) {
 			out = append(out, u)
 		}
 	}
 	sort.Strings(out)
 	return out
-}
-
-func isYouTube(u string) bool {
-	for _, marker := range []string{"youtube.com/", "youtu.be/"} {
-		if indexOf(u, marker) >= 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------

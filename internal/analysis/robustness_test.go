@@ -46,7 +46,7 @@ func TestEmptyDatasetTotal(t *testing.T) {
 	if ss.Nodes != 0 {
 		t.Errorf("SocialStats nodes = %d", ss.Nodes)
 	}
-	core := s.HatefulCore(graph.DefaultHatefulCoreParams())
+	core := s.HatefulCore(graph.HatefulCoreParams{MinComments: 100, MedianToxicity: 0.3})
 	if core.TotalUsers != 0 {
 		t.Errorf("core = %+v", core)
 	}

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"dissenter/internal/graph"
@@ -142,22 +144,13 @@ func logBinMedian(xs, ys []float64, binsPerDecade int) []stats.Point {
 		b := int(math.Floor(math.Log10(x) * float64(binsPerDecade)))
 		bins[b] = append(bins[b], ys[i])
 	}
-	keys := make([]int, 0, len(bins))
-	for k := range bins {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
 	var pts []stats.Point
-	for _, k := range keys {
-		center := pow10((float64(k) + 0.5) / float64(binsPerDecade))
+	for _, k := range slices.Sorted(maps.Keys(bins)) {
+		center := math.Pow(10, (float64(k)+0.5)/float64(binsPerDecade))
 		pts = append(pts, stats.Point{X: center, Y: stats.Median(bins[k])})
 	}
 	return pts
 }
-
-func log10floor(x float64) float64 { return math.Floor(math.Log10(x)) }
-
-func pow10(x float64) float64 { return math.Pow(10, x) }
 
 // ---------------------------------------------------------------------
 // S5 — the hateful core (§4.5.1).
@@ -170,9 +163,9 @@ type HatefulCore struct {
 	Params     graph.HatefulCoreParams
 }
 
-// HatefulCore extracts the core with the given parameters (use
-// graph.DefaultHatefulCoreParams at paper scale; scale MinComments with
-// the corpus).
+// HatefulCore extracts the core with the given parameters (the paper's
+// are MinComments 100, MedianToxicity 0.3; scale MinComments with the
+// corpus).
 func (s *Study) HatefulCore(p graph.HatefulCoreParams) HatefulCore {
 	g := s.Graph()
 	counts := s.UserCommentCounts()

@@ -7,7 +7,6 @@
 package analysis
 
 import (
-	"sort"
 	"sync"
 
 	"dissenter/internal/corpus"
@@ -25,7 +24,6 @@ type Study struct {
 	mu         sync.Mutex
 	scoreCache map[perspective.Model][]float64
 	dictCache  []float64
-	langCache  []langid.Result
 	dict       *toxdict.Scorer
 	lang       *langid.Classifier
 }
@@ -74,24 +72,6 @@ func (s *Study) DictScores() []float64 {
 	return out
 }
 
-// Languages returns the langid classification per comment.
-func (s *Study) Languages() []langid.Result {
-	s.mu.Lock()
-	cached := s.langCache
-	s.mu.Unlock()
-	if cached != nil {
-		return cached
-	}
-	out := make([]langid.Result, len(s.DS.Comments))
-	for i := range s.DS.Comments {
-		out[i] = s.lang.Classify(s.DS.Comments[i].Text)
-	}
-	s.mu.Lock()
-	s.langCache = out
-	s.mu.Unlock()
-	return out
-}
-
 // UserMedianToxicity computes each active user's median SEVERE_TOXICITY —
 // the per-user activity metric behind §4.5's hateful core and Figures
 // 9b/9c. Keys are usernames.
@@ -122,15 +102,5 @@ func (s *Study) UserCommentCounts() map[string]int {
 		}
 		out[u.Username]++
 	}
-	return out
-}
-
-// sortedKeys returns map keys in sorted order (deterministic reports).
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -15,7 +15,6 @@ import (
 const (
 	PaperNYTimes   = 4_995_119
 	PaperDailyMail = 14_287_096
-	PaperReddit    = 13_051_561
 )
 
 // Tone mixes per outlet. The orderings these imply are the Figure 7
@@ -37,9 +36,6 @@ type Corpus struct {
 	// when 20k draws pin the CDF).
 	NominalSize int
 }
-
-// Sampled reports whether the corpus is a subsample.
-func (c Corpus) Sampled() bool { return len(c.Comments) < c.NominalSize }
 
 // NYTimes generates the NY Times corpus with n sampled comments.
 func NYTimes(n int, seed int64) Corpus {

@@ -18,8 +18,8 @@ func TestSizesAndDeterminism(t *testing.T) {
 			t.Fatal("not deterministic")
 		}
 	}
-	if !a.Sampled() {
-		t.Error("500-comment NYT corpus should report itself a sample")
+	if a.NominalSize != PaperNYTimes {
+		t.Errorf("NominalSize = %d, want the paper's %d", a.NominalSize, PaperNYTimes)
 	}
 	if NYTimes(0, 1).Comments == nil {
 		t.Error("n<1 should clamp to 1")

@@ -36,7 +36,7 @@ func busyURL(t *testing.T, o *synth.Output) *platform.CommentURL {
 	t.Helper()
 	for _, cu := range allURLs(o.DB) {
 		for _, c := range o.DB.CommentsOnURL(cu.ID) {
-			if !c.Hidden() {
+			if visible(c, Session{}) {
 				return cu
 			}
 		}
@@ -112,7 +112,7 @@ func TestCacheDoesNotLeakShadowOverlay(t *testing.T) {
 
 	var hidden *platform.Comment
 	for _, c := range allComments(out.DB) {
-		if c.Hidden() {
+		if !visible(c, Session{}) {
 			hidden = c
 			break
 		}

@@ -133,7 +133,7 @@ func TestPostCommentMovesTrendsRanking(t *testing.T) {
 	for _, other := range allURLs(priv.DB) {
 		n := 0
 		for _, c := range priv.DB.CommentsOnURL(other.ID) {
-			if !c.Hidden() {
+			if visible(c, Session{}) {
 				n++
 			}
 		}
@@ -143,7 +143,7 @@ func TestPostCommentMovesTrendsRanking(t *testing.T) {
 	}
 	have := 0
 	for _, c := range priv.DB.CommentsOnURL(cu.ID) {
-		if !c.Hidden() {
+		if visible(c, Session{}) {
 			have++
 		}
 	}
@@ -438,10 +438,10 @@ func TestPostCommentConcurrentPostersAndReaders(t *testing.T) {
 	}
 	wg.Wait()
 
-	visible := 0
+	shown := 0
 	for _, c := range priv.DB.CommentsOnURL(cu.ID) {
-		if !c.Hidden() {
-			visible++
+		if visible(c, Session{}) {
+			shown++
 		}
 	}
 	_, body := fetch(t, page, "")
@@ -451,8 +451,8 @@ func TestPostCommentConcurrentPostersAndReaders(t *testing.T) {
 			rendered++
 		}
 	}
-	if rendered != visible {
-		t.Errorf("final render shows %d comments, store holds %d visible (stale cache survived the race)", rendered, visible)
+	if rendered != shown {
+		t.Errorf("final render shows %d comments, store holds %d visible (stale cache survived the race)", rendered, shown)
 	}
 }
 

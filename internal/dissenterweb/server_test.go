@@ -129,7 +129,7 @@ func TestDiscussionPage(t *testing.T) {
 	comments := htmlx.FindTags(body, "div")
 	visibleGroundTruth := 0
 	for _, c := range out.DB.CommentsOnURL(target.ID) {
-		if !c.Hidden() {
+		if visible(c, Session{}) {
 			visibleGroundTruth++
 		}
 	}
@@ -213,7 +213,7 @@ func TestCommentPageHiddenMetadata(t *testing.T) {
 	_, srv := newTestServer(t)
 	var c *platform.Comment
 	for _, cand := range allComments(out.DB) {
-		if !cand.Hidden() {
+		if visible(cand, Session{}) {
 			c = cand
 			break
 		}
@@ -287,9 +287,9 @@ func TestRepliesOnCommentPage(t *testing.T) {
 	var parent *platform.Comment
 	replies := 0
 	for _, c := range allComments(out.DB) {
-		if c.IsReply() && !c.Hidden() {
+		if c.IsReply() && visible(c, Session{}) {
 			p := out.DB.CommentByID(c.ParentID)
-			if p != nil && !p.Hidden() {
+			if p != nil && visible(p, Session{}) {
 				parent = p
 				break
 			}
@@ -299,7 +299,7 @@ func TestRepliesOnCommentPage(t *testing.T) {
 		t.Skip("no visible reply pairs")
 	}
 	for _, c := range out.DB.CommentsOnURL(parent.URLID) {
-		if c.ParentID == parent.ID && !c.Hidden() {
+		if c.ParentID == parent.ID && visible(c, Session{}) {
 			replies++
 		}
 	}

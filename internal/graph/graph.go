@@ -57,9 +57,6 @@ func (g *Digraph) AddEdge(from, to string) {
 	g.in[to][from] = true
 }
 
-// HasEdge reports a directed edge.
-func (g *Digraph) HasEdge(from, to string) bool { return g.out[from][to] }
-
 // Mutual reports whether a and b follow each other.
 func (g *Digraph) Mutual(a, b string) bool { return g.out[a][b] && g.out[b][a] }
 
@@ -266,11 +263,6 @@ func (g *Digraph) Components(skipIsolated bool) [][]string {
 type HatefulCoreParams struct {
 	MinComments    int     // "a has posted >= 100 comments or replies"
 	MedianToxicity float64 // "a's median comment toxicity is >= 0.3"
-}
-
-// DefaultHatefulCoreParams returns the paper's thresholds.
-func DefaultHatefulCoreParams() HatefulCoreParams {
-	return HatefulCoreParams{MinComments: 100, MedianToxicity: 0.3}
 }
 
 // HatefulCore induces the mutual subgraph over users meeting the comment

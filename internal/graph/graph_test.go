@@ -20,8 +20,8 @@ func TestAddAndDegrees(t *testing.T) {
 	if g.OutDegree("a") != 2 || g.InDegree("a") != 1 {
 		t.Errorf("a degrees: out=%d in=%d", g.OutDegree("a"), g.InDegree("a"))
 	}
-	if !g.HasEdge("a", "b") || g.HasEdge("b", "c") {
-		t.Error("HasEdge wrong")
+	if !g.out["a"]["b"] || g.out["b"]["c"] {
+		t.Error("edge set wrong")
 	}
 	if !g.Mutual("a", "b") || g.Mutual("a", "c") {
 		t.Error("Mutual wrong")
@@ -106,15 +106,15 @@ func TestMutualSubgraph(t *testing.T) {
 	g.AddEdge("a", "c") // one-way
 	g.AddEdge("d", "a")
 	sub := g.MutualSubgraph(nil)
-	if !sub.HasEdge("a", "b") || !sub.HasEdge("b", "a") {
+	if !sub.out["a"]["b"] || !sub.out["b"]["a"] {
 		t.Error("mutual pair missing")
 	}
-	if sub.HasEdge("a", "c") || sub.HasEdge("d", "a") {
+	if sub.out["a"]["c"] || sub.out["d"]["a"] {
 		t.Error("one-way edge leaked into mutual subgraph")
 	}
 	// keep filter.
 	sub = g.MutualSubgraph(map[string]bool{"a": true})
-	if sub.HasEdge("a", "b") {
+	if sub.out["a"]["b"] {
 		t.Error("keep filter ignored")
 	}
 }
@@ -160,7 +160,7 @@ func TestHatefulCoreExtraction(t *testing.T) {
 		"t1": 0.6, "t2": 0.5, "t3": 0.4, "p1": 0.35, "p2": 0.9,
 		"mild1": 0.05, "mild2": 0.1, "light1": 0.8, "light2": 0.9, "outsider": 0.9,
 	}
-	comps := g.HatefulCore(DefaultHatefulCoreParams(),
+	comps := g.HatefulCore(HatefulCoreParams{MinComments: 100, MedianToxicity: 0.3},
 		func(n string) int { return comments[n] },
 		func(n string) float64 { return tox[n] })
 	if len(comps) != 2 {
@@ -208,7 +208,7 @@ func TestQuickMutualSymmetric(t *testing.T) {
 		sub := g.MutualSubgraph(nil)
 		for _, a := range sub.Nodes() {
 			for _, b := range sub.Nodes() {
-				if sub.HasEdge(a, b) != sub.HasEdge(b, a) {
+				if sub.out[a][b] != sub.out[b][a] {
 					return false
 				}
 			}

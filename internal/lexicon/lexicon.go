@@ -149,10 +149,6 @@ func NewDictionary(terms []Term) *Dictionary {
 // Len returns the number of terms.
 func (d *Dictionary) Len() int { return len(d.terms) }
 
-// Terms returns the dictionary's terms in sorted order. The slice is
-// shared; callers must not modify it.
-func (d *Dictionary) Terms() []Term { return d.terms }
-
 // MatchStem looks up a stemmed token.
 func (d *Dictionary) MatchStem(stem string) (Term, bool) {
 	t, ok := d.byStem[stem]

@@ -19,9 +19,9 @@ func TestHatebaseDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("sizes differ: %d vs %d", a.Len(), b.Len())
 	}
-	for i := range a.Terms() {
-		if a.Terms()[i] != b.Terms()[i] {
-			t.Fatalf("term %d differs: %v vs %v", i, a.Terms()[i], b.Terms()[i])
+	for i := range a.terms {
+		if a.terms[i] != b.terms[i] {
+			t.Fatalf("term %d differs: %v vs %v", i, a.terms[i], b.terms[i])
 		}
 	}
 }
@@ -81,7 +81,7 @@ func TestMatchTokenMiss(t *testing.T) {
 func TestCategoryMix(t *testing.T) {
 	d := Hatebase()
 	counts := map[Category]int{}
-	for _, term := range d.Terms() {
+	for _, term := range d.terms {
 		counts[term.Category]++
 	}
 	if counts[CategoryAmbiguous] != len(ambiguousTerms) {
@@ -103,7 +103,7 @@ func TestPseudoWordsAreStemmable(t *testing.T) {
 	// Every generated word should survive the tokenizer unchanged, so the
 	// generator-produced comments are matchable by the scorer.
 	d := Hatebase()
-	for _, term := range d.Terms() {
+	for _, term := range d.terms {
 		toks := textutil.Tokenize(term.Word)
 		if len(toks) != 1 || toks[0] != term.Word {
 			t.Fatalf("dictionary word %q does not tokenize to itself: %v", term.Word, toks)

@@ -36,11 +36,6 @@ const (
 	AttackOnAuthor Model = "ATTACK_ON_AUTHOR"
 )
 
-// AllModels lists every supported model.
-func AllModels() []Model {
-	return []Model{SevereToxicity, Obscene, LikelyToReject, AttackOnAuthor}
-}
-
 // Valid reports whether m is a supported attribute.
 func (m Model) Valid() bool {
 	switch m {

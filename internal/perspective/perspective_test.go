@@ -11,6 +11,8 @@ import (
 	"dissenter/internal/lexicon"
 )
 
+var allModels = []Model{SevereToxicity, Obscene, LikelyToReject, AttackOnAuthor}
+
 func slur() string  { return lexicon.Hatebase().WordsByCategory(lexicon.CategorySlur)[0] }
 func slur2() string { return lexicon.Hatebase().WordsByCategory(lexicon.CategorySlur)[1] }
 
@@ -19,7 +21,7 @@ func TestScoreBounds(t *testing.T) {
 		"", "hello", "THIS IS SHOUTING!!!", "you are an idiot and a fraud",
 		"great article thanks", slur() + " " + slur2(),
 	}
-	for _, m := range AllModels() {
+	for _, m := range allModels {
 		for _, s := range texts {
 			v := Score(m, s)
 			if v < 0 || v > 1 {
@@ -31,7 +33,7 @@ func TestScoreBounds(t *testing.T) {
 
 func TestScoreDeterministic(t *testing.T) {
 	s := "you are a pathetic idiot and the author is a fraud"
-	for _, m := range AllModels() {
+	for _, m := range allModels {
 		if Score(m, s) != Score(m, s) {
 			t.Errorf("%s not deterministic", m)
 		}
@@ -100,7 +102,7 @@ func TestAttackOnAuthorNeedsAuthor(t *testing.T) {
 }
 
 func TestEmptyCommentScoresZero(t *testing.T) {
-	for _, m := range AllModels() {
+	for _, m := range allModels {
 		if Score(m, "") != 0 {
 			t.Errorf("Score(%s, empty) != 0", m)
 		}
@@ -108,7 +110,7 @@ func TestEmptyCommentScoresZero(t *testing.T) {
 }
 
 func TestModelValid(t *testing.T) {
-	for _, m := range AllModels() {
+	for _, m := range allModels {
 		if !m.Valid() {
 			t.Errorf("%s reported invalid", m)
 		}
@@ -119,7 +121,7 @@ func TestModelValid(t *testing.T) {
 }
 
 func TestScoreAll(t *testing.T) {
-	got := ScoreAll("you idiot", AllModels())
+	got := ScoreAll("you idiot", allModels)
 	if len(got) != 4 {
 		t.Fatalf("len = %d", len(got))
 	}
@@ -130,11 +132,11 @@ func TestHTTPRoundTrip(t *testing.T) {
 	defer srv.Close()
 	client := NewClient(srv.URL, srv.Client())
 	text := "the author is a pathetic fraud"
-	scores, err := client.Analyze(context.Background(), text, AllModels())
+	scores, err := client.Analyze(context.Background(), text, allModels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range AllModels() {
+	for _, m := range allModels {
 		want := Score(m, text)
 		if scores[m] != want {
 			t.Errorf("%s over HTTP = %v, want %v", m, scores[m], want)
@@ -181,7 +183,7 @@ func TestHTTPRateLimitRetry(t *testing.T) {
 
 func TestQuickScoreTotal(t *testing.T) {
 	f := func(text string) bool {
-		for _, m := range AllModels() {
+		for _, m := range allModels {
 			v := Score(m, text)
 			if v < 0 || v > 1 {
 				return false
@@ -205,7 +207,7 @@ func BenchmarkScore(b *testing.B) {
 
 func BenchmarkScoreAllModels(b *testing.B) {
 	text := "the author is a pathetic idiot and you sheep keep believing the media"
-	models := AllModels()
+	models := allModels
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ScoreAll(text, models)

@@ -113,9 +113,6 @@ type Comment struct {
 // IsReply reports whether the comment answers another comment.
 func (c *Comment) IsReply() bool { return !c.ParentID.IsZero() }
 
-// Hidden reports whether the comment is part of the shadow overlay.
-func (c *Comment) Hidden() bool { return c.NSFW || c.Offensive }
-
 // Validate checks the database's structural invariants. A generated DB
 // must always pass; the property tests lean on this.
 func (db *DB) Validate() error {

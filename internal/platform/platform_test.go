@@ -148,9 +148,6 @@ func TestCommentsSortedOnURL(t *testing.T) {
 	if comments[0].IsReply() || !comments[1].IsReply() {
 		t.Error("IsReply wrong")
 	}
-	if comments[0].Hidden() || !comments[1].Hidden() {
-		t.Error("Hidden wrong")
-	}
 }
 
 func TestIncrementalInsert(t *testing.T) {

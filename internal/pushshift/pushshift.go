@@ -99,17 +99,6 @@ func (s *Sim) Users() int {
 	return len(s.users)
 }
 
-// TotalComments reports the corpus size (Table 3's Reddit row).
-func (s *Sim) TotalComments() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	total := 0
-	for _, h := range s.comments {
-		total += len(h)
-	}
-	return total
-}
-
 // PageSize is the API's maximum page size.
 const PageSize = 100
 

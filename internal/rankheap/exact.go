@@ -52,9 +52,6 @@ func NewExact[K comparable, V any](limit int, better func(a, b V) bool) *Exact[K
 // Len returns the total number of members across both tiers.
 func (e *Exact[K, V]) Len() int { return e.elite.len() + e.over.len() }
 
-// TopLen returns the number of members in the top tier (≤ limit).
-func (e *Exact[K, V]) TopLen() int { return e.elite.len() }
-
 // Get returns the value stored for key, if it has ever been offered.
 func (e *Exact[K, V]) Get(key K) (V, bool) {
 	if v, ok := e.elite.get(key); ok {

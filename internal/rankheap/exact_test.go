@@ -83,11 +83,11 @@ func TestExactUnderLimit(t *testing.T) {
 	for id := 0; id < 6; id++ {
 		ex.Update(id, scored{id, id})
 	}
-	if ex.Len() != 6 || ex.TopLen() != 6 {
-		t.Fatalf("Len = %d TopLen = %d, want 6/6", ex.Len(), ex.TopLen())
+	if ex.Len() != 6 || ex.elite.len() != 6 {
+		t.Fatalf("Len = %d top tier = %d, want 6/6", ex.Len(), ex.elite.len())
 	}
 	ex.Update(3, scored{3, -100})
-	if ex.TopLen() != 6 {
-		t.Fatalf("decrease under limit evicted: TopLen = %d", ex.TopLen())
+	if ex.elite.len() != 6 {
+		t.Fatalf("decrease under limit evicted: top tier = %d", ex.elite.len())
 	}
 }

@@ -186,10 +186,6 @@ type KSResult struct {
 	N1, N2 int
 }
 
-// Significant reports whether the difference is significant at level
-// alpha (the paper uses p < 0.01 for all Allsides pairs).
-func (r KSResult) Significant(alpha float64) bool { return r.P < alpha }
-
 // KolmogorovSmirnov runs the two-sample KS test on xs and ys. It returns
 // ErrEmpty if either sample is empty.
 func KolmogorovSmirnov(xs, ys []float64) (KSResult, error) {

@@ -140,7 +140,7 @@ func TestKolmogorovSmirnovDisjoint(t *testing.T) {
 	if r.D != 1 {
 		t.Errorf("D = %v for disjoint samples, want 1", r.D)
 	}
-	if !r.Significant(0.01) {
+	if r.P >= 0.01 {
 		t.Errorf("P = %v, want < 0.01", r.P)
 	}
 }
@@ -157,7 +157,7 @@ func TestKolmogorovSmirnovSameDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Significant(0.001) {
+	if r.P < 0.001 {
 		t.Errorf("same distribution flagged significant: D=%v P=%v", r.D, r.P)
 	}
 }
@@ -174,7 +174,7 @@ func TestKolmogorovSmirnovShifted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Significant(0.01) {
+	if r.P >= 0.01 {
 		t.Errorf("shifted distribution not significant: D=%v P=%v", r.D, r.P)
 	}
 }

@@ -803,10 +803,3 @@ func (g *generator) finishYouTube() {
 	}
 	g.out.YouTube = youtube.NewSite(g.ytVideos, totals)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -161,6 +161,8 @@ func TestIsYouTube(t *testing.T) {
 	}
 	no := []string{
 		"https://example.com/youtube.com",
+		"https://example.com/?ref=youtube.com/x",
+		"https://example.com/mirror/youtu.be/abc",
 		"https://notyoutube.com/watch",
 		"https://bitchute.com/video/1",
 	}
