@@ -1,4 +1,4 @@
-// The paper's ablations: each design choice DESIGN.md calls out, run
+// The paper's ablations: each methodological choice the paper makes, run
 // against the alternative it replaced — ADASYN vs none, 1+2-grams vs
 // unigrams, the dictionary with and without its ambiguous terms and its
 // stem matching, the grid search, exhaustive ID enumeration vs the

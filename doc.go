@@ -13,11 +13,11 @@
 // analysis in the evaluation (toxicity classification three ways,
 // media-bias conditioning, the hateful-core extraction).
 //
-// Start with DESIGN.md for the system inventory, EXPERIMENTS.md for the
-// paper-vs-measured results, and examples/quickstart for running code.
-// The root-level benchmarks (bench_test.go) regenerate every table and
-// figure of the paper's §4; bench_concurrent_test.go measures the
-// simulators under concurrent crawler load.
+// Start with README.md and ROADMAP.md for the system inventory,
+// cmd/dissenter-repro for the paper-vs-measured results (every table and
+// figure of §4) and examples/quickstart for running code. The root-level
+// benchmarks are the serving path's allocation budgets, the paper's
+// ablations and a gateway probe (load: BENCHMARK.json, bench/).
 //
 // # Store architecture
 //
