@@ -157,7 +157,7 @@ loc:
 # Design weight is budgeted like allocations: loc-budget fails when
 # `make loc`'s total exceeds this. A PR that needs more raises the
 # constant in its own diff, where a reviewer sees it.
-LOC_BUDGET = 21422
+LOC_BUDGET = 21420
 
 loc-budget:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -115,11 +115,12 @@ func (c *Campaign) Run(ctx context.Context) (*corpus.Dataset, error) {
 }
 
 // finish puts the mirror in its one saved order — users by author-id,
-// comments by comment-id; mirrorComments keeps the URL table sorted —
-// and indexes it. Workers append in completion order, so without this
-// two crawls of one platform save the same set as different bytes.
+// URLs by commenturl-id, comments by comment-id — and indexes it.
+// Workers append in completion order, so without this two crawls of one
+// platform save the same set as different bytes.
 func finish(ds *corpus.Dataset) {
 	sort.Slice(ds.Users, func(i, j int) bool { return ds.Users[i].AuthorID < ds.Users[j].AuthorID })
+	sort.Slice(ds.URLs, func(i, j int) bool { return ds.URLs[i].ID < ds.URLs[j].ID })
 	sort.Slice(ds.Comments, func(i, j int) bool { return ds.Comments[i].ID < ds.Comments[j].ID })
 	ds.Reindex()
 }
@@ -271,7 +272,6 @@ func (c *Campaign) mirrorComments(ctx context.Context, ds *corpus.Dataset, urlSe
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ds.URLs, func(i, j int) bool { return ds.URLs[i].ID < ds.URLs[j].ID })
 	return seen, nil
 }
 
@@ -373,10 +373,8 @@ func (c *Campaign) differential(ctx context.Context, ds *corpus.Dataset, names [
 		// URLs surfacing only under this session still need an anonymous
 		// baseline: without it, plain comments sharing a page with shadow
 		// content would be mislabeled as hidden.
-		if len(fresh) > 0 {
-			if _, err := c.mirrorPlain(ctx, ds, fresh); err != nil {
-				return err
-			}
+		if _, err := c.mirrorPlain(ctx, ds, fresh); err != nil {
+			return err
 		}
 		if _, err := c.mirrorAuthed(ctx, ds, c.urlSet, p); err != nil {
 			return err
