@@ -119,8 +119,8 @@ ledger-smoke:
 	cd bench && $(GO) vet . && $(GO) test .
 
 # The project's own analyzer suite (internal/lint: viewpurity,
-# cachecoherence, lockscope, wirecompat) runs through the go vet
-# -vettool protocol. The tool is built once into bin/ and the
+# cachecoherence, lockscope) runs through the go vet -vettool
+# protocol. The tool is built once into bin/ and the
 # go command caches per-package vet results against its hash, so
 # repeat runs only re-analyze changed packages.
 VETTOOL = $(CURDIR)/bin/dissenter-vet
@@ -157,7 +157,7 @@ loc:
 # Design weight is budgeted like allocations: loc-budget fails when
 # `make loc`'s total exceeds this. A PR that needs more raises the
 # constant in its own diff, where a reviewer sees it.
-LOC_BUDGET = 21420
+LOC_BUDGET = 21222
 
 loc-budget:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

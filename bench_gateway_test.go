@@ -6,7 +6,6 @@ package dissenter_test
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,25 +17,19 @@ import (
 )
 
 // BenchmarkGatewayReadOverhead measures a proxied cached read against
-// the identical direct one. The backend is a real web server over the
-// 1k-URL trends fixture with the probe endpoints the gateway needs, so
-// the proxied path runs exactly as in production: probed backend,
-// fresh tier, buffered copy.
+// the identical direct one. The backend is the primary's Root over the
+// 1k-URL trends fixture and the front is the gateway's, so the proxied
+// path runs exactly as in production: probed backend, fresh tier,
+// buffered copy.
 func BenchmarkGatewayReadOverhead(b *testing.B) {
 	f := sharedFixture(rankingScales[0])
 	web := dissenterweb.NewServer(f.db, dissenterweb.WithURLRateLimit(0, 0))
-	mux := http.NewServeMux()
-	mux.HandleFunc("/replication-status", func(w http.ResponseWriter, r *http.Request) {
-		replica.ServeStatus(w, replica.PrimaryStatus(f.db, 0, nil))
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ready") })
-	mux.Handle("/", web)
-	backend := httptest.NewServer(mux)
+	backend := httptest.NewServer(replica.PrimaryRoot(f.db, nil, web).Handler())
 	defer backend.Close()
 
 	gw := gateway.New(backend.URL, nil, gateway.Options{})
 	gw.ProbeNow(context.Background())
-	front := httptest.NewServer(gw)
+	front := httptest.NewServer(gw.Root().Handler())
 	defer front.Close()
 
 	// A keep-alive client sized for RunParallel's workers.

@@ -25,22 +25,21 @@
 //     requests is ejected; only a fully successful probe round (the
 //     half-open trial) re-admits it.
 //
-// Endpoints: /healthz (liveness), /readyz (503 once every backend is
-// ejected — a fronting balancer should stop sending traffic),
-// /gateway/status (JSON: retry-budget counters and every backend's
-// standing), /debug/pprof/ with -pprof. Everything else proxies.
-// SIGINT/SIGTERM drain in-flight requests before exit.
+// Endpoints, wired by (*gateway.Gateway).Root: /healthz (liveness),
+// /readyz (503 once every backend is ejected — a fronting balancer
+// should stop sending traffic), /gateway/status (JSON: retry-budget
+// counters and every backend's standing), /debug/pprof/ with -pprof.
+// Everything else proxies, behind -max-inflight. httpguard.Root.Run is
+// the process's life and its exit status.
 package main
 
 import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"time"
 
 	"dissenter/internal/gateway"
-	"dissenter/internal/httpguard"
 )
 
 func main() {
@@ -83,14 +82,8 @@ func main() {
 	gw.ProbeNow(context.Background())
 	go gw.Run(context.Background())
 
-	root := httpguard.Root{
-		Addr:        *addr,
-		Health:      httpguard.NewHealth(httpguard.Check{Name: "backends", Probe: gw.ReadyCheck}),
-		MaxInflight: *maxInflight,
-		Pprof:       *pprofOn,
-		Exempt:      map[string]http.Handler{"/gateway/status": http.HandlerFunc(gw.ServeStatus)},
-		App:         gw,
-	}
+	root := gw.Root()
+	root.Addr, root.MaxInflight, root.Pprof = *addr, *maxInflight, *pprofOn
 	log.Printf("gateway on %s: primary %s, %d replica(s)", *addr, *primary, len(replicas))
 	if err := root.Run(); err != nil {
 		log.Fatal(err)

@@ -34,14 +34,13 @@
 //	/healthz /readyz            liveness / traffic-steering readiness
 //	/debug/pprof/...            runtime profiling (only with -pprof)
 //
-// Operations: /healthz answers 200 whenever the process is up; /readyz
-// flips to 503 when the persister has failed sticky or a shutdown
-// drain has begun. Requests (outside the health and replication
-// mounts) pass admission control — past -max-inflight concurrent
-// requests they are shed with 503 + Retry-After rather than queued.
-// SIGINT/SIGTERM drain gracefully: readiness flips first, replication
-// streams end, in-flight requests finish, then the persister flushes
-// its WAL (exit status: httpguard.Root.Run).
+// Operations: this file builds the simulator mux and hands it to
+// replica.PrimaryRoot, which wires the process as the fleet's primary
+// (readiness = the persister's health, the replication and status
+// mounts outside admission control, the WAL flush after the drain);
+// httpguard.Root.Run is its life and its exit status. Past
+// -max-inflight concurrent requests the mux's routes are shed with
+// 503 + Retry-After rather than queued.
 //
 // Three sessions are pre-registered: "nsfw-probe" (NSFW view enabled)
 // and "off-probe" (offensive view enabled) for the differential crawl,
@@ -59,7 +58,6 @@ import (
 	"dissenter/internal/dissenterweb"
 	"dissenter/internal/eventlog"
 	"dissenter/internal/gabapi"
-	"dissenter/internal/httpguard"
 	"dissenter/internal/perspective"
 	"dissenter/internal/pushshift"
 	"dissenter/internal/replica"
@@ -81,7 +79,6 @@ func main() {
 	out := synth.Generate(synth.NewConfig(*scale, *seed))
 	db := out.DB
 
-	var checks []httpguard.Check
 	var pers *eventlog.Persister
 	if *dataDir != "" {
 		restored, skipped, err := eventlog.RestoreDir(*dataDir)
@@ -100,10 +97,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("start persister: %v", err)
 		}
-		// Readiness tracks durability: a sticky persister failure means
-		// this instance is acking writes it can no longer persist — pull
-		// it from rotation while it keeps serving what it has.
-		checks = append(checks, httpguard.Check{Name: "persister", Probe: pers.Err})
 		log.Printf("persisting events to %s", *dataDir)
 	}
 	census := db.Census()
@@ -157,32 +150,8 @@ func main() {
 		fmt.Fprintf(w, "max Gab ID: %d\n%s\n", db.MaxGabID(), sessionBanner)
 	})
 
-	root := httpguard.Root{
-		Addr:        *addr,
-		Health:      httpguard.NewHealth(checks...),
-		MaxInflight: *maxInflight,
-		Pprof:       *pprofOn,
-		// The replication stream stays outside admission: replicas
-		// falling behind make everything worse.
-		Exempt: map[string]http.Handler{
-			"/replication/": &replica.Publisher{DB: db, Logf: log.Printf},
-			"/replication-status": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				// The primary mirrors the replica's machine-readable lag
-				// shape so the gateway's prober decodes one struct across
-				// the fleet: role "primary", head == applied, lag 0.
-				var durable uint64
-				var perr error
-				if pers != nil {
-					durable, perr = pers.Durable(), pers.Err()
-				}
-				replica.ServeStatus(w, replica.PrimaryStatus(db, durable, perr))
-			}),
-		},
-		App: mux,
-	}
-	if pers != nil {
-		root.Close = pers.Close
-	}
+	root := replica.PrimaryRoot(db, pers, mux)
+	root.Addr, root.MaxInflight, root.Pprof = *addr, *maxInflight, *pprofOn
 	log.Printf("serving on %s (max Gab ID %d)", *addr, db.MaxGabID())
 	if err := root.Run(); err != nil {
 		log.Fatal(err)

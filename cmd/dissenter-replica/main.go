@@ -14,20 +14,15 @@
 //
 // Routes: the Dissenter web app's read surface (/user/..., /discussion,
 // /comment/..., /trends, /leaderboard); the mutating endpoints answer
-// 403 (write on the primary). /replication-status reports the
-// machine-readable lag shape (replica.StatusJSON: role, head, applied,
-// lag, durable, connection state, persister health) that the gateway's
-// prober consumes; the primary mirrors the same shape.
-// /healthz answers liveness; /readyz answers 503
-// once the replica has been disconnected longer than -stale-after, is
-// lagging the primary's head by more than -max-lag events, or its
-// local persistence has failed sticky.
-//
-// A not-ready replica KEEPS SERVING reads — stale answers beat shed
-// ones for this read-mostly corpus — readiness only steers the load
-// balancer; degraded responses carry an X-Served-Stale: 1 header so
-// callers can tell. SIGINT/SIGTERM drain in-flight requests, then
-// flush the local WAL before exit (exit status: httpguard.Root.Run).
+// 403 (write on the primary). This file builds that surface and hands
+// it to (*replica.Replica).Root, which wires the process as a fleet
+// member: the replication loop, /replication-status (the lag shape the
+// gateway's prober consumes), /readyz failing once the replica has been
+// disconnected longer than -stale-after, lags the primary's head by
+// more than -max-lag events or has lost its local persistence, the
+// X-Served-Stale: 1 label on what it keeps serving meanwhile, and the
+// WAL flush after the drain. httpguard.Root.Run is its life and its
+// exit status.
 //
 // The probe sessions "nsfw-probe" and "off-probe" are pre-registered
 // with the same view settings as the primary's, so differential crawls
@@ -35,16 +30,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"dissenter/internal/dissenterweb"
-	"dissenter/internal/httpguard"
 	"dissenter/internal/platform"
 	"dissenter/internal/replica"
 )
@@ -59,76 +51,30 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in: exposes runtime internals)")
 	flag.Parse()
 
-	// The serving stack is rebuilt whenever the replica (re)binds its
-	// store — at open, and after a snapshot bootstrap replaces the DB
-	// instance. A fresh Server over the fresh store means no cache entry
-	// can describe state the new store never saw; the coherence view
-	// NewServer attaches keeps it coherent from then on.
-	var handler atomic.Value // holds http.Handler
-	bind := func(db *platform.DB) {
+	rep, err := replica.Open(*dir, *primary, replica.Options{Logf: log.Printf})
+	if err != nil {
+		log.Fatalf("open replica: %v", err)
+	}
+	// One Server per store: Root calls this at start and again whenever
+	// a snapshot bootstrap replaces the store.
+	root := rep.Root(func(db *platform.DB) http.Handler {
 		web := dissenterweb.NewServer(db,
 			dissenterweb.ReadOnly(),
 			dissenterweb.WithURLRateLimit(*urlLimit, time.Minute),
 		)
 		web.RegisterProbeSessions()
-		handler.Store(http.Handler(web))
 		log.Printf("serving store at seq %d", db.EventSeq())
-	}
-
-	rep, err := replica.Open(*dir, *primary, replica.Options{
-		OnState: bind,
-		Logf:    log.Printf,
-	})
-	if err != nil {
-		log.Fatalf("open replica: %v", err)
-	}
-	ready := func() error { return rep.Ready(*staleAfter, *maxLag) }
-	health := httpguard.NewHealth(httpguard.Check{Name: "replication", Probe: ready})
-
-	// The replication loop outlives the HTTP drain (in-flight reads
-	// keep getting fresher pages) and ends in the close hook.
-	runCtx, stopRun := context.WithCancel(context.Background())
-	runDone := make(chan struct{})
-	go func() {
-		rep.Run(runCtx)
-		close(runDone)
-	}()
-
-	app := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Serve-stale: degraded replication never sheds reads, it just
-		// labels them, so callers (and tests) can tell a fresh page
-		// from a possibly-behind one.
-		if ready() != nil {
-			w.Header().Set("X-Served-Stale", "1")
-		}
-		if r.URL.Path == "/" {
-			c := rep.DB().Census()
-			fmt.Fprintf(w, "dissenter-replica: seq %d (durable %d), %d Gab users, %d comments on %d URLs\n",
-				rep.Seq(), rep.Durable(), c.GabUsers, c.Comments, c.URLs)
-			return
-		}
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	})
-
-	root := httpguard.Root{
-		Addr:   *addr,
-		Health: health,
-		Pprof:  *pprofOn,
-		Exempt: map[string]http.Handler{
-			// The machine-readable lag shape the gateway's prober
-			// consumes; the primary mirrors the same shape, so the
-			// prober decodes one struct for the whole fleet.
-			"/replication-status": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				replica.ServeStatus(w, rep.StatusJSON())
-			}),
-		},
-		App: app,
-		Close: func() error {
-			stopRun()
-			<-runDone
-			return rep.Close()
-		},
-	}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/" {
+				c := db.Census()
+				fmt.Fprintf(w, "dissenter-replica: seq %d (durable %d), %d Gab users, %d comments on %d URLs\n",
+					db.EventSeq(), rep.Durable(), c.GabUsers, c.Comments, c.URLs)
+				return
+			}
+			web.ServeHTTP(w, r)
+		})
+	}, *staleAfter, *maxLag)
+	root.Addr, root.Pprof = *addr, *pprofOn
 	log.Printf("replica of %s serving read-only on %s (data in %s)", *primary, *addr, *dir)
 	if err := root.Run(); err != nil {
 		log.Fatal(err)

@@ -1,4 +1,4 @@
-// Command dissenter-vet runs the project's four static analyzers
+// Command dissenter-vet runs the project's three static analyzers
 // (internal/lint) under the `go vet -vettool` unitchecker protocol:
 //
 //	go build -o bin/dissenter-vet ./cmd/dissenter-vet

@@ -64,13 +64,16 @@
 // AwaitEvents, rotates snapshot+WAL, and CompactLog-truncates the
 // in-memory log so a long-lived primary's RAM stops growing.
 // internal/replica serves the stream over chunked HTTP
-// (replica.Publisher at /replication/ on cmd/dissenter-platform,
-// resumable via ?since=, with a snapshot bootstrap behind 410 Gone)
-// and consumes it out of process: cmd/dissenter-replica applies every
-// event into its own DB through the normal write paths and serves the
-// read surface read-only, byte-identical to the primary — proven by a
-// crash-recovery test that kill -9s a real replica child process
-// mid-stream and diffs every page after restart.
+// (replica.Publisher, resumable via ?since=, with a snapshot bootstrap
+// behind 410 Gone) and consumes it out of process: a replica.Replica
+// applies every event into its own DB through the normal write paths
+// and serves the read surface read-only, byte-identical to the primary
+// — proven by a crash-recovery test that kill -9s a real replica child
+// process mid-stream and diffs every page after restart. Each fleet
+// role is wired as a server once, as an httpguard.Root:
+// replica.PrimaryRoot, (*replica.Replica).Root and
+// (*gateway.Gateway).Root are what the three binaries run and what
+// every test rig serves.
 //
 // The hot read path never scans the store; two rankings and one
 // content view are write-maintained over that event stream. The Gab

@@ -176,10 +176,8 @@ func (s *Study) RunNLP(trainScale float64, k int, seed int64) NLPResult {
 
 // DictionaryResult summarizes the Hatebase-dictionary scores.
 type DictionaryResult struct {
-	Mean         float64
-	FracNonZero  float64
-	ECDF         *stats.ECDF
-	AmbiguousFPs int // matches that are ambiguous dictionary terms only
+	Mean        float64
+	FracNonZero float64
 }
 
 // Dictionary computes the aggregate dictionary-score view.
@@ -191,10 +189,7 @@ func (s *Study) Dictionary() DictionaryResult {
 			nonzero++
 		}
 	}
-	out := DictionaryResult{
-		Mean: stats.Mean(scores),
-		ECDF: stats.NewECDF(scores),
-	}
+	out := DictionaryResult{Mean: stats.Mean(scores)}
 	if len(scores) > 0 {
 		out.FracNonZero = float64(nonzero) / float64(len(scores))
 	}

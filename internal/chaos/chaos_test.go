@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -15,7 +14,6 @@ import (
 
 	"dissenter/internal/eventlog"
 	"dissenter/internal/faultinject"
-	"dissenter/internal/httpguard"
 	"dissenter/internal/ids"
 	"dissenter/internal/platform"
 	"dissenter/internal/replica"
@@ -72,8 +70,8 @@ func assertBytesConverged(t *testing.T, primary, rep *platform.DB) {
 	}
 }
 
-// runReplica opens a replica and drives its loop until test cleanup.
-func runReplica(t *testing.T, dir, primaryURL string, opt replica.Options) *replica.Replica {
+// openReplica opens a replica with the suite's fast reconnect.
+func openReplica(t *testing.T, dir, primaryURL string, opt replica.Options) *replica.Replica {
 	t.Helper()
 	if opt.ReconnectWait == 0 {
 		opt.ReconnectWait = 5 * time.Millisecond
@@ -82,14 +80,16 @@ func runReplica(t *testing.T, dir, primaryURL string, opt replica.Options) *repl
 	if err != nil {
 		t.Fatalf("replica.Open: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); rep.Run(ctx) }()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-		rep.Close()
-	})
+	return rep
+}
+
+// runReplica opens a replica nobody reads from and drives its loop
+// until test cleanup (Close ends the loop).
+func runReplica(t *testing.T, dir, primaryURL string, opt replica.Options) *replica.Replica {
+	t.Helper()
+	rep := openReplica(t, dir, primaryURL, opt)
+	go rep.Run(context.Background())
+	t.Cleanup(func() { rep.Close() })
 	return rep
 }
 
@@ -169,11 +169,7 @@ func TestChaosStickyFsyncFlipsReadyzNotHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pers.Close()
-	health := httpguard.NewHealth(httpguard.Check{Name: "persister", Probe: pers.Err})
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", health.Healthz)
-	mux.HandleFunc("/readyz", health.Readyz)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(replica.PrimaryRoot(db, pers, http.NotFoundHandler()).Handler())
 	defer srv.Close()
 
 	get := func(path string) int {
@@ -259,20 +255,10 @@ func TestChaosFlappingPrimaryDuringBootstrap(t *testing.T) {
 		// reset at the listener: the flap window.
 		faultinject.Rule{Op: faultinject.OpAccept, After: 1, Count: 3, Err: faultinject.ErrInjected},
 	)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() {
-		serveDone <- httpguard.Serve(ctx, inj.Listener(ln), &replica.Publisher{DB: primary}, httpguard.ServeOptions{
-			DrainTimeout: 100 * time.Millisecond,
-		})
-	}()
-	t.Cleanup(func() { cancel(); <-serveDone })
+	ln := listen(t)
+	serveRoot(t, replica.PrimaryRoot(primary, nil, http.NotFoundHandler()), inj.Listener(ln))
 
-	rep := runReplica(t, t.TempDir(), "http://"+ln.Addr().String(), replica.Options{
+	rep := runReplica(t, t.TempDir(), "http://"+ln.Addr().String()+"/replication", replica.Options{
 		// One connection per request, so every retry crosses the
 		// flapping accept loop deterministically.
 		Client: &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
@@ -322,7 +308,8 @@ func TestChaosDisconnectedReplicaServesStale(t *testing.T) {
 
 // Schedule 6 — graceful drain flushes the WAL. Shutdown must finish
 // the in-flight request, flip readiness to draining while it does, and
-// leave the directory holding every acked event.
+// leave the directory holding every acked event: drain, then flush, in
+// the order the primary's Root itself runs them.
 func TestChaosDrainFlushesWAL(t *testing.T) {
 	dir := t.TempDir()
 	db := platform.New(nil, nil, nil, nil)
@@ -330,11 +317,9 @@ func TestChaosDrainFlushesWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	health := httpguard.NewHealth(httpguard.Check{Name: "persister", Probe: pers.Err})
 	entered := make(chan struct{})
 	proceed := make(chan struct{})
 	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", health.Readyz)
 	var writeSeed atomic.Uint64
 	writeSeed.Store(61)
 	mux.HandleFunc("/write", func(w http.ResponseWriter, r *http.Request) {
@@ -347,15 +332,10 @@ func TestChaosDrainFlushesWAL(t *testing.T) {
 		corpus(t, db, 90, 1) // a write landing DURING the drain
 		fmt.Fprint(w, "drained")
 	})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listen(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	serveDone := make(chan error, 1)
-	go func() {
-		serveDone <- httpguard.Serve(ctx, ln, mux, httpguard.ServeOptions{Health: health, DrainTimeout: 5 * time.Second})
-	}()
+	go func() { serveDone <- replica.PrimaryRoot(db, pers, mux).Serve(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
 
 	for i := 0; i < 3; i++ {
@@ -386,13 +366,9 @@ func TestChaosDrainFlushesWAL(t *testing.T) {
 	if got := <-bodyc; got != "drained" {
 		t.Fatalf("in-flight request got %q, want it to finish during the drain", got)
 	}
+	// Serve returns once HTTP is down and the persister has flushed.
 	if err := <-serveDone; err != nil {
-		t.Fatalf("Serve = %v, want clean drain", err)
-	}
-
-	// HTTP is down; the persister flush is the last shutdown step.
-	if err := pers.Close(); err != nil {
-		t.Fatalf("persister close: %v", err)
+		t.Fatalf("Serve = %v, want a clean drain and flush", err)
 	}
 	restored, _, err := eventlog.RestoreDir(dir)
 	if err != nil || restored == nil {

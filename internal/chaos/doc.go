@@ -25,6 +25,11 @@
 //   - whole-pool lag excursion: reads degrade to stale-labeled 200s
 //     from the pool, the primary's read surface takes zero requests
 //
+// Fleet members are the role Roots the binaries run —
+// replica.PrimaryRoot and Replica.Root, served through Root.Serve over
+// faultinject listeners — with scripted handlers as their app, so a
+// schedule exercises the wiring it is about.
+//
 // The package has no non-test API; this file exists so the directory
 // is a buildable package.
 package chaos

@@ -36,14 +36,13 @@ func listen(t *testing.T) net.Listener {
 	return ln
 }
 
-// serveBackend serves h over ln until test cleanup.
-func serveBackend(t *testing.T, ln net.Listener, h http.Handler) {
+// serveRoot serves a fleet member's Root over ln until test cleanup,
+// which drains it and runs its Close.
+func serveRoot(t *testing.T, root httpguard.Root, ln net.Listener) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() {
-		done <- httpguard.Serve(ctx, ln, h, httpguard.ServeOptions{DrainTimeout: 100 * time.Millisecond})
-	}()
+	go func() { done <- root.Serve(ctx, ln) }()
 	t.Cleanup(func() { cancel(); <-done })
 }
 
@@ -51,38 +50,26 @@ func serveBackend(t *testing.T, ln net.Listener, h http.Handler) {
 // a scripted tear always lands mid-body, after the status line.
 var replicaFiller = strings.Repeat("x", 4096)
 
-// serveReplicaBackend exposes one replica the way cmd/dissenter-replica
-// does: the shared probe shape, a readiness verdict, a read surface.
-func serveReplicaBackend(t *testing.T, rep *replica.Replica, name string, ln net.Listener) {
+// serveReplicaBackend opens a replica of primaryURL and serves its Root
+// on ln: the real status page, readiness and replication loop, and as
+// the read surface a scripted page naming who served it.
+func serveReplicaBackend(t *testing.T, primaryURL string, opt replica.Options, name string, ln net.Listener) *replica.Replica {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/replication-status", func(w http.ResponseWriter, r *http.Request) {
-		replica.ServeStatus(w, rep.StatusJSON())
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if err := rep.Ready(time.Hour, 0); err != nil {
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		fmt.Fprintln(w, "ready")
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "%s seq %d\n%s", name, rep.Seq(), replicaFiller)
-	})
-	serveBackend(t, ln, mux)
+	rep := openReplica(t, t.TempDir(), primaryURL, opt)
+	serveRoot(t, rep.Root(func(db *platform.DB) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprintf(w, "%s seq %d\n%s", name, db.EventSeq(), replicaFiller)
+		})
+	}, time.Hour, 0), ln)
+	return rep
 }
 
-// servePrimaryBackend exposes a primary the way cmd/dissenter-platform
-// does: the mirrored probe shape, a write endpoint, a read surface
-// whose hits the test counts (the pool exists to keep that counter
-// low).
+// servePrimaryBackend serves db's PrimaryRoot on ln over a scripted
+// app: a write endpoint, and a read surface whose hits the test counts
+// (the pool exists to keep that counter low).
 func servePrimaryBackend(t *testing.T, db *platform.DB, ln net.Listener, reads *atomic.Int64, onVote func()) {
 	t.Helper()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/replication-status", func(w http.ResponseWriter, r *http.Request) {
-		replica.ServeStatus(w, replica.PrimaryStatus(db, 0, nil))
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ready") })
 	mux.HandleFunc("/discussion/vote", func(w http.ResponseWriter, r *http.Request) {
 		if onVote != nil {
 			onVote()
@@ -95,7 +82,7 @@ func servePrimaryBackend(t *testing.T, db *platform.DB, ln net.Listener, reads *
 		}
 		fmt.Fprintf(w, "primary seq %d\n", db.EventSeq())
 	})
-	serveBackend(t, ln, mux)
+	serveRoot(t, replica.PrimaryRoot(db, nil, mux), ln)
 }
 
 func gwDo(g *gateway.Gateway, method, target string) *httptest.ResponseRecorder {
@@ -140,10 +127,9 @@ func TestChaosGatewayReplicaTornMidRead(t *testing.T) {
 		faultinject.Rule{Op: faultinject.OpConnWrite, After: 3, Count: 1, CutAfter: 1024},
 		faultinject.Rule{Op: faultinject.OpAccept, After: 4, Count: 0, Err: faultinject.ErrInjected},
 	)
-	rep := runReplica(t, t.TempDir(), pub.URL, replica.Options{})
-	waitFor(t, "replica catch-up", func() bool { return rep.Seq() == primary.EventSeq() })
 	rln := listen(t)
-	serveReplicaBackend(t, rep, "r1", inj.Listener(rln))
+	rep := serveReplicaBackend(t, pub.URL, replica.Options{}, "r1", inj.Listener(rln))
+	waitFor(t, "replica catch-up", func() bool { return rep.Seq() == primary.EventSeq() })
 	pln := listen(t)
 	servePrimaryBackend(t, primary, pln, nil, nil)
 
@@ -217,13 +203,12 @@ func TestChaosGatewayPrimaryFlapDuringWrites(t *testing.T) {
 	primary.SubmitURL(cu)
 	pub := httptest.NewServer(&replica.Publisher{DB: primary})
 	t.Cleanup(pub.Close)
-	rep := runReplica(t, t.TempDir(), pub.URL, replica.Options{})
+	rln := listen(t)
+	rep := serveReplicaBackend(t, pub.URL, replica.Options{}, "r1", rln)
 
 	inj := faultinject.NewInjector()
 	pln := listen(t)
 	servePrimaryBackend(t, primary, inj.Listener(pln), nil, func() { primary.Vote(cu.ID, 1, 0) })
-	rln := listen(t)
-	serveReplicaBackend(t, rep, "r1", rln)
 
 	g := gateway.New("http://"+pln.Addr().String(), []string{"http://" + rln.Addr().String()},
 		gateway.Options{Transport: freshConns(), EjectAfter: 2, Logf: t.Logf})
@@ -291,14 +276,12 @@ func TestChaosGatewayPoolLagExcursion(t *testing.T) {
 
 	inj := faultinject.NewInjector()
 	streamClient := &http.Client{Transport: inj.Transport(http.DefaultTransport)}
-	r1 := runReplica(t, t.TempDir(), pub.URL, replica.Options{Client: streamClient})
-	r2 := runReplica(t, t.TempDir(), pub.URL, replica.Options{Client: streamClient})
+	ln1, ln2, pln := listen(t), listen(t), listen(t)
+	r1 := serveReplicaBackend(t, pub.URL, replica.Options{Client: streamClient}, "r1", ln1)
+	r2 := serveReplicaBackend(t, pub.URL, replica.Options{Client: streamClient}, "r2", ln2)
 	waitFor(t, "pool catch-up", func() bool {
 		return r1.Seq() == primary.EventSeq() && r2.Seq() == primary.EventSeq()
 	})
-	ln1, ln2, pln := listen(t), listen(t), listen(t)
-	serveReplicaBackend(t, r1, "r1", ln1)
-	serveReplicaBackend(t, r2, "r2", ln2)
 	var primaryReads atomic.Int64
 	servePrimaryBackend(t, primary, pln, &primaryReads, nil)
 

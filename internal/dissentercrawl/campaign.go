@@ -44,11 +44,16 @@ type Campaign struct {
 	// Crawl state Run leaves behind so Stabilize (livegrowth.go) can
 	// keep re-spidering a platform that grew mid-crawl: the known URL
 	// universe, the merged comment mirror keyed by comment-id, and the
-	// Gab account directory from enumeration.
+	// Gab enumeration (as returned, and as a directory by username).
 	urlSet        map[string]bool
 	base          map[string]corpus.Comment
+	accounts      []gabcrawl.Account
 	gabByUsername map[string]gabcrawl.Account
 }
+
+// Accounts returns the §3.1 enumeration Run made, sorted by Gab ID —
+// Figure 2's input, so a caller need not walk the ID space again.
+func (c *Campaign) Accounts() []gabcrawl.Account { return c.accounts }
 
 // Run executes the campaign and returns the mirrored dataset.
 func (c *Campaign) Run(ctx context.Context) (*corpus.Dataset, error) {
@@ -59,6 +64,7 @@ func (c *Campaign) Run(ctx context.Context) (*corpus.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
+	c.accounts = accounts
 	c.gabByUsername = make(map[string]gabcrawl.Account, len(accounts))
 	usernames := make([]string, 0, len(accounts))
 	for _, a := range accounts {

@@ -23,6 +23,34 @@ import (
 // the concurrent variant races posters and voters against readers and
 // re-checks equality for all four session views once writes quiesce.
 
+// visible is the seed visibility rule, flag by flag, kept independent
+// of platform.Visible's class mask on purpose: every oracle render in
+// this package filters through it.
+func visible(c *platform.Comment, sess Session) bool {
+	if c.NSFW && !sess.ShowNSFW {
+		return false
+	}
+	if c.Offensive && !sess.ShowOffensive {
+		return false
+	}
+	return true
+}
+
+// TestVisibleMatchesClassMask pins the production mask form equal to
+// the flag-by-flag reference on all 4 comment classes x 4 session
+// views, so a rule the mask cannot express fails here first.
+func TestVisibleMatchesClassMask(t *testing.T) {
+	for cls := 0; cls < 4; cls++ {
+		c := &platform.Comment{NSFW: cls&1 != 0, Offensive: cls&2 != 0}
+		for view := 0; view < 4; view++ {
+			sess := Session{ShowNSFW: view&1 != 0, ShowOffensive: view&2 != 0}
+			if got, want := platform.Visible(c, sess.ShowNSFW, sess.ShowOffensive), visible(c, sess); got != want {
+				t.Errorf("class %02b under view %02b: platform.Visible = %v, reference = %v", cls, view, got, want)
+			}
+		}
+	}
+}
+
 // oracleCommentDiv is the seed row renderer, kept independent of
 // platform.AppendCommentRow on purpose.
 func oracleCommentDiv(b *bytes.Buffer, class string, c *platform.Comment, withParent bool) {

@@ -257,24 +257,6 @@ func (s *Server) session(r *http.Request) Session {
 	return s.sessions[tok]
 }
 
-// visible reports whether a comment is rendered for the session.
-//
-// INVARIANT: this predicate must stay exactly expressible as
-// platform's visibility-class mask (trendindex.go: viewMask /
-// visibleCount) — handleTrends serves counts computed by that mask,
-// and any rule added here that the mask cannot express (say,
-// authors always seeing their own flagged comments) would silently
-// diverge trends counts from discussion pages.
-func visible(c *platform.Comment, sess Session) bool {
-	if c.NSFW && !sess.ShowNSFW {
-		return false
-	}
-	if c.Offensive && !sess.ShowOffensive {
-		return false
-	}
-	return true
-}
-
 // --- response cache helpers --------------------------------------------
 
 // page is one response-cache entry. Simple endpoints (home, trends,
@@ -633,7 +615,7 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, cidStr st
 	}
 	c := s.db.CommentByID(cid)
 	sess := s.session(r)
-	if c == nil || !visible(c, sess) {
+	if c == nil || !platform.Visible(c, sess.ShowNSFW, sess.ShowOffensive) {
 		http.NotFound(w, r)
 		return
 	}
@@ -645,7 +627,7 @@ func (s *Server) handleComment(w http.ResponseWriter, r *http.Request, cidStr st
 	// replies use the "reply" class (uncached page, cold path).
 	b.Write(platform.AppendCommentRow(b.AvailableBuffer(), "comment", c, true))
 	s.db.RangeCommentsOnURL(c.URLID, func(reply *platform.Comment) bool {
-		if reply.ParentID == c.ID && visible(reply, sess) {
+		if reply.ParentID == c.ID && platform.Visible(reply, sess.ShowNSFW, sess.ShowOffensive) {
 			b.Write(platform.AppendCommentRow(b.AvailableBuffer(), "reply", reply, false))
 		}
 		return true

@@ -367,13 +367,13 @@ func decodePayload(payload []byte) (rec Record, known bool, err error) {
 	return rec, true, nil
 }
 
-// Decoder reads frames from a stream — a WAL's record section or a
-// replication response body. It skips records it cannot understand
-// (unknown wire name or newer codec version), counting them, and
-// fails on corruption (bad checksum, malformed body, implausible
-// length). Next returns io.EOF at a clean end of stream and
-// io.ErrUnexpectedEOF on a frame cut short — WAL recovery treats the
-// latter as a torn tail.
+// Decoder reads frames from a stream: the replication response body
+// (WAL recovery does not come through here — OpenWALFS walks the file
+// it has read whole with its own frame loop). It skips records it
+// cannot understand (unknown wire name or newer codec version),
+// counting them, and fails on corruption (bad checksum, malformed
+// body, implausible length). Next returns io.EOF at a clean end of
+// stream and io.ErrUnexpectedEOF on a frame cut short.
 type Decoder struct {
 	r       *bufio.Reader
 	hdr     [8]byte

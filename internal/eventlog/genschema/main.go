@@ -1,7 +1,6 @@
 // Command genschema writes the eventlog wire-schema lockfile. It is
 // run by `go generate ./internal/eventlog`; the committed output is
-// what TestWireSchemaUpToDate and the wirecompat analyzer check
-// against.
+// what TestWireSchemaUpToDate checks against.
 package main
 
 import (

@@ -17,11 +17,12 @@ import (
 // these structs — names, types, order — the de-facto wire contract
 // with every log and snapshot already on disk and every replica
 // already streaming. WireSchema reifies that shape; go generate
-// writes it to testdata/wire_schema.json, TestWireSchemaUpToDate
-// fails CI when the lockfile is stale, and the wirecompat analyzer
-// (internal/lint) fails `go vet` when a locked field is removed,
-// retyped, or reordered. Appending fields is the one legal evolution:
-// the decoder's forward-compat path already tolerates longer bodies.
+// writes it to testdata/wire_schema.json, and TestWireSchemaUpToDate
+// fails CI on ANY difference between the two, so no shape change lands
+// without the lockfile's diff in front of a reviewer. Appending fields
+// is the one legal evolution (the decoder's forward-compat path
+// already tolerates longer bodies); what pins the bytes already on
+// disk is the codec's golden files and FuzzRoundTrip.
 
 // WireField is one locked struct field.
 type WireField struct {

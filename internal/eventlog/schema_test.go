@@ -9,9 +9,9 @@ import (
 )
 
 // TestWireSchemaUpToDate pins the committed lockfile to the live
-// struct shapes: an APPENDED field is wire-legal (wirecompat allows
-// it) but still changes the schema, and this test is what forces the
-// regeneration to be committed alongside it.
+// struct shapes: any change — a removed, retyped or reordered field
+// (a wire break) or an appended one (wire-legal) — fails here until
+// the regenerated lockfile is committed alongside it.
 func TestWireSchemaUpToDate(t *testing.T) {
 	want := WireSchemaJSON()
 	got, err := os.ReadFile("testdata/wire_schema.json")

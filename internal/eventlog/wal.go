@@ -69,20 +69,15 @@ func CreateWALFS(fsys faultinject.FS, path string, base uint64) (*WAL, error) {
 	return &WAL{path: path, f: f, w: bufio.NewWriter(f), base: base, last: base, size: int64(len(hdr))}, nil
 }
 
-// OpenWAL opens an existing WAL, replaying every decodable record (in
-// sequence order, contiguity enforced) through apply, and truncating
-// any torn tail — a partial frame or one failing its checksum — at the
-// last whole record, which is where a crashed append stopped. The
-// returned WAL is positioned for appending. apply may be nil (scan
-// without replay: the Persister resuming a log the store already
-// restored). Records whose event type or codec version is unknown
-// advance the sequence cursor but are not applied; SkippedOnOpen
-// reports how many.
-func OpenWAL(path string, apply func(Record) error) (*WAL, int, error) {
-	return OpenWALFS(faultinject.OS, path, apply)
-}
-
-// OpenWALFS is OpenWAL through an injectable filesystem.
+// OpenWALFS opens an existing WAL through fsys, replaying every
+// decodable record (in sequence order, contiguity enforced) through
+// apply, and truncating any torn tail — a partial frame or one failing
+// its checksum — at the last whole record, which is where a crashed
+// append stopped. The returned WAL is positioned for appending. apply
+// may be nil (scan without replay: the Persister resuming a log the
+// store already restored). Records whose event type or codec version
+// is unknown advance the sequence cursor but are not applied; the
+// second result reports how many.
 func OpenWALFS(fsys faultinject.FS, path string, apply func(Record) error) (*WAL, int, error) {
 	b, err := fsys.ReadFile(path)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dissenter/internal/faultinject"
 )
 
 // TestWALRoundTrip pins the append → sync → reopen → replay cycle.
@@ -24,12 +26,12 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 
 	var back []Record
-	w2, skipped, err := OpenWAL(path, func(rec Record) error {
+	w2, skipped, err := OpenWALFS(faultinject.OS, path, func(rec Record) error {
 		back = append(back, rec)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
+		t.Fatalf("OpenWALFS: %v", err)
 	}
 	defer w2.Close()
 	if skipped != 0 {
@@ -92,12 +94,12 @@ func TestWALTornTail(t *testing.T) {
 			}
 
 			var back []Record
-			w2, _, err := OpenWAL(path, func(rec Record) error {
+			w2, _, err := OpenWALFS(faultinject.OS, path, func(rec Record) error {
 				back = append(back, rec)
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("OpenWAL on torn file: %v", err)
+				t.Fatalf("OpenWALFS on torn file: %v", err)
 			}
 			wantLast := recs[len(recs)-2].Seq
 			if w2.LastSeq() != wantLast {
@@ -113,7 +115,7 @@ func TestWALTornTail(t *testing.T) {
 				t.Fatal(err)
 			}
 			var again []Record
-			w3, _, err := OpenWAL(path, func(rec Record) error {
+			w3, _, err := OpenWALFS(faultinject.OS, path, func(rec Record) error {
 				again = append(again, rec)
 				return nil
 			})
@@ -160,12 +162,12 @@ func TestWALSkipsUnknownRecords(t *testing.T) {
 	f.Close()
 
 	var back []Record
-	w2, skipped, err := OpenWAL(path, func(rec Record) error {
+	w2, skipped, err := OpenWALFS(faultinject.OS, path, func(rec Record) error {
 		back = append(back, rec)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("OpenWAL: %v", err)
+		t.Fatalf("OpenWALFS: %v", err)
 	}
 	defer w2.Close()
 	if skipped != 1 {

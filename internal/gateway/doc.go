@@ -93,4 +93,11 @@
 // request into a storm of retries. The budget is a pure function of
 // the request sequence (no clocks), so schedules over it are
 // deterministic.
+//
+// # Serving
+//
+// Gateway.Root is the gateway as an httpguard.Root — the proxy behind
+// admission control, /gateway/status outside it, readiness =
+// ReadyCheck — and is what the binary runs. It starts no prober:
+// the binary calls ProbeNow and Run, a fault schedule scripts ProbeNow.
 package gateway

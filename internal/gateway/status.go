@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"dissenter/internal/httpguard"
 )
 
 // BackendStatus is the gateway's view of one fleet member.
@@ -79,4 +81,16 @@ func (g *Gateway) ReadyCheck() error {
 		}
 	}
 	return errors.New("every backend is ejected")
+}
+
+// Root is the gateway as a server: the proxy behind admission control,
+// /gateway/status outside it, readiness = ReadyCheck. It has no state
+// to flush, so no Close, and it starts no prober: the binary calls
+// ProbeNow and Run, a fault schedule scripts ProbeNow alone.
+func (g *Gateway) Root() httpguard.Root {
+	return httpguard.Root{
+		Health: httpguard.NewHealth(httpguard.Check{Name: "backends", Probe: g.ReadyCheck}),
+		Exempt: map[string]http.Handler{"/gateway/status": http.HandlerFunc(g.ServeStatus)},
+		App:    g,
+	}
 }

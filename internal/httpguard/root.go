@@ -15,7 +15,10 @@ import (
 )
 
 // Root is one server process: the operational surface every binary
-// shares, the app behind admission control, and the run loop.
+// shares, the app behind admission control, and the run loop. Each
+// fleet role fills one in exactly one place — replica.PrimaryRoot,
+// (*replica.Replica).Root, (*gateway.Gateway).Root — which the binaries
+// Run and the test rigs Serve.
 //
 // /healthz, /readyz, the Exempt mounts and (with Pprof) /debug/pprof/
 // sit OUTSIDE admission: the load balancer must always reach the

@@ -12,51 +12,72 @@ import (
 	"testing"
 	"time"
 
+	"dissenter/internal/gateway"
 	"dissenter/internal/httpguard"
 	"dissenter/internal/platform"
 	"dissenter/internal/replica"
 )
 
+// get returns the response headers and closes the body unread: one of
+// the paths it fetches is a stream that never ends.
 func get(t *testing.T, url string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
-	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp
 }
 
-// TestRootOpsSurfaceOutsideAdmission pins the one root all three
-// binaries serve: with the app saturated (MaxInflight=1, one request
-// parked in it) /healthz, /readyz, the binary's status mount and —
-// only when asked for — /debug/pprof/ still answer 200, while a second
-// app request is shed with 503 + Retry-After.
+// TestRootOpsSurfaceOutsideAdmission pins the Root each role's
+// constructor returns — what the three binaries serve. With the app
+// saturated (MaxInflight=1, one request parked in it) /healthz,
+// /readyz, the role's exempt mounts and — only when asked for —
+// /debug/pprof/ still answer 200, while a second app request is shed
+// with 503 + Retry-After. app is each role's read surface; for the
+// gateway, whose App is the proxy itself, it is the backend proxied to.
 func TestRootOpsSurfaceOutsideAdmission(t *testing.T) {
 	for _, tc := range []struct {
-		name, status string
-		pprof        bool
+		name   string
+		pprof  bool
+		exempt []string
+		root   func(t *testing.T, app http.Handler) httpguard.Root
 	}{
-		{"primary", "/replication-status", false},
-		{"replica", "/replication-status", true},
-		{"gateway", "/gateway/status", false},
+		{"primary", false, []string{"/replication-status", "/replication/events?since=0"},
+			func(t *testing.T, app http.Handler) httpguard.Root {
+				return replica.PrimaryRoot(platform.New(nil, nil, nil, nil), nil, app)
+			}},
+		{"replica", true, []string{"/replication-status"},
+			func(t *testing.T, app http.Handler) httpguard.Root {
+				pub := httptest.NewServer(&replica.Publisher{DB: platform.New(nil, nil, nil, nil)})
+				t.Cleanup(pub.Close)
+				rep, err := replica.Open(t.TempDir(), pub.URL, replica.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return rep.Root(func(*platform.DB) http.Handler { return app }, time.Hour, 0)
+			}},
+		{"gateway", false, []string{"/gateway/status"},
+			func(t *testing.T, app http.Handler) httpguard.Root {
+				backend := httptest.NewServer(app)
+				t.Cleanup(backend.Close)
+				return gateway.New(backend.URL, nil, gateway.Options{}).Root()
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			parked, release := make(chan struct{}), make(chan struct{})
-			root := httpguard.Root{
-				Health:      httpguard.NewHealth(),
-				MaxInflight: 1,
-				Pprof:       tc.pprof,
-				Exempt: map[string]http.Handler{
-					tc.status: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "{}") }),
-				},
-				App: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if r.URL.Path == "/park" {
-						close(parked)
-						<-release
-					}
-				}),
+			root := tc.root(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/park" {
+					close(parked)
+					<-release
+				}
+			}))
+			root.MaxInflight, root.Pprof = 1, tc.pprof
+			if root.Close != nil {
+				// Before the role's own cleanups: the replica's stream
+				// must end for its publisher to close.
+				t.Cleanup(func() { root.Close() })
 			}
 			srv := httptest.NewServer(root.Handler())
 			defer srv.Close()
@@ -69,7 +90,7 @@ func TestRootOpsSurfaceOutsideAdmission(t *testing.T) {
 
 			// /debug/pprof/goroutine goes through pprof.Index: the whole
 			// profiling route is live, not just its landing page.
-			for _, path := range []string{"/healthz", "/readyz", tc.status, "/debug/pprof/", "/debug/pprof/goroutine?debug=1"} {
+			for _, path := range append(tc.exempt, "/healthz", "/readyz", "/debug/pprof/", "/debug/pprof/goroutine?debug=1") {
 				want := http.StatusOK
 				if !tc.pprof && strings.HasPrefix(path, "/debug") {
 					// Not mounted: the path is ordinary app traffic, shed

@@ -8,7 +8,7 @@
 // -vettool=$(dissenter-vet) ./...` runs it over every package; `make
 // lint` and CI do exactly that.
 //
-// The four analyzers turn the repository's load-bearing conventions —
+// The three analyzers turn the repository's load-bearing conventions —
 // previously enforced only by review and runtime tests — into build
 // failures:
 //
@@ -30,11 +30,6 @@
 //     caller-supplied callbacks, channel operations, or I/O while a
 //     shard/segment mutex is held, and every Lock/RLock must be
 //     matched by a defer or a same-block unlock.
-//
-//   - wirecompat: the structs the eventlog codec encodes must not
-//     remove, retype, or reorder fields relative to the committed
-//     lockfile internal/eventlog/testdata/wire_schema.json (appends
-//     are legal and regenerate the lockfile via go generate).
 //
 // A construct an analyzer would flag but that is correct by documented
 // design is suppressed in place with

@@ -56,9 +56,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzers returns the project's four analyzers in reporting order.
+// Analyzers returns the project's three analyzers in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{ViewPurity, CacheCoherence, LockScope, WireCompat}
+	return []*Analyzer{ViewPurity, CacheCoherence, LockScope}
 }
 
 // Run executes the analyzers over one type-checked package and returns

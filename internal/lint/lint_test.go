@@ -23,8 +23,3 @@ func TestLockScope(t *testing.T) {
 	linttest.Run(t, src, "lockbad/internal/platform", lint.LockScope)
 	linttest.Run(t, src, "lockok/internal/platform", lint.LockScope)
 }
-
-func TestWireCompat(t *testing.T) {
-	linttest.Run(t, src, "wirebad/internal/eventlog", lint.WireCompat)
-	linttest.Run(t, src, "wireok/internal/eventlog", lint.WireCompat)
-}

@@ -1,9 +1,9 @@
 package platform
 
 import (
+	"hash/maphash"
 	"sync"
 
-	"dissenter/internal/hashkit"
 	"dissenter/internal/ids"
 )
 
@@ -126,19 +126,12 @@ func (s *shardedMap[K, V]) getOrCreate(k K, create func() V) (V, bool) {
 
 // --- hash functions -----------------------------------------------------
 
-func hashGabID(id ids.GabID) uint64 { return hashkit.Mix64(uint64(id)) }
+// hashSeed keys every shard hash of this process. Placement is private
+// to the process: nothing may depend on which shard a key lands in.
+var hashSeed = maphash.MakeSeed()
 
-// hashObjectID folds the 12 identifier bytes. The timestamp prefix alone
-// would cluster same-second IDs, so the machine+counter suffix is mixed in.
-func hashObjectID(id ids.ObjectID) uint64 {
-	var hi, lo uint64
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(id[i])
-	}
-	for i := 8; i < 12; i++ {
-		lo = lo<<8 | uint64(id[i])
-	}
-	return hashkit.Mix64(hi ^ hashkit.Mix64(lo))
-}
+func hashGabID(id ids.GabID) uint64 { return maphash.Comparable(hashSeed, id) }
 
-func hashString(s string) uint64 { return hashkit.FNV1a(s) }
+func hashObjectID(id ids.ObjectID) uint64 { return maphash.Bytes(hashSeed, id[:]) }
+
+func hashString(s string) uint64 { return maphash.String(hashSeed, s) }

@@ -78,10 +78,7 @@ func commentClass(c *Comment) int {
 
 // viewMask encodes session settings the same way: bit 0 = show NSFW,
 // bit 1 = show offensive. A class is visible in a view iff the class's
-// flags are a subset of the view's (cls &^ view == 0). This is the
-// class-mask form of dissenterweb's per-comment visible() predicate;
-// the two must stay equivalent (see the INVARIANT note there) or
-// trends counts diverge from the pages they link to.
+// flags are a subset of the view's (cls &^ view == 0).
 func viewMask(showNSFW, showOffensive bool) int {
 	v := 0
 	if showNSFW {
@@ -91,6 +88,13 @@ func viewMask(showNSFW, showOffensive bool) int {
 		v |= classOffensive
 	}
 	return v
+}
+
+// Visible reports whether a session with these view settings is shown
+// c: the one definition of comment visibility, behind the trends
+// counts, the page views and the single-comment page alike.
+func Visible(c *Comment, showNSFW, showOffensive bool) bool {
+	return commentClass(c)&^viewMask(showNSFW, showOffensive) == 0
 }
 
 // visibleCount sums the classes a view exposes.

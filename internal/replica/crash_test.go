@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,41 +47,32 @@ func TestReplicaChildProcess(t *testing.T) {
 	primaryURL := os.Getenv("REPLICA_PRIMARY")
 	dir := os.Getenv("REPLICA_DIR")
 
-	var handler atomic.Value
-	bind := func(db *platform.DB) {
+	rep, err := Open(dir, primaryURL, Options{ReconnectWait: 10 * time.Millisecond})
+	if err != nil {
+		fmt.Printf("CHILD-ERROR %v\n", err)
+		os.Exit(1)
+	}
+	// The restored sequence number, read before the loop starts, proves
+	// (to the parent) whether this run resumed local state or started
+	// from scratch.
+	restored := rep.Seq()
+	root := rep.Root(func(db *platform.DB) http.Handler {
 		web := dissenterweb.NewServer(db,
 			dissenterweb.ReadOnly(),
 			dissenterweb.WithURLRateLimit(0, 0))
 		for tok, sess := range crashSessions {
 			web.RegisterSession(tok, sess)
 		}
-		handler.Store(http.Handler(web))
-	}
-	rep, err := Open(dir, primaryURL, Options{OnState: bind, ReconnectWait: 10 * time.Millisecond})
-	if err != nil {
-		fmt.Printf("CHILD-ERROR %v\n", err)
-		os.Exit(1)
-	}
-	go rep.Run(context.Background())
-
+		return web
+	}, 0, 0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Printf("CHILD-ERROR %v\n", err)
 		os.Exit(1)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/replication-status", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"applied":%d,"durable":%d}`+"\n", rep.Seq(), rep.Durable())
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		handler.Load().(http.Handler).ServeHTTP(w, r)
-	})
-	// The restored sequence number proves (to the parent) whether this
-	// run resumed local state or started from scratch.
-	fmt.Printf("LISTENING %s seq=%d\n", ln.Addr(), rep.Seq())
+	fmt.Printf("LISTENING %s seq=%d\n", ln.Addr(), restored)
 	os.Stdout.Sync()
-	http.Serve(ln, mux)
+	root.Serve(context.Background(), ln)
 }
 
 // child is a running replica helper process.
@@ -139,7 +129,7 @@ func (c *child) status(t *testing.T) (applied, durable uint64) {
 		return 0, 0 // child mid-start or mid-kill; callers poll
 	}
 	defer resp.Body.Close()
-	var s struct{ Applied, Durable uint64 }
+	var s StatusJSON
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
 		return 0, 0
 	}

@@ -22,7 +22,7 @@
 //	                                    └──────────────────────┘
 //
 // Protocol. Two endpoints, mounted wherever the Publisher is routed
-// (cmd/dissenter-platform mounts it at /replication/):
+// (PrimaryRoot mounts it at /replication/):
 //
 //   - GET <mount>/events?since=N streams the events after sequence
 //     point N as eventlog codec frames (see that package's wire
@@ -76,8 +76,16 @@
 // (stale-after and max-lag thresholds, plus the local persister's
 // sticky error). Readiness is load-balancer advice, not an admission
 // gate: a not-ready replica keeps serving its last-applied state —
-// stale answers beat shed ones for this read-mostly corpus (see
-// cmd/dissenter-replica, which labels them X-Served-Stale: 1).
+// stale answers beat shed ones for this read-mostly corpus (Root
+// labels them X-Served-Stale: 1).
+//
+// Serving. root.go wires both roles as an httpguard.Root, once:
+// PrimaryRoot (the publisher and the status page outside admission,
+// readiness = the persister, Close = its flush) and Replica.Root (the
+// replication loop, a handler per store swapped when a bootstrap
+// replaces it, the stale label, Close = end the loop then flush). The
+// binaries, the fault schedules and the crash-recovery child all
+// serve those.
 //
 // Fault seams. Options.Client accepts any http.Client, so a
 // faultinject.Transport can script connection refusals, mid-frame

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -34,8 +35,8 @@ type Options struct {
 	// OnState is called with the replica's DB when it is (re)bound: once
 	// during Open and again after every snapshot bootstrap, which
 	// REPLACES the DB instance. A serving layer holding the old pointer
-	// keeps reading a frozen store; rebind handlers here (a new
-	// dissenterweb.Server attaches its own coherence view).
+	// keeps reading a frozen store. Root does this rebinding itself; the
+	// hook is for a caller that serves the store some other way.
 	OnState func(*platform.DB)
 	// Logf, when set, receives replication diagnostics.
 	Logf func(format string, args ...any)
@@ -47,7 +48,8 @@ const maxBackoff = 32
 
 // Replica tails a primary's event stream into its own store. Open
 // restores local durable state, Run drives the stream until the
-// context ends, DB hands the current store to a serving layer.
+// context ends or Close is called, DB hands the current store to a
+// serving layer; Root (root.go) is all of that wired as one server.
 type Replica struct {
 	dir     string
 	primary string // publisher mount, e.g. http://host:port/replication
@@ -58,7 +60,10 @@ type Replica struct {
 	mu             sync.Mutex
 	db             *platform.DB
 	pers           *eventlog.Persister
+	bind           func(*platform.DB) // Root's handler swap, called when a bootstrap replaces db
 	closed         bool
+	stopRun        context.CancelFunc // ends the Run in progress, if any
+	running        sync.WaitGroup     // that Run; Add under mu while !closed
 	streaming      bool
 	lastHead       uint64
 	disconnectedAt time.Time
@@ -142,8 +147,8 @@ func trimSlash(s string) string {
 }
 
 // DB returns the replica's current store. After a snapshot bootstrap
-// this is a NEW instance; long-lived holders should rebind via
-// Options.OnState instead of caching this value.
+// this is a NEW instance; long-lived holders should serve through Root
+// (or rebind via Options.OnState) instead of caching this value.
 func (r *Replica) DB() *platform.DB {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -225,14 +230,22 @@ func (r *Replica) Ready(staleAfter time.Duration, maxLag uint64) error {
 	return nil
 }
 
-// Close stops the local durability loop, draining outstanding events
-// to the WAL first. Cancel Run's context before (or concurrently with)
-// calling Close.
+// Close ends the Run in progress, if any, waits for it to return, then
+// stops the local durability loop, draining outstanding events to the
+// WAL first. A closed replica cannot Run again.
 func (r *Replica) Close() error {
+	r.mu.Lock()
+	r.closed = true
+	stop := r.stopRun
+	r.mu.Unlock()
+	if stop != nil {
+		stop()
+	}
+	r.running.Wait()
+	// Only Run's bootstrap replaces the persister, and Run is over.
 	r.mu.Lock()
 	pers := r.pers
 	r.pers = nil
-	r.closed = true
 	r.mu.Unlock()
 	if pers == nil {
 		return nil
@@ -250,14 +263,27 @@ func jitter(d time.Duration) time.Duration {
 	return half + rand.N(half+1)
 }
 
-// Run drives the replication loop until ctx ends: stream, apply,
-// reconnect on failure, bootstrap from a snapshot when the primary
-// answers 410 Gone. It returns ctx.Err() and never gives up on
-// transient failures — a replica's job is to be caught up whenever the
-// primary is reachable. Repeated failures without progress back off
-// exponentially (jittered, capped at maxBackoff x Options.ReconnectWait); any
-// applied event or clean stream close resets the backoff.
+// Run drives the replication loop until ctx ends or Close is called:
+// stream, apply, reconnect on failure, bootstrap from a snapshot when
+// the primary answers 410 Gone. It returns the context's error and
+// never gives up on transient failures — a replica's job is to be
+// caught up whenever the primary is reachable. Repeated failures
+// without progress back off exponentially (jittered, capped at
+// maxBackoff x Options.ReconnectWait); any applied event or clean
+// stream close resets the backoff. One Run at a time.
 func (r *Replica) Run(ctx context.Context) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return errors.New("replica: Run after Close")
+	}
+	r.stopRun = cancel
+	r.running.Add(1)
+	r.mu.Unlock()
+	defer r.running.Done()
+
 	wait := r.opt.ReconnectWait
 	for {
 		before := r.Seq()
@@ -360,9 +386,10 @@ func (r *Replica) streamOnce(ctx context.Context) error {
 }
 
 // bootstrap rebuilds the replica from the primary's snapshot: fetch
-// the checkpoint, build a fresh store from it, wipe and restart local
-// persistence at the snapshot's sequence point, and hand the new store
-// to OnState. The old store keeps serving reads until the swap.
+// the checkpoint, build a fresh store from it, swap it in (Root's
+// handler with it), wipe and restart local persistence at the
+// snapshot's sequence point, and hand the new store to OnState. The
+// old store keeps serving reads until the swap.
 func (r *Replica) bootstrap(ctx context.Context) error {
 	r.logf("replica: bootstrapping from snapshot")
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.primary+"/snapshot", nil)
@@ -388,13 +415,16 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 	// the fresh state immediately, and a crash mid-rebootstrap just
 	// re-bootstraps (the wiped directory restores to nothing).
 	r.mu.Lock()
-	oldPers := r.pers
+	oldPers, bind := r.pers, r.bind
 	r.db = db
 	r.pers = nil
 	if cp.Seq > r.lastHead {
 		r.lastHead = cp.Seq
 	}
 	r.mu.Unlock()
+	if bind != nil {
+		bind(db)
+	}
 	if oldPers != nil {
 		oldPers.Close()
 	}
@@ -406,11 +436,6 @@ func (r *Replica) bootstrap(ctx context.Context) error {
 		return err
 	}
 	r.mu.Lock()
-	if r.closed {
-		// Close won the race with the rebootstrap; don't leak a loop.
-		r.mu.Unlock()
-		return pers.Close()
-	}
 	r.pers = pers
 	r.mu.Unlock()
 	if r.opt.OnState != nil {

@@ -13,7 +13,7 @@ import (
 )
 
 // startReplica opens a replica against primary's publisher mount and
-// runs its loop until the test ends.
+// runs its loop until the test ends (Close ends the loop).
 func startReplica(t *testing.T, dir, primaryURL string, opt Options) *Replica {
 	t.Helper()
 	if opt.ReconnectWait == 0 {
@@ -23,17 +23,8 @@ func startReplica(t *testing.T, dir, primaryURL string, opt Options) *Replica {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		rep.Run(ctx)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		<-done
-		rep.Close()
-	})
+	go rep.Run(context.Background())
+	t.Cleanup(func() { rep.Close() })
 	return rep
 }
 
@@ -193,12 +184,8 @@ func TestReplicaRestartResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan struct{})
-		go func() { defer close(done); rep.Run(ctx) }()
+		go rep.Run(context.Background())
 		waitSeq(t, rep, primary.EventSeq())
-		cancel()
-		<-done
 		if err := rep.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -214,10 +201,8 @@ func TestReplicaRestartResume(t *testing.T) {
 	if rep.Seq() == 0 {
 		t.Fatal("reopened replica restored nothing — resume is a full replay")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); rep.Run(ctx) }()
-	defer func() { cancel(); <-done; rep.Close() }()
+	go rep.Run(context.Background())
+	defer rep.Close()
 	waitSeq(t, rep, primary.EventSeq())
 	assertConverged(t, primary, rep.DB(), append(urls, more...))
 }

@@ -42,6 +42,7 @@ var blocks = []struct {
 	{false, shadowOverlay},
 	{false, covertChannels},
 	{false, proactiveDefense},
+	{false, dictionary},
 	{false, nlpPipeline},
 }
 
@@ -367,6 +368,16 @@ func proactiveDefense(w io.Writer, r *Result) {
 			Holds:    def.FeasiblePages == def.PagesEvaluated},
 		{Metric: "producer effort (injected/organic)", Paper: "(future work)",
 			Measured: fmt.Sprintf("%.1fx", def.MeanInjectionRatio), Holds: true},
+	})
+}
+
+// §3.5.1 — the Hatebase-dictionary scorer, in aggregate.
+func dictionary(w io.Writer, r *Result) {
+	d := r.Study.Dictionary()
+	report.ComparisonBlock(w, "§3.5.1 dictionary scoring", []report.Comparison{
+		{Metric: "mean hate-term ratio", Paper: "non-zero", Measured: fmt.Sprintf("%.4f", d.Mean), Holds: d.Mean > 0},
+		{Metric: "comments with a dictionary match", Paper: "a minority",
+			Measured: report.Pct(d.FracNonZero), Holds: d.FracNonZero > 0.02 && d.FracNonZero < 0.9},
 	})
 }
 

@@ -103,9 +103,8 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	defer stopYT()
 
-	gab := gabcrawl.New(gabURL, nil)
 	campaign := &dissentercrawl.Campaign{
-		Gab:          gab,
+		Gab:          gabcrawl.New(gabURL, nil),
 		MaxGabID:     out.DB.MaxGabID(),
 		Web:          dissentercrawl.New(webURL, nil),
 		NSFWWeb:      dissentercrawl.New(webURL, nil, dissentercrawl.WithSession("nsfw-probe")),
@@ -117,10 +116,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: campaign: %w", err)
 	}
-	accounts, err := gab.Enumerate(ctx, out.DB.MaxGabID(), opts.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("repro: enumerate: %w", err)
-	}
 	validation, err := campaign.ValidateShadowSample(ctx, ds, 100, opts.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("repro: shadow validation: %w", err)
@@ -130,7 +125,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		Cfg:           cfg,
 		Out:           out,
 		DS:            ds,
-		Accounts:      accounts,
+		Accounts:      campaign.Accounts(),
 		Study:         analysis.NewStudy(ds),
 		Core:          graph.HatefulCoreParams{MinComments: cfg.HatefulCoreMinComments, MedianToxicity: 0.3},
 		Validation:    &validation,

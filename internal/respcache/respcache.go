@@ -68,14 +68,18 @@
 package respcache
 
 import (
+	"hash/maphash"
 	"strconv"
 	"sync"
 	"time"
-
-	"dissenter/internal/hashkit"
 )
 
 const cacheShards = 16
+
+// shardSeed keys the shard hash. maphash guarantees Bytes(seed, b) ==
+// String(seed, string(b)), which is what lets GetBytes route a scratch
+// []byte key to the shard its string form was stored in.
+var shardSeed = maphash.MakeSeed()
 
 // Cache is a fixed-capacity sharded LRU with per-entry expiry. The zero
 // value is not usable; construct with New.
@@ -151,7 +155,7 @@ func (s *lruShard[V]) init(maxSize int, ttl time.Duration) {
 }
 
 func (c *Cache[V]) shard(key string) *lruShard[V] {
-	return &c.shards[hashkit.FNV1a(key)%cacheShards]
+	return &c.shards[maphash.String(shardSeed, key)%cacheShards]
 }
 
 // Rev identifies one content generation of one cache key: the shard's
@@ -273,7 +277,7 @@ func (c *Cache[V]) UpdateRev(key string, f func(V, Rev) V) bool {
 // between).
 func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
 	var zero V
-	s := &c.shards[hashkit.FNV1aBytes(key)%cacheShards]
+	s := &c.shards[maphash.Bytes(shardSeed, key)%cacheShards]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.items[string(key)]

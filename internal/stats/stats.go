@@ -160,22 +160,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return quantileSorted(e.sorted, q)
 }
 
-// Points samples the ECDF at n evenly spaced x positions spanning the
-// sample range, returning (x, F(x)) pairs suitable for plotting a CDF
-// curve like Figures 3, 4, 6, and 7. n must be >= 2.
-func (e *ECDF) Points(n int) []Point {
-	if len(e.sorted) == 0 || n < 2 {
-		return nil
-	}
-	lo, hi := e.sorted[0], e.sorted[len(e.sorted)-1]
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		x := lo + (hi-lo)*float64(i)/float64(n-1)
-		pts[i] = Point{X: x, Y: e.At(x)}
-	}
-	return pts
-}
-
 // Point is an (x, y) pair in a rendered series.
 type Point struct{ X, Y float64 }
 
@@ -279,49 +263,6 @@ func FitPowerLaw(xs []float64, xmin float64) (PowerLawFit, error) {
 		return PowerLawFit{}, ErrEmpty
 	}
 	return PowerLawFit{Alpha: 1 + float64(n)/sum, XMin: xmin, N: n}, nil
-}
-
-// Pearson returns the Pearson correlation coefficient of the paired
-// samples xs and ys, or 0 if the lengths differ, are zero, or either
-// sample is constant.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Histogram counts observations into nbins equal-width bins spanning
-// [lo, hi]. Observations outside the range are clamped into the first or
-// last bin. It returns nil if nbins < 1 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins < 1 || hi <= lo {
-		return nil
-	}
-	counts := make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
 }
 
 // LogBin groups positive integer-valued observations (degrees, comment

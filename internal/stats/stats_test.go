@@ -87,28 +87,6 @@ func TestECDFEmpty(t *testing.T) {
 	if e.At(1) != 0 || e.FractionAbove(0) != 0 || e.Quantile(0.5) != 0 {
 		t.Error("zero-value ECDF should return 0 everywhere")
 	}
-	if e.Points(10) != nil {
-		t.Error("zero-value ECDF Points should be nil")
-	}
-}
-
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
-	pts := e.Points(11)
-	if len(pts) != 11 {
-		t.Fatalf("len(pts) = %d", len(pts))
-	}
-	if pts[0].X != 0 || pts[len(pts)-1].X != 9 {
-		t.Errorf("endpoints wrong: %v .. %v", pts[0], pts[len(pts)-1])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y < pts[i-1].Y {
-			t.Fatalf("CDF not monotone at %d: %v < %v", i, pts[i].Y, pts[i-1].Y)
-		}
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("CDF should reach 1, got %v", pts[len(pts)-1].Y)
-	}
 }
 
 func TestKolmogorovSmirnovIdentical(t *testing.T) {
@@ -214,35 +192,6 @@ func TestFitPowerLawEmpty(t *testing.T) {
 	}
 	if _, err := FitPowerLaw([]float64{0.5, 0.2}, 1); err != ErrEmpty {
 		t.Errorf("all-below-xmin err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	almost(t, Pearson(xs, ys), 1, 1e-12, "perfect positive")
-	neg := []float64{10, 8, 6, 4, 2}
-	almost(t, Pearson(xs, neg), -1, 1e-12, "perfect negative")
-	if Pearson(xs, []float64{1, 1, 1, 1, 1}) != 0 {
-		t.Error("constant sample should give 0")
-	}
-	if Pearson(xs, ys[:3]) != 0 {
-		t.Error("mismatched lengths should give 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.5, 0.9, -1, 2}
-	h := Histogram(xs, 0, 1, 2)
-	if len(h) != 2 {
-		t.Fatalf("len = %d", len(h))
-	}
-	// -1 clamps into bin 0; 0.9 and 2 land in bin 1; 0.5 lands in bin 1.
-	if h[0] != 3 || h[1] != 3 {
-		t.Errorf("h = %v, want [3 3]", h)
-	}
-	if Histogram(xs, 0, 0, 2) != nil || Histogram(xs, 0, 1, 0) != nil {
-		t.Error("degenerate parameters should return nil")
 	}
 }
 

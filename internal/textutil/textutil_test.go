@@ -67,15 +67,6 @@ func TestNGrams(t *testing.T) {
 	}
 }
 
-func TestRemoveStopWords(t *testing.T) {
-	in := []string{"the", "dog", "is", "a", "menace", "to", "you"}
-	got := RemoveStopWords(in)
-	want := []string{"dog", "menace", "you"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("RemoveStopWords = %v, want %v", got, want)
-	}
-}
-
 // Published Porter test vectors (from Porter's paper and the canonical
 // voc.txt/output.txt sample distribution).
 func TestStemVectors(t *testing.T) {

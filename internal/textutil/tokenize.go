@@ -96,25 +96,3 @@ func StemAll(tokens []string) []string {
 	}
 	return out
 }
-
-// StopWords is the small English stop-word list used when building
-// classifier features. It intentionally excludes pronouns that carry
-// signal for ATTACK_ON_AUTHOR-style scoring ("you", "your").
-var StopWords = map[string]bool{
-	"a": true, "an": true, "the": true, "and": true, "or": true,
-	"of": true, "to": true, "in": true, "on": true, "at": true,
-	"is": true, "are": true, "was": true, "were": true, "be": true,
-	"it": true, "this": true, "that": true, "with": true, "as": true,
-	"for": true, "by": true, "from": true,
-}
-
-// RemoveStopWords filters tokens through StopWords.
-func RemoveStopWords(tokens []string) []string {
-	out := tokens[:0:0]
-	for _, t := range tokens {
-		if !StopWords[t] {
-			out = append(out, t)
-		}
-	}
-	return out
-}
