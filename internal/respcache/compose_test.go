@@ -3,9 +3,13 @@ package respcache
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -156,5 +160,64 @@ func BenchmarkComposeSegmentsAppend(b *testing.B) {
 				sinkComposed = ComposeSegments(head, grown, foot, prev, Rev{Seq: uint64(i)})
 			}
 		})
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestGzipGolden pins the gzip member byte for byte, by hash, for fixed
+// seeded pages of every shape the composer distinguishes. The hashes
+// were written by the composer that also built the identity body; a
+// change to how identity is kept must leave every one alone. Regenerate
+// with -update only for a change meant to move the wire bytes.
+func TestGzipGolden(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	rows := func(n int) (b []byte) {
+		for ; n > 0; n-- {
+			b = append(b, row(rng)...)
+		}
+		return b
+	}
+	head := func(ups, count int) []byte {
+		return fmt.Appendf(nil, "<html><body><h1>page</h1><span data-up=\"%d\" data-count=\"%d\"></span>\n", ups, count)
+	}
+	foot := []byte("</body></html>\n")
+	mid := append(make([]byte, 0, 1<<20), rows(200)...)
+
+	var got bytes.Buffer
+	record := func(name string, c *Composed) *Composed {
+		fmt.Fprintf(&got, "%s %d %x\n", name, len(c.Gzip), sha256.Sum256(c.Gzip))
+		return c
+	}
+	record("simple", Compose(rows(30), Rev{Seq: 1}))
+	record("one-segment", ComposeSegments(head(0, 20), mid[:segmentMin/2], foot, Stream{}, Rev{Seq: 2}))
+	fresh := record("fresh", ComposeSegments(head(0, 200), mid, foot, Stream{}, Rev{Seq: 3}))
+	mid = append(mid, rows(3)...)
+	extended := record("extended", ComposeSegments(head(0, 203), mid, foot, fresh.Stream, Rev{Seq: 4}))
+	if extended.Stream.base != fresh.Stream.base {
+		t.Fatal("three appended rows rebaselined the stream")
+	}
+	voted := record("voted", ComposeSegments(head(1, 203), mid, foot, extended.Stream, Rev{Seq: 5}))
+	mid = append(mid, rows(100)...)
+	rebaselined := record("rebaselined", ComposeSegments(head(1, 303), mid, foot, voted.Stream, Rev{Seq: 6}))
+	if rebaselined.Stream.base == fresh.Stream.base {
+		t.Fatal("a hundred appended rows did not rebaseline the stream")
+	}
+
+	golden := filepath.Join("testdata", "gzip.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("gzip members diverged from the golden hashes:\n%swant:\n%s", got.Bytes(), want)
 	}
 }
