@@ -11,7 +11,9 @@
 //     comment stream are write-maintained views, never re-walked.
 //   - DiscussionFillMiss: the same miss counted in BYTES with the keys
 //     rotating past the cache's capacity, as crawl_scan runs it.
-//   - DiscussionHit / DiscussionHit304: a hit allocates nothing.
+//   - DiscussionHit / DiscussionHit304: a hit allocates nothing, whether
+//     it shovels the gzip member, the identity parts of a segmented
+//     page, or a bodyless 304.
 //
 // Latency and throughput under load are not measured here: the four
 // BENCHMARK.json workloads (`bash bench/run.sh`) do that against the
@@ -281,11 +283,16 @@ func benchmarkHit(b *testing.B, s *dissenterweb.Server, req *http.Request) {
 
 // BenchmarkDiscussionHit measures one cache-hit serve of the viral-page
 // shape (10k comments): a response-cache probe by a stack-built key,
-// header assignment from precomputed slices, one Write of the composed
-// body. No rendering, no gzip, no allocation.
+// header assignment from precomputed slices, and the composed bytes
+// written — one Write of the gzip member, or for a client that accepts
+// no coding the page's three identity parts, which a page this size
+// never joins. No rendering, no gzip, no allocation.
 func BenchmarkDiscussionHit(b *testing.B) {
 	s, req, _ := hitBenchServer(b)
-	benchmarkHit(b, s, req)
+	b.Run("identity", func(b *testing.B) { benchmarkHit(b, s, req) })
+	zreq := req.Clone(req.Context())
+	zreq.Header.Set("Accept-Encoding", "gzip")
+	b.Run("gzip", func(b *testing.B) { benchmarkHit(b, s, zreq) })
 }
 
 // BenchmarkDiscussionHit304 measures the revalidation fast path: a hit

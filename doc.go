@@ -138,7 +138,9 @@
 // generation costs its delta too: compressors are pooled, and a large
 // page's gzip variant is one member whose comment stream is handed
 // from generation to generation and extended by deflating only the
-// appended rows (respcache.ComposeSegments). A posted
+// appended rows (respcache.ComposeSegments), while its identity bytes
+// are written from the parts the entry already holds, never joined
+// into a copy. A posted
 // comment additionally drops every session view of the posting
 // author's home page (its commented-URL listing changed shape) and of
 // the trends ranking (comment counts order it) — by exact key across

@@ -12,7 +12,7 @@ import (
 
 // The thin response layer for cached pages: cache hits are
 // byte-shoveling, not rendering. Each cached generation carries a
-// respBox that lazily publishes its composed form (final body bytes +
+// respBox that lazily publishes its composed form (identity bytes +
 // write-time gzip variant + strong ETag, see respcache.Compose); a hit
 // negotiates Accept-Encoding, answers If-None-Match revalidation with
 // a bodyless 304, and writes headers by assigning pre-built []string
@@ -54,7 +54,10 @@ type respBox struct {
 // composed returns the generation's composed form, building it at most
 // once. p is the caller's copy of the entry; it is the same generation
 // as the box, because UpdateRev replaces box and parts under one shard
-// lock acquisition. TestSegmentedGzipOracle pins the identity body
+// lock acquisition. A structured page's parts — the head built here,
+// the store's stream snapshot the entry already pins, the static foot —
+// are what a large page's identity bytes are served from, so they must
+// stay unmutated. TestSegmentedGzipOracle pins the identity bytes
 // against a part-by-part reference rendering of the same page.
 func (b *respBox) composed(p *page) *respcache.Composed {
 	if c := b.c.Load(); c != nil {
@@ -108,7 +111,9 @@ func (s *Server) respond(w http.ResponseWriter, r *http.Request, p page) {
 		return
 	}
 	h["Content-Length"] = c.BodyLenHdr
-	w.Write(c.Body)
+	// As with the gzip write above, a failed write is the client gone:
+	// there is no one left to report it to.
+	_ = c.WriteIdentity(w)
 }
 
 // etagMatch reports whether the If-None-Match header value matches the

@@ -12,20 +12,23 @@ import (
 	"net/url"
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"dissenter/internal/ids"
 	"dissenter/internal/platform"
+	"dissenter/internal/respcache"
 )
 
 // The segmented gzip variant: a structured discussion page's gzip is
 // one member whose comment stream is handed from generation to
-// generation and extended by the rows a write appended. These tests pin
-// it to the identity body for every generation of a long random
-// history, under concurrent readers and posters, and across a run of
-// patches nobody reads.
+// generation and extended by the rows a write appended, and a page past
+// respcache's segmentMin keeps no identity copy — its identity bytes are
+// written from its parts. These tests pin both to the full render for
+// every generation of a long random history, under concurrent readers
+// and posters, and across a run of patches nobody reads.
 
 // viralFixture is a store with one URL carrying n seed comments, and a
 // mint for further comments at a chosen hour (an hour before the seed
@@ -87,6 +90,24 @@ func writePage(w io.Writer, p page) {
 	w.Write(appendVoteSpan(nil, p.ups, p.downs, p.count))
 	w.Write(p.stream)
 	w.Write(pageFoot)
+}
+
+// identityBody is c's identity body as a client receives it: written by
+// the writer respond uses, and as long as the Content-Length it sends.
+// A page past segmentMin has no joined Body behind it.
+func identityBody(t *testing.T, c *respcache.Composed, segmented bool) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := c.WriteIdentity(&b); err != nil {
+		t.Fatal(err)
+	}
+	if c.BodyLenHdr[0] != strconv.Itoa(b.Len()) {
+		t.Fatalf("WriteIdentity wrote %d bytes under Content-Length %s", b.Len(), c.BodyLenHdr[0])
+	}
+	if segmented != (c.Body == nil) {
+		t.Fatalf("a %d-byte page: segmented = %v, want %v", b.Len(), c.Body == nil, segmented)
+	}
+	return b.Bytes()
 }
 
 // inflateMember inflates gz as exactly one gzip member with nothing
@@ -157,17 +178,18 @@ func TestSegmentedGzipOracle(t *testing.T) {
 			}
 			var ref bytes.Buffer
 			writePage(&ref, p)
-			if !bytes.Equal(c.Body, ref.Bytes()) {
-				t.Fatalf("step %d view %d: Body differs from writePage's stream", step, view)
+			body := identityBody(t, c, true)
+			if !bytes.Equal(body, ref.Bytes()) {
+				t.Fatalf("step %d view %d: identity differs from writePage's stream", step, view)
 			}
-			if step%16 == 0 && string(c.Body) != oracleDiscussion(f.db, f.cu, v.sess) {
-				t.Fatalf("step %d view %d: Body differs from the full render", step, view)
+			if step%16 == 0 && string(body) != oracleDiscussion(f.db, f.cu, v.sess) {
+				t.Fatalf("step %d view %d: identity differs from the full render", step, view)
 			}
 			if c.Gzip == nil {
-				t.Fatalf("step %d view %d: no gzip variant for %d bytes", step, view, len(c.Body))
+				t.Fatalf("step %d view %d: no gzip variant for %d bytes", step, view, len(body))
 			}
-			if !bytes.Equal(inflateMember(t, c.Gzip), c.Body) {
-				t.Fatalf("step %d view %d: Gzip does not inflate to Body", step, view)
+			if !bytes.Equal(inflateMember(t, c.Gzip), body) {
+				t.Fatalf("step %d view %d: Gzip does not inflate to the identity body", step, view)
 			}
 		}
 	}
@@ -177,8 +199,10 @@ func TestSegmentedGzipOracle(t *testing.T) {
 }
 
 // TestSegmentedGzipConcurrentReadersAndPosters races gzip and identity
-// readers against posters and voters on one page: whatever generation a
-// reader is served, every response under one ETag carries one body.
+// readers against posters and voters on one page past segmentMin — the
+// identity bytes are read straight from the store's stream snapshot
+// while the posters append behind it: whatever generation a reader is
+// served, every response under one ETag carries one body.
 func TestSegmentedGzipConcurrentReadersAndPosters(t *testing.T) {
 	f := newViralFixture(200)
 	s := NewServer(f.db, WithURLRateLimit(0, 0))
@@ -219,6 +243,10 @@ func TestSegmentedGzipConcurrentReadersAndPosters(t *testing.T) {
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, req)
 				body := rec.Body.Bytes()
+				if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+					t.Errorf("reader %d: %d bytes written under Content-Length %s", r, len(body), cl)
+					return
+				}
 				if rec.Header().Get("Content-Encoding") == "gzip" {
 					zr, err := gzip.NewReader(bytes.NewReader(body))
 					if err == nil {
@@ -246,6 +274,46 @@ func TestSegmentedGzipConcurrentReadersAndPosters(t *testing.T) {
 	readers.Wait()
 	if len(bodies) < 2 {
 		t.Fatalf("readers saw %d generations; the race never happened", len(bodies))
+	}
+	last := cachedPage(t, s, f, 0)
+	if string(identityBody(t, last.resp.composed(&last), true)) != oracleDiscussion(f.db, f.cu, Session{}) {
+		t.Fatal("identity differs from the full render once the writers are done")
+	}
+}
+
+// TestIdentityOverHTTPEqualsOracle reads pages on both sides of
+// segmentMin the way a client that sends no Accept-Encoding does: 200,
+// as many bytes written as Content-Length promises, and the full render
+// byte for byte — at the fill, after a post and after a vote.
+func TestIdentityOverHTTPEqualsOracle(t *testing.T) {
+	for _, tc := range []struct {
+		comments  int
+		segmented bool
+	}{{3, false}, {100, true}} {
+		f := newViralFixture(tc.comments)
+		s := NewServer(f.db, WithURLRateLimit(0, 0))
+		check := func(when string) {
+			t.Helper()
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/discussion?url="+url.QueryEscape(f.cu.URL), nil))
+			want := oracleDiscussion(f.db, f.cu, Session{})
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Encoding") != "" {
+				t.Fatalf("%d comments, %s: status %d, Content-Encoding %q", tc.comments, when, rec.Code, rec.Header().Get("Content-Encoding"))
+			}
+			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) || rec.Body.Len() != len(want) {
+				t.Fatalf("%d comments, %s: Content-Length %s, %d bytes written, full render is %d", tc.comments, when, cl, rec.Body.Len(), len(want))
+			}
+			if rec.Body.String() != want {
+				t.Fatalf("%d comments, %s: identity body differs from the full render", tc.comments, when)
+			}
+			p := cachedPage(t, s, f, 0)
+			identityBody(t, p.resp.composed(&p), tc.segmented)
+		}
+		check("at the fill")
+		f.db.AddComment(f.comment(200, `a <late> & "quoted" post`, false, false))
+		check("after a post")
+		f.db.Vote(f.cu.ID, 1, 0)
+		check("after a vote")
 	}
 }
 
@@ -295,11 +363,12 @@ func TestUnreadPatchesRetainOneStream(t *testing.T) {
 	}
 	last = cachedPage(t, s, f, 0)
 	c := last.resp.composed(&last)
-	if string(c.Body) != oracleDiscussion(f.db, f.cu, Session{}) {
-		t.Fatal("Body differs from the full render after 10k unread comment patches")
+	body := identityBody(t, c, true)
+	if string(body) != oracleDiscussion(f.db, f.cu, Session{}) {
+		t.Fatal("identity differs from the full render after 10k unread comment patches")
 	}
-	if !bytes.Equal(inflateMember(t, c.Gzip), c.Body) {
-		t.Fatal("Gzip does not inflate to Body after 10k unread comment patches")
+	if !bytes.Equal(inflateMember(t, c.Gzip), body) {
+		t.Fatal("Gzip does not inflate to the identity body after 10k unread comment patches")
 	}
 }
 

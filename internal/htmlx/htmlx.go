@@ -25,21 +25,6 @@ func Between(s, start, end string) (string, bool) {
 	return rest[:j], true
 }
 
-// All returns every non-overlapping occurrence of text between start and
-// end markers.
-func All(s, start, end string) []string {
-	var out []string
-	for {
-		chunk, ok := Between(s, start, end)
-		if !ok {
-			return out
-		}
-		out = append(out, chunk)
-		i := strings.Index(s, start)
-		s = s[i+len(start)+len(chunk)+len(end):]
-	}
-}
-
 // Attr extracts the value of a double-quoted attribute from a tag
 // fragment, e.g. Attr(`<div data-id="x">`, "data-id") == "x".
 func Attr(fragment, name string) (string, bool) {
@@ -107,6 +92,3 @@ func CommentedOutJS(page, varName string) (string, bool) {
 	}
 	return payload, ok
 }
-
-// Unescape decodes HTML entities in extracted text.
-func Unescape(s string) string { return html.UnescapeString(s) }

@@ -1,7 +1,6 @@
 package htmlx
 
 import (
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -17,17 +16,6 @@ func TestBetween(t *testing.T) {
 	}
 	if _, ok := Between(s, `class="`, "zzz"); ok {
 		t.Error("missing end should fail")
-	}
-}
-
-func TestAll(t *testing.T) {
-	s := `<li>a</li><li>b</li><li>c</li>`
-	got := All(s, "<li>", "</li>")
-	if !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Errorf("All = %v", got)
-	}
-	if All("", "<li>", "</li>") != nil {
-		t.Error("empty input should give nil")
 	}
 }
 
@@ -83,19 +71,12 @@ var commentView = {"ready": true};
 	}
 }
 
-func TestUnescape(t *testing.T) {
-	if Unescape("a &amp; b") != "a & b" {
-		t.Error("Unescape failed")
-	}
-}
-
 func TestQuickBetweenNeverPanics(t *testing.T) {
 	f := func(s, start, end string) bool {
 		if start == "" || end == "" {
 			return true
 		}
 		_, _ = Between(s, start, end)
-		_ = All(s, start, end)
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {

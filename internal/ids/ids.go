@@ -118,13 +118,6 @@ func (id ObjectID) Counter() uint32 {
 	return uint32(id[9])<<16 | uint32(id[10])<<8 | uint32(id[11])
 }
 
-// Machine returns the 5-byte machine/process field.
-func (id ObjectID) Machine() [5]byte {
-	var m [5]byte
-	copy(m[:], id[4:9])
-	return m
-}
-
 // IsZero reports whether id is the (invalid) zero identifier.
 func (id ObjectID) IsZero() bool { return id == ObjectID{} }
 

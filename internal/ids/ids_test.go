@@ -116,14 +116,6 @@ func TestIsZero(t *testing.T) {
 	}
 }
 
-func TestMachineField(t *testing.T) {
-	g := NewGenerator(99)
-	id := g.NewAt(time.Unix(5, 0))
-	if id.Machine() != g.machine {
-		t.Fatalf("Machine() = %v, want %v", id.Machine(), g.machine)
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	g := NewGenerator(11)
 	id := g.NewAt(time.Unix(1560000000, 0))

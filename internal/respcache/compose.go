@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
 	"strconv"
 	"sync"
 )
@@ -34,9 +35,17 @@ const rebaselineDiv = 4
 const segmentMin = 8 << 10
 
 // Composed is the write-time-composed form of one response
-// generation: the final identity body, an optional gzip variant, and
-// the generation's strong ETag — everything a hit needs to answer a
+// generation: the identity body, an optional gzip variant, and the
+// generation's strong ETag — everything a hit needs to answer a
 // request without rendering, compressing, or formatting anything.
+//
+// WriteIdentity writes the identity body, whichever page this is. Only
+// a page composed as one segment has a Body — every Compose, and a
+// ComposeSegments whose mid is under segmentMin: Body is that page's
+// whole identity body. A segmented page has none: its identity bytes
+// are the head, mid and foot it was composed from, kept as handed in
+// and never joined, so a generation of a large page costs its gzip
+// bytes, not a copy of its HTML.
 //
 // The *Hdr fields are single-value header slices precomputed so the
 // serving layer can assign them into an http.Header map directly
@@ -44,18 +53,35 @@ const segmentMin = 8 << 10
 // allocates a fresh []string per call. They must be treated as
 // immutable by every consumer, exactly like Body and Gzip.
 type Composed struct {
-	Body []byte
+	Body []byte // nil for a segmented page
 	Gzip []byte // nil when compression isn't worthwhile for this body
 	ETag string
 
 	ETagHdr    []string
-	BodyLenHdr []string
+	BodyLenHdr []string // the length WriteIdentity writes
 	GzipLenHdr []string // nil iff Gzip is nil
+
+	// parts is the identity body in order: head, mid and foot of a
+	// segmented page, {nil, nil, Body} of a one-segment page.
+	parts [3][]byte
 
 	// Stream is the compressed middle segment of this generation, for
 	// the next generation's ComposeSegments to extend. Zero when there
 	// is no gzip variant or no middle segment.
 	Stream Stream
+}
+
+// WriteIdentity writes the identity body to w: the non-empty parts, in
+// order, BodyLenHdr bytes in all. It stops at the first failed write.
+func (c *Composed) WriteIdentity(w io.Writer) error {
+	for _, p := range c.parts {
+		if len(p) > 0 {
+			if _, err := w.Write(p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Stream is the deflate form of a page's append-only middle segment:
@@ -90,7 +116,8 @@ var deflaters = sync.Pool{New: func() any {
 }}
 
 // maxPooledOut keeps a buffer that one giant page grew from being
-// pinned by the pool.
+// pinned by the pool: the buffer is dropped, the compressor still goes
+// back.
 const maxPooledOut = 1 << 20
 
 // segment appends src to d.out as deflate blocks with no history before
@@ -120,32 +147,32 @@ func Compose(body []byte, rev Rev) *Composed {
 // generation rev. The gzip variant is compressed once, here, with
 // BestSpeed — per mutation, not per request — as ONE gzip member: head,
 // sync-flushed; mid as its Stream; foot as the final block; then CRC-32
-// and ISIZE of the identity body. It is dropped when it would not
-// shrink the body.
+// and ISIZE of the identity body, chained over the parts. It is dropped
+// when it would not shrink the body.
 //
 // prev is the Stream of an earlier generation whose mid was a prefix of
 // this one (the caller's promise; pass the zero Stream otherwise). Then
 // only mid's appended bytes are deflated and concatenated, unless that
 // pushes the history-less part past the rebaselineDiv bound, in which
 // case — as without a prev — mid is compressed in one pass. A mid under
-// segmentMin is not worth a Stream: the page is compressed whole. The
-// segments must not be mutated after the call.
+// segmentMin is not worth a Stream: the page is joined and compressed
+// whole. The segments must not be mutated after the call; a segmented
+// page's Composed keeps them.
 func ComposeSegments(head, mid, foot []byte, prev Stream, rev Rev) *Composed {
-	body := foot
-	if len(head)+len(mid) > 0 {
-		body = make([]byte, 0, len(head)+len(mid)+len(foot))
-		body = append(append(append(body, head...), mid...), foot...)
-	}
+	c := &Composed{ETag: rev.ETag()}
 	if len(mid) < segmentMin {
-		head, mid, foot = nil, nil, body
+		c.Body = foot
+		if len(head)+len(mid) > 0 {
+			c.Body = make([]byte, 0, len(head)+len(mid)+len(foot))
+			c.Body = append(append(append(c.Body, head...), mid...), foot...)
+		}
+		head, mid, foot = nil, nil, c.Body
 	}
-	c := &Composed{
-		Body:       body,
-		ETag:       rev.ETag(),
-		BodyLenHdr: []string{strconv.Itoa(len(body))},
-	}
+	c.parts = [3][]byte{head, mid, foot}
+	size := len(head) + len(mid) + len(foot)
 	c.ETagHdr = []string{c.ETag}
-	if len(body) < composeGzipMin {
+	c.BodyLenHdr = []string{strconv.Itoa(size)}
+	if size < composeGzipMin {
 		return c
 	}
 
@@ -170,18 +197,20 @@ func ComposeSegments(head, mid, foot []byte, prev Stream, rev Rev) *Composed {
 	zEnd := d.out.Len()
 	d.segment(foot, true)
 	var trailer [8]byte
-	binary.LittleEndian.PutUint32(trailer[:4], crc32.ChecksumIEEE(body))
-	binary.LittleEndian.PutUint32(trailer[4:], uint32(len(body)))
+	crc := crc32.Update(crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, mid), crc32.IEEETable, foot)
+	binary.LittleEndian.PutUint32(trailer[:4], crc)
+	binary.LittleEndian.PutUint32(trailer[4:], uint32(size))
 	d.out.Write(trailer[:])
-	if d.out.Len() < len(body) {
+	if d.out.Len() < size {
 		c.Gzip = bytes.Clone(d.out.Bytes())
 		c.GzipLenHdr = []string{strconv.Itoa(len(c.Gzip))}
 		if base > 0 {
 			c.Stream = Stream{z: c.Gzip[zOff:zEnd:zEnd], n: len(mid), base: base}
 		}
 	}
-	if d.out.Cap() <= maxPooledOut {
-		deflaters.Put(d)
+	if d.out.Cap() > maxPooledOut {
+		d.out = bytes.Buffer{}
 	}
+	deflaters.Put(d)
 	return c
 }

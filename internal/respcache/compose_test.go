@@ -7,10 +7,14 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"dissenter/internal/benchkit"
 )
 
 // inflateMember inflates gz as exactly ONE gzip member and fails on
@@ -32,6 +36,21 @@ func inflateMember(t *testing.T, gz []byte) []byte {
 		t.Fatalf("%d trailing bytes after the gzip member", src.Len())
 	}
 	return plain
+}
+
+// identity is c's identity body as a client receives it: what
+// WriteIdentity writes, which must be as long as the Content-Length the
+// response would carry.
+func identity(t *testing.T, c *Composed) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := c.WriteIdentity(&b); err != nil {
+		t.Fatal(err)
+	}
+	if c.BodyLenHdr[0] != fmt.Sprint(b.Len()) {
+		t.Fatalf("WriteIdentity wrote %d bytes under Content-Length %s", b.Len(), c.BodyLenHdr[0])
+	}
+	return b.Bytes()
 }
 
 // row is one comment-row-shaped chunk: mostly markup shared with every
@@ -57,6 +76,9 @@ func TestComposeOneSegment(t *testing.T) {
 	if got := inflateMember(t, c.Gzip); !bytes.Equal(got, body) {
 		t.Fatal("gzip variant does not inflate to the body")
 	}
+	if &c.Body[0] != &body[0] || !bytes.Equal(identity(t, c), body) {
+		t.Fatal("a one-segment page's Body and identity bytes are the body it was handed")
+	}
 	if c.Stream.base != 0 {
 		t.Fatal("a one-segment page has no stream to extend")
 	}
@@ -65,8 +87,9 @@ func TestComposeOneSegment(t *testing.T) {
 // TestComposeSegmentsExtends is the composer's own oracle: a middle
 // segment that only ever grows inside one backing array, composed
 // generation after generation from the previous generation's Stream.
-// Every generation must inflate to its body, the rebaseline bound must
-// be crossed (and hold), and the wire size must stay within
+// Every generation's identity bytes are head+mid+foot with no joined
+// Body behind them, its gzip must inflate to the same, the rebaseline
+// bound must be crossed (and hold), and the wire size must stay within
 // 1+1/rebaselineDiv of a from-scratch compress.
 func TestComposeSegmentsExtends(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
@@ -86,11 +109,11 @@ func TestComposeSegmentsExtends(t *testing.T) {
 		}
 		c := ComposeSegments(head, mid, foot, prev, Rev{Seq: uint64(gen)})
 		want := append(append(append([]byte{}, head...), mid...), foot...)
-		if !bytes.Equal(c.Body, want) {
-			t.Fatalf("gen %d: Body is not head+mid+foot", gen)
+		if c.Body != nil || !bytes.Equal(identity(t, c), want) {
+			t.Fatalf("gen %d: identity is not head+mid+foot served from the parts", gen)
 		}
 		if got := inflateMember(t, c.Gzip); !bytes.Equal(got, want) {
-			t.Fatalf("gen %d: Gzip does not inflate to Body", gen)
+			t.Fatalf("gen %d: Gzip does not inflate to the identity body", gen)
 		}
 		s := c.Stream
 		if s.n != len(mid) || s.base == 0 || len(s.z)-s.base > s.base/rebaselineDiv {
@@ -118,14 +141,59 @@ func TestComposeSegmentsExtends(t *testing.T) {
 func TestComposeSegmentsIgnoresOverlongPrev(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var mid []byte
-	for i := 0; i < 20; i++ {
+	for len(mid) < 4*segmentMin {
 		mid = append(mid, row(rng)...)
 	}
 	long := ComposeSegments([]byte("<html>"), mid, []byte("</html>"), Stream{}, Rev{Seq: 1}).Stream
+	if long.base == 0 {
+		t.Fatal("a mid past segmentMin composed no stream")
+	}
 	short := mid[:len(mid)/2]
 	c := ComposeSegments([]byte("<html>"), short, []byte("</html>"), long, Rev{Seq: 2})
-	if got := inflateMember(t, c.Gzip); !bytes.Equal(got, c.Body) {
+	if got := inflateMember(t, c.Gzip); !bytes.Equal(got, identity(t, c)) {
 		t.Fatal("gzip variant does not inflate to the body")
+	}
+}
+
+// allocated runs f n times and returns the bytes one run allocated, as
+// a MemStats delta.
+func allocated(n int, f func()) float64 {
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < n; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&ms1)
+	return float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(n)
+}
+
+// TestGiantPageKeepsItsCompressor: a page whose gzip outgrows
+// maxPooledOut costs the pool its output buffer, never its compressor —
+// composing it again allocates what the output costs (the buffer grown
+// from nothing, and the clone) and not the megabyte a flate.Writer is.
+func TestGiantPageKeepsItsCompressor(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	body := make([]byte, 3<<19)
+	for i := range body { // six bits of entropy a byte: deflates to three quarters
+		body[i] = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"[rng.Intn(64)]
+	}
+	d := deflaters.New().(*deflater) // constructed outside the measurement
+	output := allocated(1, func() {
+		d.segment(body, true)
+		sinkComposed = &Composed{Gzip: bytes.Clone(d.out.Bytes())}
+	})
+	if d.out.Cap() <= maxPooledOut {
+		t.Fatalf("the page's gzip fits a pooled buffer (%d bytes): not a giant page", d.out.Cap())
+	}
+	Compose(body, Rev{Seq: 1})
+	// The least of a few runs: a collection empties the pool, and under
+	// the race detector sync.Pool drops a quarter of all Puts.
+	least := math.Inf(1)
+	for i := 0; i < 8 && least > output+1<<20; i++ {
+		least = min(least, allocated(1, func() { sinkComposed = Compose(body, Rev{Seq: 2}) }))
+	}
+	if least > output+1<<20 {
+		t.Fatalf("composing a giant page again allocates %.0f bytes, its output costs %.0f: the pool dropped the compressor with the buffer", least, output)
 	}
 }
 
@@ -143,7 +211,10 @@ func BenchmarkCompose(b *testing.B) {
 
 // BenchmarkComposeSegmentsAppend is the viral-page patch: one row
 // appended to ~0.5 MB of comments, composed from the previous
-// generation's Stream ("extend") or from nothing ("scratch").
+// generation's Stream ("extend") or from nothing ("scratch"). The
+// bytes "extend" allocates are a budget (`make bench-budget`,
+// PATCH_BYTES_BUDGET via BENCH_PATCH_MAX_BYTES): its gzip member and
+// the buffer that was written into, never the page's HTML.
 func BenchmarkComposeSegmentsAppend(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	head, foot := []byte("<html><body><h1>viral</h1>\n"), []byte("</body></html>\n")
@@ -156,8 +227,16 @@ func BenchmarkComposeSegmentsAppend(b *testing.B) {
 	for name, prev := range map[string]Stream{"extend": base, "scratch": {}} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
+			compose := func() { sinkComposed = ComposeSegments(head, grown, foot, prev, Rev{Seq: 1}) }
 			for i := 0; i < b.N; i++ {
-				sinkComposed = ComposeSegments(head, grown, foot, prev, Rev{Seq: uint64(i)})
+				compose()
+			}
+			b.StopTimer()
+			if max, ok := benchkit.EnvBudget(b, "BENCH_PATCH_MAX_BYTES"); ok && name == "extend" {
+				if perOp := allocated(16, compose); perOp > max {
+					b.Fatalf("a one-row patch of a %d-byte page allocates %.0f bytes, budget %v — a generation costs a copy of its page again",
+						len(grown), perOp, max)
+				}
 			}
 		})
 	}

@@ -64,7 +64,9 @@
 // ComposeSegments copies them and deflates only the appended bytes,
 // until the history-less part passes a fixed fraction of the one-pass
 // size and the segment is compressed whole again. Compose(body) is the
-// same composer on a page of one segment.
+// same composer on a page of one segment — the only kind with a joined
+// identity body: a segmented page's identity bytes stay the three
+// parts it was composed from, so no generation copies its HTML.
 package respcache
 
 import (
