@@ -248,7 +248,10 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // seeded pages of every shape the composer distinguishes. The hashes
 // were written by the composer that also built the identity body; a
 // change to how identity is kept must leave every one alone. Regenerate
-// with -update only for a change meant to move the wire bytes.
+// with -update only for a change meant to move the wire bytes: every
+// member is first inflated through compress/gzip, which verifies CRC-32
+// and ISIZE, and compared with the identity body, so an update cannot
+// bless a member that is wrong.
 func TestGzipGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	rows := func(n int) (b []byte) {
@@ -265,6 +268,9 @@ func TestGzipGolden(t *testing.T) {
 
 	var got bytes.Buffer
 	record := func(name string, c *Composed) *Composed {
+		if got := inflateMember(t, c.Gzip); !bytes.Equal(got, identity(t, c)) {
+			t.Fatalf("%s: the gzip member does not inflate to the identity body", name)
+		}
 		fmt.Fprintf(&got, "%s %d %x\n", name, len(c.Gzip), sha256.Sum256(c.Gzip))
 		return c
 	}
