@@ -38,10 +38,11 @@ RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
 #
 # FILL_BYTES_BUDGET counts BYTES per fill — a discussion miss with the
 # keys rotating past the cache's capacity, as crawl_scan runs it
-# (measured 2.4 kB; 1.2 MB when a compressor was constructed per fill,
-# which is 28 objects and passes any object budget). The headroom
-# covers the pool constructing a compressor or two inside the measured
-# 1000 fills (3.6 and 4.8 kB are both seen).
+# (measured 2,533 every run; 1.2 MB when a compressor was constructed
+# per fill, which is 28 objects and passes any object budget). These
+# pages are under respcache's fixedMax, so no fill here constructs a
+# flate.Writer at all: what the pool builds when a collection empties it
+# is a 16 kB hash table, 16 bytes a fill over the measured 1000.
 #
 # PATCH_BYTES_BUDGET counts BYTES per appended generation of a viral
 # page — internal/respcache's BenchmarkComposeSegmentsAppend/extend, one
@@ -145,11 +146,14 @@ lint:
 		echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; \
 	fi
 
-# Actually execute the codec round-trip fuzzer for a few seconds (the
-# plain test run only replays the seed corpus). Ten seconds is a smoke
-# pass, not a campaign; run longer locally when touching the codec.
+# Actually execute the fuzzers for a few seconds each (the plain test
+# run only replays the seed corpus): the codec's round trip, and
+# respcache's fixed-Huffman deflate kernel against the standard
+# library's inflater. Ten seconds is a smoke pass, not a campaign; run
+# longer locally when touching either.
 fuzz-smoke:
 	$(GO) test -run '^FuzzRoundTrip$$' -fuzz '^FuzzRoundTrip$$' -fuzztime=10s ./internal/eventlog/
+	$(GO) test -run '^FuzzFixedDeflate$$' -fuzz '^FuzzFixedDeflate$$' -fuzztime=10s ./internal/respcache/
 
 fmt:
 	gofmt -w .

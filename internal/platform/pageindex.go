@@ -34,12 +34,15 @@ import (
 // been rendered: the first CommentStream call for a URL builds its
 // page from the sorted base index inside the pages shard write lock,
 // and from then on the event stream (events.go) maintains it. And a
-// page pins only the views somebody asked for: the build escapes every
-// row once into the show-everything stream (which the other three are
-// subsets of) and a view is filtered out of it, a copy and no
-// escaping, the first time a session with those settings reads the
-// page. A page read under one session costs two copies of its HTML,
-// not four, and a post appends to two streams, not four. The
+// page pins only the views that differ: the build escapes every row
+// once into the show-everything stream (which the other three are
+// subsets of), a view that hides no row of the page IS that stream —
+// the paper labels 0.6% of comments NSFW and 0.5% offensive, so that is
+// almost every view of almost every page — and a view that does hide
+// one is filtered out of it, a copy and no escaping, the first time a
+// session with those settings reads the page. A page costs one copy of
+// its HTML, plus one per view read that hides a row, and a post appends
+// to as many streams. The
 // handshake is sound under write concurrency: a comment's base-index
 // insert happens-before its event dispatch, so an apply either
 // observes the materialized page (and folds the comment in) or the
@@ -79,10 +82,24 @@ func AppendCommentRow(dst []byte, class string, c *Comment, withParent bool) []b
 	return dst
 }
 
+// rowSize is what AppendCommentRow writes for a "comment" row with a
+// parent attribute when nothing in the text needs escaping: the markup,
+// two or three IDs of 24 digits, the text. rebuildLocked sizes a stream
+// with it.
+func rowSize(c *Comment) int {
+	const idLen = 2 * len(ids.ObjectID{})
+	n := len(`<div class="comment" data-comment-id="" data-author-id="" data-parent-id="">`+"\n"+
+		`<p class="comment-text"></p>`+"\n</div>\n") + 2*idLen + len(c.Text)
+	if !c.ParentID.IsZero() {
+		n += idLen
+	}
+	return n
+}
+
 // maxMaterializedPages bounds the lazily materialized state. A page
-// holds up to four concatenated copies of its rows (one per view read), so
-// a crawl that touches EVERY page of a huge corpus would otherwise pin
-// several times the corpus' HTML forever. Pages are rebuildable from
+// holds one concatenated copy of its rows, and one more per view read
+// that hides any of them, so a crawl that touches EVERY page of a huge
+// corpus would otherwise pin the corpus' HTML forever. Pages are rebuildable from
 // the base indexes, so the bound is a wholesale reset: crossing it
 // drops the map and lets the hot set re-materialize. The cap sits far
 // above the response cache's hot set (4096 entries), so steady-state
@@ -159,7 +176,8 @@ type urlPage struct {
 	lastID ids.ObjectID
 	n      int
 	// views[v] is the ID-ordered concatenation of the rows visible
-	// under view mask v, or nil while no reader has asked for v.
+	// under view mask v, or nil while no reader has asked for v or v
+	// hides no row (viewLocked then answers with views[allRows]).
 	// views[allRows] always exists; rowEnd[i] is where row i ends in it
 	// and rowClass[i] its visibility class, which is all viewLocked
 	// needs to cut another view out of it. Streams are append-only
@@ -206,7 +224,11 @@ func (p *urlPage) rebuildLocked(db *DB, urlID ids.ObjectID) {
 	cs, _ := db.commentsByURL.get(urlID)
 	var counts classCounts
 	var lastID ids.ObjectID
-	all := []byte{} // non-nil: materialized, however empty
+	size := 0
+	for _, c := range cs {
+		size += rowSize(c)
+	}
+	all := make([]byte, 0, size) // non-nil: materialized, however empty; escaped text still grows it
 	rowEnd := make([]int, 0, len(cs))
 	rowClass := make([]uint8, 0, len(cs))
 	for _, c := range cs {
@@ -222,14 +244,20 @@ func (p *urlPage) rebuildLocked(db *DB, urlID ids.ObjectID) {
 	p.rowEnd, p.rowClass = rowEnd, rowClass
 }
 
-// viewLocked returns view v's stream, cutting it out of the
-// show-everything stream on first use: the rows whose class v exposes,
-// copied in order. Callers hold p.mu.
+// viewLocked returns view v's stream. While v hides no row of the page
+// that is the show-everything stream itself, the same array. The first
+// read after a row v hides cuts v's own stream out of it: the rows whose
+// class v exposes, copied in order (a new array, so a reader holding the
+// old snapshot sees a non-extension and starts over, once). Callers
+// hold p.mu.
 func (p *urlPage) viewLocked(v int) []byte {
 	if p.views[v] != nil {
 		return p.views[v]
 	}
 	all := p.views[allRows]
+	if visibleCount(p.counts, v) == p.n {
+		return all
+	}
 	out := make([]byte, 0, len(all)) // what v hides is its room to grow
 	start := 0
 	for i, end := range p.rowEnd {

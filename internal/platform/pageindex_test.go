@@ -263,6 +263,67 @@ func TestHomeURLsResolvesLateRegistration(t *testing.T) {
 	assertHomesMatchOracle(t, db, users)
 }
 
+// TestViewsAliasUntilARowIsHidden: a view that hides no row of a page is
+// the show-everything stream itself — one array for all four, grown by
+// one append per post — and the first labelled post gives only the views
+// that hide it an array of their own, with the oracle's bytes.
+func TestViewsAliasUntilARowIsHidden(t *testing.T) {
+	db, gen, users, urls := pageFixture(t)
+	cu := urls[3] // empty in the fixture
+	post := func(text string, nsfw bool) {
+		at := time.Now()
+		db.AddComment(&Comment{ID: gen.NewAt(at), URLID: cu.ID, AuthorID: users[0].AuthorID, Text: text, CreatedAt: at, NSFW: nsfw})
+	}
+	// first is the address of each view's first byte, in mask order:
+	// neither flag shown, NSFW shown, offensive shown, both.
+	first := func() (at [4]*byte) {
+		for v := range at {
+			s, _ := db.CommentStream(cu.ID, v&classNSFW != 0, v&classOffensive != 0)
+			at[v] = &s[0]
+		}
+		return at
+	}
+	p := db.pages.page(db, cu.ID)
+	for i := 0; i < 3; i++ { // the second and third land on a materialized page
+		post(fmt.Sprintf("nothing to hide %d", i), false)
+		at := first()
+		if at[0] != at[allRows] || at[classNSFW] != at[allRows] || at[classOffensive] != at[allRows] {
+			t.Fatalf("post %d: a page with no labelled comment holds more than one stream: %v", i, at)
+		}
+		if p.views[0] != nil || p.views[classNSFW] != nil || p.views[classOffensive] != nil {
+			t.Fatalf("post %d: a view that hides nothing was materialized", i)
+		}
+	}
+	assertStreamsMatchOracle(t, db, urls)
+
+	post("hidden from the anonymous view", true)
+	at := first()
+	if at[0] == at[allRows] || at[classOffensive] == at[allRows] {
+		t.Fatalf("a view that hides the NSFW row still aliases the show-everything stream: %v", at)
+	}
+	if at[classNSFW] != at[allRows] {
+		t.Fatal("the NSFW view hides nothing on this page and must keep aliasing")
+	}
+	assertStreamsMatchOracle(t, db, urls)
+}
+
+// TestRowSizeIsExact: the size rebuildLocked reserves per row is the
+// size AppendCommentRow writes, short only by what escaping adds.
+func TestRowSizeIsExact(t *testing.T) {
+	gen := ids.NewGenerator(7)
+	c := &Comment{ID: gen.New(), AuthorID: gen.New(), Text: "plain text"}
+	for _, parent := range []ids.ObjectID{{}, gen.New()} {
+		c.ParentID = parent
+		if got := len(AppendCommentRow(nil, "comment", c, true)); got != rowSize(c) {
+			t.Errorf("parent %v: a row is %d bytes, rowSize says %d", parent, got, rowSize(c))
+		}
+	}
+	c.Text = "a < b"
+	if got := len(AppendCommentRow(nil, "comment", c, true)); got <= rowSize(c) {
+		t.Errorf("an escaped row is %d bytes, rowSize %d: the estimate must be the floor", got, rowSize(c))
+	}
+}
+
 // TestPageIndexMaterializationBounded: rendering more distinct pages
 // than the cap resets the materialized set wholesale instead of
 // pinning every page's HTML forever, and pages remain correct (they

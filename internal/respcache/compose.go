@@ -27,11 +27,13 @@ const composeGzipMin = 256
 const rebaselineDiv = 4
 
 // segmentMin is the middle-segment size below which a page is
-// compressed as one segment and keeps no Stream. Every segment pays for
-// its own Huffman tables — about 15 µs and 150 bytes for the two extra
-// ones — on every fill, while compressing a whole small page again on a
-// patch costs 7 ns a byte: under 8 KB the one pass is the cheaper and
-// the smaller, and the crawl's median page (434 bytes) is far under.
+// compressed as one segment and keeps no Stream. Segments cannot match
+// against each other, and each one of fixedMax or more builds Huffman
+// tables of its own (two extra cost about 15 µs and 150 bytes on every
+// fill), while compressing a whole small page again on a patch costs 4
+// to 9 ns a byte: under 8 KB the one pass is the cheaper and the
+// smaller, and the crawl's median page (985 bytes of HTML, about 535 on
+// the wire) is far under.
 const segmentMin = 8 << 10
 
 // Composed is the write-time-composed form of one response
@@ -101,19 +103,19 @@ type Stream struct {
 // unknown.
 var gzipHeader = [10]byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 4, 0xff}
 
-// deflater is one pooled BestSpeed compressor and the buffer it writes
-// a gzip member into. Constructing a flate.Writer allocates 1.2 MB; no
-// compose does.
+// deflater is one pooled compressor and the buffer it writes a gzip
+// member into: the fixed-Huffman kernel's hash table (fixed.go), and a
+// BestSpeed flate.Writer from the first segment that needs one.
+// Constructing a flate.Writer allocates 1.2 MB; a crawl of small pages
+// never does, and no compose does twice.
 type deflater struct {
-	fw  *flate.Writer
-	out bytes.Buffer
+	fw    *flate.Writer
+	out   bytes.Buffer
+	table [1 << fixedHashBits]uint32
+	base  uint32
 }
 
-var deflaters = sync.Pool{New: func() any {
-	d := new(deflater)
-	d.fw, _ = flate.NewWriter(&d.out, flate.BestSpeed) // fails only on an invalid level
-	return d
-}}
+var deflaters = sync.Pool{New: func() any { return new(deflater) }}
 
 // maxPooledOut keeps a buffer that one giant page grew from being
 // pinned by the pool: the buffer is dropped, the compressor still goes
@@ -122,11 +124,23 @@ const maxPooledOut = 1 << 20
 
 // segment appends src to d.out as deflate blocks with no history before
 // src: closed by the final block, or sync-flushed so the next segment
-// starts byte-aligned. An empty non-final segment emits nothing. Writes
-// to a bytes.Buffer cannot fail.
+// starts byte-aligned. An empty non-final segment emits nothing.
 func (d *deflater) segment(src []byte, final bool) {
-	if len(src) == 0 && !final {
-		return
+	switch {
+	case len(src) == 0 && !final:
+	case len(src) < fixedMax:
+		d.out.Grow(fixedBound(len(src))) // so that the kernel appends in place
+		d.out.Write(d.appendFixed(d.out.AvailableBuffer(), src, final))
+	default:
+		d.flate(src, final)
+	}
+}
+
+// flate is segment through the BestSpeed flate.Writer, constructed on
+// the first call. Writes to a bytes.Buffer cannot fail.
+func (d *deflater) flate(src []byte, final bool) {
+	if d.fw == nil {
+		d.fw, _ = flate.NewWriter(&d.out, flate.BestSpeed) // fails only on an invalid level
 	}
 	d.fw.Reset(&d.out)
 	_, _ = d.fw.Write(src)
@@ -144,8 +158,8 @@ func Compose(body []byte, rev Rev) *Composed {
 }
 
 // ComposeSegments builds the composed form of head+mid+foot for the
-// generation rev. The gzip variant is compressed once, here, with
-// BestSpeed — per mutation, not per request — as ONE gzip member: head,
+// generation rev. The gzip variant is compressed once, here, at the
+// fastest setting — per mutation, not per request — as ONE gzip member: head,
 // sync-flushed; mid as its Stream; foot as the final block; then CRC-32
 // and ISIZE of the identity body, chained over the parts. It is dropped
 // when it would not shrink the body.

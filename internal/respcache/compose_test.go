@@ -177,7 +177,9 @@ func TestGiantPageKeepsItsCompressor(t *testing.T) {
 	for i := range body { // six bits of entropy a byte: deflates to three quarters
 		body[i] = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"[rng.Intn(64)]
 	}
-	d := deflaters.New().(*deflater) // constructed outside the measurement
+	d := new(deflater)
+	d.flate(nil, true) // the flate.Writer is constructed here, outside the measurement
+	d.out = bytes.Buffer{}
 	output := allocated(1, func() {
 		d.segment(body, true)
 		sinkComposed = &Composed{Gzip: bytes.Clone(d.out.Bytes())}
@@ -199,10 +201,10 @@ func TestGiantPageKeepsItsCompressor(t *testing.T) {
 
 var sinkComposed *Composed
 
-// BenchmarkCompose is the simple-page miss: one 434-byte body (the
-// crawl's median response), a compressor from the pool.
+// BenchmarkCompose is the simple-page miss: one 985-byte body (the
+// crawl's median page before compression), a compressor from the pool.
 func BenchmarkCompose(b *testing.B) {
-	body := bytes.Repeat([]byte("<p>434 bytes of page</p>\n"), 18)[:434]
+	body := bytes.Repeat([]byte("<p>985 bytes of page</p>\n"), 40)[:985]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sinkComposed = Compose(body, Rev{Seq: uint64(i)})
@@ -245,13 +247,13 @@ func BenchmarkComposeSegmentsAppend(b *testing.B) {
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestGzipGolden pins the gzip member byte for byte, by hash, for fixed
-// seeded pages of every shape the composer distinguishes. The hashes
-// were written by the composer that also built the identity body; a
-// change to how identity is kept must leave every one alone. Regenerate
-// with -update only for a change meant to move the wire bytes: every
-// member is first inflated through compress/gzip, which verifies CRC-32
-// and ISIZE, and compared with the identity body, so an update cannot
-// bless a member that is wrong.
+// seeded pages of every shape the composer distinguishes; a change to
+// how identity is kept must leave every one alone, and a change to the
+// small-segment kernel the two shapes with no segment under fixedMax
+// (simple, one-segment). Regenerate with -update only for a change meant
+// to move the wire bytes: every member is first inflated through
+// compress/gzip, which verifies CRC-32 and ISIZE, and compared with the
+// identity body, so an update cannot bless a member that is wrong.
 func TestGzipGolden(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	rows := func(n int) (b []byte) {
