@@ -38,11 +38,11 @@ RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
 #
 # FILL_BYTES_BUDGET counts BYTES per fill — a discussion miss with the
 # keys rotating past the cache's capacity, as crawl_scan runs it
-# (measured 2,533 every run; 1.2 MB when a compressor was constructed
-# per fill, which is 28 objects and passes any object budget). These
-# pages are under respcache's fixedMax, so no fill here constructs a
+# (measured 2,532-2,553; 1.2 MB when a compressor was constructed per
+# fill, which is 28 objects and passes any object budget). These pages
+# are under respcache's fixedMax, so no fill here constructs a
 # flate.Writer at all: what the pool builds when a collection empties it
-# is a 16 kB hash table, 16 bytes a fill over the measured 1000.
+# is a 16 kB hash table, 18 bytes a fill over the measured 1000.
 #
 # PATCH_BYTES_BUDGET counts BYTES per appended generation of a viral
 # page — internal/respcache's BenchmarkComposeSegmentsAppend/extend, one
@@ -172,7 +172,7 @@ loc:
 # Design weight is budgeted like allocations: loc-budget fails when
 # `make loc`'s total exceeds this. A PR that needs more raises the
 # constant in its own diff, where a reviewer sees it.
-LOC_BUDGET = 21235
+LOC_BUDGET = 21442
 
 loc-budget:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

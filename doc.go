@@ -97,8 +97,9 @@
 // The third view is content, not ordering: the discussion fragment
 // view (internal/platform/pageindex.go) maintains, per rendered URL,
 // the per-session-view comment streams a reader has asked for —
-// ID-ordered concatenations of the visible pre-escaped rows, each cut
-// from the show-everything stream on first read — plus the
+// ID-ordered concatenations of the visible pre-escaped rows: the
+// show-everything stream itself for a view that hides none of the
+// page's rows, a copy cut from it on first read otherwise — plus the
 // visibility-class counters that derive every view's visible count. A
 // posted comment escapes its one row and appends it; a discussion
 // render (DB.CommentStream) is an O(1) stream snapshot and a counter
@@ -135,11 +136,12 @@
 // in the view's grown stream — the page's escaped HTML is never
 // discarded; a view with no live entry falls back to exact-key
 // invalidation, which discards racing fills. Composing the patched
-// generation costs its delta too: compressors are pooled, and a large
-// page's gzip variant is one member whose comment stream is handed
-// from generation to generation and extended by deflating only the
-// appended rows (respcache.ComposeSegments), while its identity bytes
-// are written from the parts the entry already holds, never joined
+// generation costs its delta too: compressors are pooled, a segment
+// under 4 KB is one fixed-Huffman block with no tables to build, and a
+// large page's gzip variant is one member whose comment stream is
+// handed from generation to generation and extended by deflating only
+// the appended rows (respcache.ComposeSegments), while its identity
+// bytes are written from the parts the entry already holds, never joined
 // into a copy. A posted
 // comment additionally drops every session view of the posting
 // author's home page (its commented-URL listing changed shape) and of

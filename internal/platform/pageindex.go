@@ -42,12 +42,11 @@ import (
 // one is filtered out of it, a copy and no escaping, the first time a
 // session with those settings reads the page. A page costs one copy of
 // its HTML, plus one per view read that hides a row, and a post appends
-// to as many streams. The
-// handshake is sound under write concurrency: a comment's base-index
-// insert happens-before its event dispatch, so an apply either
-// observes the materialized page (and folds the comment in) or the
-// builder's index snapshot already contains the comment — never
-// neither.
+// to as many streams. The handshake is sound under write concurrency: a
+// comment's base-index insert happens-before its event dispatch, so an
+// apply either observes the materialized page (and folds the comment
+// in) or the builder's index snapshot already contains the comment —
+// never neither.
 //
 // Ordering: streams list comments in ID order, matching CommentsOnURL.
 // Events for one URL can arrive out of ID order under write
@@ -82,16 +81,16 @@ func AppendCommentRow(dst []byte, class string, c *Comment, withParent bool) []b
 	return dst
 }
 
-// rowSize is what AppendCommentRow writes for a "comment" row with a
-// parent attribute when nothing in the text needs escaping: the markup,
-// two or three IDs of 24 digits, the text. rebuildLocked sizes a stream
-// with it.
+// rowOverhead is what AppendCommentRow writes around the text of a
+// "comment" row with an empty parent attribute: the markup and two IDs.
+var rowOverhead = len(AppendCommentRow(nil, "comment", &Comment{}, true))
+
+// rowSize is the size of c's row when nothing in its text needs
+// escaping. rebuildLocked sizes a stream with it.
 func rowSize(c *Comment) int {
-	const idLen = 2 * len(ids.ObjectID{})
-	n := len(`<div class="comment" data-comment-id="" data-author-id="" data-parent-id="">`+"\n"+
-		`<p class="comment-text"></p>`+"\n</div>\n") + 2*idLen + len(c.Text)
+	n := rowOverhead + len(c.Text)
 	if !c.ParentID.IsZero() {
-		n += idLen
+		n += 2 * len(c.ParentID) // in hex
 	}
 	return n
 }
@@ -99,11 +98,11 @@ func rowSize(c *Comment) int {
 // maxMaterializedPages bounds the lazily materialized state. A page
 // holds one concatenated copy of its rows, and one more per view read
 // that hides any of them, so a crawl that touches EVERY page of a huge
-// corpus would otherwise pin the corpus' HTML forever. Pages are rebuildable from
-// the base indexes, so the bound is a wholesale reset: crossing it
-// drops the map and lets the hot set re-materialize. The cap sits far
-// above the response cache's hot set (4096 entries), so steady-state
-// crawls of a bounded hot set never reset.
+// corpus would otherwise pin the corpus' HTML forever. Pages are
+// rebuildable from the base indexes, so the bound is a wholesale reset:
+// crossing it drops the map and lets the hot set re-materialize. The
+// cap sits far above the response cache's hot set (4096 entries), so
+// steady-state crawls of a bounded hot set never reset.
 const maxMaterializedPages = 16 << 10
 
 // pageIndex is the fragment view hanging off a DB: the materialized

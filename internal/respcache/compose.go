@@ -159,10 +159,10 @@ func Compose(body []byte, rev Rev) *Composed {
 
 // ComposeSegments builds the composed form of head+mid+foot for the
 // generation rev. The gzip variant is compressed once, here, at the
-// fastest setting — per mutation, not per request — as ONE gzip member: head,
-// sync-flushed; mid as its Stream; foot as the final block; then CRC-32
-// and ISIZE of the identity body, chained over the parts. It is dropped
-// when it would not shrink the body.
+// fastest setting — per mutation, not per request — as ONE gzip member:
+// head, sync-flushed; mid as its Stream; foot as the final block; then
+// CRC-32 and ISIZE of the identity body, chained over the parts. It is
+// dropped when it would not shrink the body.
 //
 // prev is the Stream of an earlier generation whose mid was a prefix of
 // this one (the caller's promise; pass the zero Stream otherwise). Then

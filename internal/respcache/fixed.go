@@ -42,6 +42,7 @@ const (
 	fixedMinMatch = 4
 	fixedMaxMatch = 258
 	fixedMaxDist  = 32 << 10
+	fixedEOBBits  = 7 // the end-of-block symbol, 256, is seven zero bits
 )
 
 // A fixed symbol is its bits as the stream carries them — the Huffman
@@ -49,14 +50,9 @@ const (
 // bit into a stream filled from the least, then any extra bits — shifted
 // over their count: bits<<5 | count.
 var (
-	fixedLit  [256]uint16               // by literal byte
-	fixedLen  [fixedMaxMatch - 2]uint32 // by match length - 3, extra bits included
-	fixedDist [30]uint8                 // by distance code: the reversed 5-bit code alone
+	fixedLit [256]uint16               // by literal byte
+	fixedLen [fixedMaxMatch - 2]uint32 // by match length - 3, extra bits included
 )
-
-// fixedEOBBits is the length of the end-of-block symbol, 256: seven
-// zero bits.
-const fixedEOBBits = 7
 
 func init() {
 	rev := func(code uint16, n int) uint32 { return uint32(bits.Reverse16(code) >> (16 - n)) }
@@ -83,28 +79,25 @@ func init() {
 		}
 		fixedLen[y] = (code|uint32(extra)<<n)<<5 | uint32(n+eb)
 	}
-	for c := range fixedDist {
-		fixedDist[c] = bits.Reverse8(uint8(c)) >> 3
-	}
 }
 
-// fixedDistance is the symbol of match distance d (1..fixedMaxDist):
-// codes 0-3 are the distances 1-4, and from there every power of two
-// [2^n+1, 2^(n+1)] is split between codes 2n and 2n+1, n-1 extra bits
-// each.
+// fixedDistance is the symbol of match distance d (1..fixedMaxDist): a
+// five-bit code, then its extra bits. Codes 0-3 are the distances 1-4,
+// and from there every power of two [2^n+1, 2^(n+1)] is split between
+// codes 2n and 2n+1, n-1 extra bits each.
 func fixedDistance(d int) uint32 {
 	x := uint32(d - 1)
-	if x < 4 {
-		return uint32(fixedDist[x])<<5 | 5
+	code, eb := x, uint32(0)
+	if x >= 4 {
+		eb = uint32(bits.Len32(x) - 2)
+		code = 2*(eb+1) + x>>eb&1
 	}
-	eb := uint32(bits.Len32(x) - 2)
-	code := 2*(eb+1) + x>>eb&1
-	return (uint32(fixedDist[code])|(x&(1<<eb-1))<<5)<<5 | (5 + eb)
+	return (uint32(bits.Reverse8(uint8(code))>>3)|(x&(1<<eb-1))<<5)<<5 | (5 + eb)
 }
 
 // fixedBound is the room appendFixed needs for n bytes: a literal costs
 // at most 9 bits and a match less than its literals; 16 covers the
-// block's header and end, the sync marker and the eight bytes every
+// block's header and end, the sync marker and the eight bytes the last
 // flush stores.
 func fixedBound(n int) int { return n + n/8 + 16 }
 

@@ -57,16 +57,18 @@
 // identity body, gzip variant, ETag and ready-made header values, built
 // once per fill or patch and outside every shard lock. Minting one
 // costs what changed. No compose constructs a compressor — they are
-// pooled — and a page with a large append-only middle (a discussion's
-// comment stream) is ONE gzip member of three segments: head, the
-// middle's Stream, foot. The Stream is byte-aligned deflate blocks
-// that reference nothing outside the segment, so the next generation's
-// ComposeSegments copies them and deflates only the appended bytes,
-// until the history-less part passes a fixed fraction of the one-pass
-// size and the segment is compressed whole again. Compose(body) is the
-// same composer on a page of one segment — the only kind with a joined
-// identity body: a segmented page's identity bytes stay the three
-// parts it was composed from, so no generation copies its HTML.
+// pooled — a segment under 4 KB builds no Huffman tables either (one
+// fixed-Huffman block, fixed.go), and a page with a large append-only
+// middle (a discussion's comment stream) is ONE gzip member of three
+// segments: head, the middle's Stream, foot. The Stream is byte-aligned
+// deflate blocks that reference nothing outside the segment, so the
+// next generation's ComposeSegments copies them and deflates only the
+// appended bytes, until the history-less part passes a fixed fraction
+// of the one-pass size and the segment is compressed whole again.
+// Compose(body) is the same composer on a page of one segment — the
+// only kind with a joined identity body: a segmented page's identity
+// bytes stay the three parts it was composed from, so no generation
+// copies its HTML.
 package respcache
 
 import (
