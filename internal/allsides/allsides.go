@@ -98,24 +98,3 @@ func RateDomain(domain string) Bias {
 	}
 	return NotRanked
 }
-
-// RankedDomains returns every rated domain, useful to generators that
-// need the rated universe.
-func RankedDomains() []string {
-	out := make([]string, 0, len(ratings))
-	for d := range ratings {
-		out = append(out, d)
-	}
-	return out
-}
-
-// DomainsWithBias returns the rated domains in the given bucket.
-func DomainsWithBias(b Bias) []string {
-	var out []string
-	for d, bias := range ratings {
-		if bias == b {
-			out = append(out, d)
-		}
-	}
-	return out
-}

@@ -1,9 +1,6 @@
 package allsides
 
-import (
-	"sort"
-	"testing"
-)
+import "testing"
 
 func TestRateKnownOutlets(t *testing.T) {
 	cases := map[string]Bias{
@@ -64,32 +61,6 @@ func TestStringNames(t *testing.T) {
 	for b, want := range names {
 		if b.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(b), b.String(), want)
-		}
-	}
-}
-
-func TestDomainsWithBiasPartition(t *testing.T) {
-	total := 0
-	for _, b := range Categories() {
-		ds := DomainsWithBias(b)
-		if len(ds) == 0 {
-			t.Errorf("no domains rated %v", b)
-		}
-		for _, d := range ds {
-			if RateDomain(d) != b {
-				t.Errorf("domain %q bias mismatch", d)
-			}
-		}
-		total += len(ds)
-	}
-	ranked := RankedDomains()
-	if total != len(ranked) {
-		t.Errorf("partition size %d != ranked size %d", total, len(ranked))
-	}
-	sort.Strings(ranked)
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i] == ranked[i-1] {
-			t.Errorf("duplicate ranked domain %q", ranked[i])
 		}
 	}
 }

@@ -80,9 +80,10 @@ type Result struct {
 // ErrGaveUp wraps the final error after the retry budget is exhausted.
 var ErrGaveUp = errors.New("crawlkit: retries exhausted")
 
-// Get fetches url, retrying transport errors, 5xx, and 429 (honoring
-// Retry-After). 4xx responses other than 429 are returned, not retried —
-// a 404 is an answer, not a failure.
+// Get fetches url, retrying transport errors, 5xx, and 429, honoring
+// Retry-After on 429 and 503 (an admission shed or an unavailable
+// gateway names its own pacing). 4xx responses other than 429 are
+// returned, not retried — a 404 is an answer, not a failure.
 func (f *Fetcher) Get(ctx context.Context, url string) (Result, error) {
 	return f.do(ctx, http.MethodGet, url, "", "")
 }
@@ -184,17 +185,14 @@ func (f *Fetcher) fetchOnce(ctx context.Context, method, url, contentType, paylo
 	if err != nil {
 		return Result{}, fmt.Errorf("crawlkit: read body: %w", err)
 	}
-	switch {
-	case resp.StatusCode == http.StatusTooManyRequests:
+	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500 {
 		re := &retryableError{status: resp.StatusCode}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if secs, err := strconv.Atoi(ra); err == nil {
+		if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
+			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
 				re.after = time.Duration(secs) * time.Second
 			}
 		}
 		return Result{}, re
-	case resp.StatusCode >= 500:
-		return Result{}, &retryableError{status: resp.StatusCode}
 	}
 	return Result{Status: resp.StatusCode, Body: body, Header: resp.Header, Size: len(body)}, nil
 }

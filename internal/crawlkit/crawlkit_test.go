@@ -88,6 +88,28 @@ func TestGetHonorsRetryAfter(t *testing.T) {
 	}
 }
 
+// TestRetryAfterOn429And503 reads the hint fetchOnce hands the retry
+// loop, without sleeping it out: httpguard's admission shed and the
+// gateway's unavailable answer are 503s that carry one, a 429 carries
+// one, and other 5xx responses retry on the fetcher's own backoff.
+func TestRetryAfterOn429And503(t *testing.T) {
+	for status, want := range map[int]time.Duration{
+		http.StatusTooManyRequests:    7 * time.Second,
+		http.StatusServiceUnavailable: 7 * time.Second,
+		http.StatusBadGateway:         0,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Retry-After", "7")
+			http.Error(w, "not now", status)
+		}))
+		_, err := NewFetcher(srv.Client()).fetchOnce(context.Background(), http.MethodGet, srv.URL, "", "")
+		srv.Close()
+		if got, _ := retryAfter(err); got != want {
+			t.Errorf("HTTP %d: retryAfter = %v, want %v (err %v)", status, got, want, err)
+		}
+	}
+}
+
 func TestGetGivesUp(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "always broken", http.StatusBadGateway)

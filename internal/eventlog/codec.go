@@ -109,8 +109,8 @@ func appendUser(dst []byte, u *platform.User) []byte {
 	return dst
 }
 
-func decodeUser(r *reader) *platform.User {
-	u := &platform.User{
+func decodeUser(r *reader) platform.User {
+	u := platform.User{
 		GabID:       ids.GabID(r.varint()),
 		Username:    r.str(),
 		DisplayName: r.str(),
@@ -138,8 +138,8 @@ func appendURL(dst []byte, cu *platform.CommentURL) []byte {
 	return dst
 }
 
-func decodeURL(r *reader) *platform.CommentURL {
-	return &platform.CommentURL{
+func decodeURL(r *reader) platform.CommentURL {
+	return platform.CommentURL{
 		ID:          r.objid(),
 		URL:         r.str(),
 		Title:       r.str(),
@@ -168,8 +168,8 @@ func appendComment(dst []byte, c *platform.Comment) []byte {
 	return dst
 }
 
-func decodeComment(r *reader) *platform.Comment {
-	c := &platform.Comment{
+func decodeComment(r *reader) platform.Comment {
+	c := platform.Comment{
 		ID:        r.objid(),
 		URLID:     r.objid(),
 		AuthorID:  r.objid(),
@@ -349,11 +349,14 @@ func decodePayload(payload []byte) (rec Record, known bool, err error) {
 	}
 	switch name {
 	case "user-added":
-		rec.Event = platform.UserAdded{User: decodeUser(r)}
+		u := decodeUser(r)
+		rec.Event = platform.UserAdded{User: &u}
 	case "url-submitted":
-		rec.Event = platform.URLSubmitted{URL: decodeURL(r)}
+		cu := decodeURL(r)
+		rec.Event = platform.URLSubmitted{URL: &cu}
 	case "comment-added":
-		rec.Event = platform.CommentAdded{Comment: decodeComment(r)}
+		c := decodeComment(r)
+		rec.Event = platform.CommentAdded{Comment: &c}
 	case "follow-added":
 		rec.Event = platform.FollowAdded{From: ids.GabID(r.varint()), To: ids.GabID(r.varint())}
 	case "vote-cast":

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"dissenter/internal/ids"
@@ -280,7 +281,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 // testStore builds a small store through the write paths (so its state
 // is stream-reproducible) and mutates every surface.
-func testStore(t *testing.T) *platform.DB {
+func testStore(t testing.TB) *platform.DB {
 	t.Helper()
 	db := platform.New(nil, nil, nil, nil)
 	gen := ids.NewGenerator(0xD15C0)
@@ -335,14 +336,33 @@ func FuzzDecoder(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotDecode does the same for the snapshot parser.
+// FuzzSnapshotDecode runs the one snapshot decoder over arbitrary
+// bytes twice: from the whole slice, and one byte per Read the way a
+// slow network delivers it. Both must reach the same verdict, never
+// panic or over-allocate, and whatever they accept must re-encode to
+// the same bytes — bytes that decode and re-encode to themselves.
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(EncodeSnapshot(platform.Checkpoint{Seq: 3}))
+	f.Add(EncodeSnapshot(testStore(f).Checkpoint()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cp, err := DecodeSnapshot(data)
-		if err == nil {
-			// Whatever decodes must re-encode without panicking.
-			EncodeSnapshot(cp)
+		cp, err := ReadSnapshot(bytes.NewReader(data))
+		slow, slowErr := ReadSnapshot(iotest.OneByteReader(bytes.NewReader(data)))
+		if (err == nil) != (slowErr == nil) {
+			t.Fatalf("verdicts differ: whole slice %v, one byte per read %v", err, slowErr)
+		}
+		if err != nil {
+			return
+		}
+		enc := EncodeSnapshot(cp)
+		if !bytes.Equal(enc, EncodeSnapshot(slow)) {
+			t.Fatal("the two reads decoded different checkpoints")
+		}
+		again, err := ReadSnapshot(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("a re-encoded snapshot does not decode: %v", err)
+		}
+		if !bytes.Equal(enc, EncodeSnapshot(again)) {
+			t.Fatal("encode∘decode is not idempotent")
 		}
 	})
 }

@@ -60,7 +60,14 @@
 // through a buffered writer under a running checksum, so the
 // rotation's file, the replication bootstrap response and
 // EncodeSnapshot's in-memory form are one code path that allocates
-// O(1) objects per snapshot.
+// O(1) objects per snapshot. ReadSnapshot is the only decoder, its
+// mirror image: it parses entity by entity from a buffered reader as
+// the bytes arrive, so a bootstrapping replica decodes while the
+// primary encodes, and returns nothing until the checksum and the end
+// of the stream are verified. Counts on the wire bound loops, not
+// allocations — records land in arrays allocated as they arrive — so
+// a corrupt or hostile header costs what its bytes cost.
+// DecodeSnapshot (RestoreDir's path) is ReadSnapshot over memory.
 //
 // # Files on disk (wal.go, persist.go)
 //

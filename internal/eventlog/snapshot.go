@@ -3,7 +3,9 @@ package eventlog
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -105,99 +107,173 @@ func (e *snapEncoder) sized(body []byte) {
 	e.body = body
 }
 
-// DecodeSnapshot parses an encoded snapshot, verifying magic, version,
-// and checksum. The returned checkpoint's slices are freshly
-// allocated, so it is a legal FromCheckpoint seed.
-func DecodeSnapshot(b []byte) (platform.Checkpoint, error) {
-	var cp platform.Checkpoint
-	if len(b) < len(snapMagic)+1+4 {
-		return cp, fmt.Errorf("eventlog: snapshot too short (%d bytes)", len(b))
+// ReadSnapshot is WriteSnapshot's counterpart and the one snapshot
+// decoder. It parses entity by entity while the bytes arrive — a
+// replica decodes the primary's snapshot while the primary is still
+// encoding it — under a running CRC-32C, and returns nothing until the
+// checksum and the end of the stream have both been checked. A count
+// read off the wire bounds a loop, never an allocation: records are
+// decoded into arrays allocated as records arrive (maxRecordChunk), so
+// a header claiming 2^40 comments costs what its bytes cost. The
+// returned checkpoint's slices are freshly allocated, so it is a legal
+// FromCheckpoint seed.
+func ReadSnapshot(r io.Reader) (platform.Checkpoint, error) {
+	d := snapDecoder{r: bufio.NewReaderSize(r, 64<<10)}
+	if magic := d.next(len(snapMagic)); d.err == nil && [4]byte(magic) != snapMagic {
+		return platform.Checkpoint{}, fmt.Errorf("eventlog: bad snapshot magic %q", magic)
 	}
-	if [4]byte(b[:4]) != snapMagic {
-		return cp, fmt.Errorf("eventlog: bad snapshot magic %q", b[:4])
+	if ver := d.next(1); d.err == nil && (ver[0] == 0 || ver[0] > SnapshotVersion) {
+		return platform.Checkpoint{}, fmt.Errorf("eventlog: unknown snapshot version %d", ver[0])
 	}
-	body, sumBytes := b[:len(b)-4], b[len(b)-4:]
-	if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(sumBytes) {
-		return cp, fmt.Errorf("eventlog: snapshot checksum mismatch")
+	cp := platform.Checkpoint{Seq: d.uvarint()}
+	cp.Users = readSection(&d, decodeUser)
+	cp.URLs = readSection(&d, decodeURL)
+	cp.Comments = readSection(&d, decodeComment)
+	cp.Follows = d.follows()
+	sum := d.sum
+	got := d.next(4)
+	switch {
+	case d.err != nil:
+		return platform.Checkpoint{}, d.err
+	case binary.BigEndian.Uint32(got) != sum:
+		return platform.Checkpoint{}, fmt.Errorf("eventlog: snapshot checksum mismatch")
 	}
-	if ver := b[4]; ver == 0 || ver > SnapshotVersion {
-		return cp, fmt.Errorf("eventlog: unknown snapshot version %d", ver)
-	}
-	r := &reader{b: body, off: 5}
-	cp.Seq = r.uvarint()
-
-	nUsers := r.uvarint()
-	for i := uint64(0); i < nUsers && r.err == nil; i++ {
-		if u, ok := decodeSection(r, decodeUser); ok {
-			cp.Users = append(cp.Users, u)
+	d.r.Discard(d.held)
+	if _, err := d.r.ReadByte(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing bytes after the checksum")
 		}
-	}
-	nURLs := r.uvarint()
-	for i := uint64(0); i < nURLs && r.err == nil; i++ {
-		if cu, ok := decodeSection(r, decodeURL); ok {
-			cp.URLs = append(cp.URLs, cu)
-		}
-	}
-	nComments := r.uvarint()
-	for i := uint64(0); i < nComments && r.err == nil; i++ {
-		if c, ok := decodeSection(r, decodeComment); ok {
-			cp.Comments = append(cp.Comments, c)
-		}
-	}
-	nFollows := r.uvarint()
-	if nFollows > 0 && r.err == nil {
-		cp.Follows = make(map[ids.GabID][]ids.GabID, nFollows)
-		for i := uint64(0); i < nFollows && r.err == nil; i++ {
-			from := ids.GabID(r.varint())
-			k := r.uvarint()
-			tos := make([]ids.GabID, 0, k)
-			for j := uint64(0); j < k && r.err == nil; j++ {
-				tos = append(tos, ids.GabID(r.varint()))
-			}
-			cp.Follows[from] = tos
-		}
-	}
-	if r.err != nil {
-		return platform.Checkpoint{}, r.err
+		return platform.Checkpoint{}, fmt.Errorf("eventlog: snapshot: %w", err)
 	}
 	return cp, nil
 }
 
-// decodeSection decodes one length-prefixed entity body with its own
-// bounded reader, propagating corruption to the outer walk.
-func decodeSection[T any](r *reader, decode func(*reader) T) (v T, ok bool) {
-	sub := r.section()
-	v = decode(sub)
-	if sub.err != nil && r.err == nil {
-		r.err = sub.err
-	}
-	return v, r.err == nil
+// DecodeSnapshot is ReadSnapshot over an encoded snapshot in memory.
+func DecodeSnapshot(b []byte) (platform.Checkpoint, error) {
+	return ReadSnapshot(bytes.NewReader(b))
 }
 
-// section consumes one length-prefixed entity body and returns a
-// reader over exactly those bytes, so appended future fields inside
-// an entity never desynchronize the outer walk.
-func (r *reader) section() *reader {
-	n := r.uvarint()
-	if r.err != nil {
-		return &reader{err: r.err}
-	}
-	if uint64(len(r.b)-r.off) < n {
-		r.fail()
-		return &reader{err: r.err}
-	}
-	sub := &reader{b: r.b[r.off : r.off+int(n)]}
-	r.off += int(n)
-	return sub
+// maxRecordChunk caps the arrays ReadSnapshot decodes records into.
+// They start small and double up to it as records arrive, so a store
+// costs about one allocation per 4096 records and a short or hostile
+// stream only what it delivered.
+const maxRecordChunk = 4096
+
+// snapDecoder is ReadSnapshot's state: the buffered input, the
+// checksum of every byte consumed so far, the first error, and scratch
+// for bodies longer than the buffer and for one follow list.
+type snapDecoder struct {
+	r    *bufio.Reader
+	held int // bytes the last next returned, still in r's buffer
+	sum  uint32
+	err  error
+	long []byte
+	tos  []ids.GabID
 }
 
-// ReadSnapshot is WriteSnapshot's counterpart: the whole stream is one
-// snapshot. Snapshots are bounded by the corpus size, which already
-// lives in memory on both ends.
-func ReadSnapshot(r io.Reader) (platform.Checkpoint, error) {
-	b, err := io.ReadAll(r)
+func (d *snapDecoder) fail(err error) {
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	d.err = fmt.Errorf("eventlog: snapshot: %w", err)
+}
+
+// next consumes the next n bytes of the stream and returns them; the
+// slice is valid until the following call. After an error it returns
+// nil and consumes nothing.
+func (d *snapDecoder) next(n int) []byte {
+	if d.err != nil {
+		return nil
+	}
+	d.r.Discard(d.held)
+	d.held = 0
+	if n > d.r.Size() {
+		// Longer than the buffer: copy it out piece by piece, so the
+		// scratch grows only as far as the bytes that arrived.
+		d.long = d.long[:0]
+		for n > 0 && d.err == nil {
+			k := min(n, d.r.Size())
+			d.long = append(d.long, d.next(k)...)
+			n -= k
+		}
+		return d.long
+	}
+	b, err := d.r.Peek(n)
 	if err != nil {
-		return platform.Checkpoint{}, err
+		d.fail(err)
+		return nil
 	}
-	return DecodeSnapshot(b)
+	d.sum = crc32.Update(d.sum, castagnoli, b)
+	d.held = n
+	return b
+}
+
+func (d *snapDecoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	d.r.Discard(d.held)
+	d.held = 0
+	b, err := d.r.Peek(binary.MaxVarintLen64) // fewer at the end of the stream
+	v, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
+		d.fail(err)
+	case n < 0:
+		d.err = errMalformed
+	default:
+		d.next(n)
+	}
+	return v
+}
+
+// varint undoes the zig-zag encoding binary.AppendVarint writes.
+func (d *snapDecoder) varint() int64 {
+	u := d.uvarint()
+	if u&1 != 0 {
+		return ^int64(u >> 1)
+	}
+	return int64(u >> 1)
+}
+
+// readSection decodes one section: a count, then that many
+// length-prefixed entity bodies, each through its own bounded reader so
+// appended future fields never desynchronize the walk.
+func readSection[T any](d *snapDecoder, decode func(*reader) T) []*T {
+	var out []*T
+	var chunk []T
+	for i, n := uint64(0), d.uvarint(); i < n && d.err == nil; i++ {
+		size := d.uvarint()
+		if size > uint64(maxFrame) {
+			d.err = errMalformed
+			break
+		}
+		body := reader{b: d.next(int(size))}
+		v := decode(&body)
+		if d.err != nil || body.err != nil {
+			d.err = cmp.Or(d.err, body.err)
+			break
+		}
+		if len(chunk) == cap(chunk) {
+			chunk = make([]T, 0, min(max(2*cap(chunk), 16), maxRecordChunk))
+		}
+		chunk = append(chunk, v)
+		out = append(out, &chunk[len(chunk)-1])
+	}
+	return out
+}
+
+// follows decodes the follow section: a count of sources, then per
+// source its Gab ID and its list.
+func (d *snapDecoder) follows() map[ids.GabID][]ids.GabID {
+	out := make(map[ids.GabID][]ids.GabID)
+	for i, n := uint64(0), d.uvarint(); i < n && d.err == nil; i++ {
+		from := ids.GabID(d.varint())
+		d.tos = d.tos[:0]
+		for j, k := uint64(0), d.uvarint(); j < k && d.err == nil; j++ {
+			d.tos = append(d.tos, ids.GabID(d.varint()))
+		}
+		out[from] = slices.Clone(d.tos)
+	}
+	return out
 }

@@ -2,14 +2,22 @@ package eventlog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
+	"testing/iotest"
 
 	"dissenter/internal/benchkit"
 	"dissenter/internal/faultinject"
+	"dissenter/internal/platform"
 	"dissenter/internal/synth"
 )
 
@@ -87,6 +95,88 @@ func TestWriteSnapshotMatchesEncode(t *testing.T) {
 	}
 	if st, err := os.Stat(snapPath(dir, big.Seq)); err != nil || st.Size() != size {
 		t.Fatalf("writeSnapshotFile reported %d bytes, file has %v (%v)", size, st, err)
+	}
+}
+
+// TestReadSnapshotRejects pins the decoder's verdicts on damaged
+// streams: a cut at every byte — every section boundary among them —
+// both as it stands and with a checksum recomputed over what is left,
+// so structure alone must catch it; every byte flipped; a byte past the
+// checksum. And since the decoder meets every count before it meets the
+// checksum, a header may claim 2^40 entities in any count position: it
+// must fail where its bytes end, having allocated about what those
+// bytes cost (the reader's 64 kB buffer plus records), not what the
+// count claimed.
+func TestReadSnapshotRejects(t *testing.T) {
+	cp := testStore(t).Checkpoint()
+	enc := EncodeSnapshot(cp)
+	body := enc[:len(enc)-4]
+	reject := func(what string, b []byte) {
+		t.Helper()
+		if _, err := DecodeSnapshot(b); err == nil {
+			t.Errorf("%s: accepted", what)
+		}
+	}
+	for cut := range body {
+		reject(fmt.Sprintf("cut at %d of %d", cut, len(enc)), enc[:cut])
+		resummed := binary.BigEndian.AppendUint32(slices.Clone(body[:cut]), crc32.Checksum(body[:cut], castagnoli))
+		reject(fmt.Sprintf("cut at %d with its checksum", cut), resummed)
+	}
+	for i := range enc {
+		flipped := slices.Clone(enc)
+		flipped[i] ^= 0x20
+		reject(fmt.Sprintf("byte %d flipped", i), flipped)
+	}
+	reject("a byte past the checksum", append(slices.Clone(enc), 0))
+
+	head := slices.Concat(snapMagic[:], []byte{SnapshotVersion, 0})
+	huge := binary.AppendUvarint(nil, 1<<40)
+	c := appendComment(nil, cp.Comments[0])
+	comment := append(binary.AppendUvarint(nil, uint64(len(c))), c...)
+	for what, claim := range map[string][]byte{
+		"users":           slices.Concat(head, huge),
+		"urls":            slices.Concat(head, []byte{0}, huge),
+		"comments":        slices.Concat(head, []byte{0, 0}, huge, comment, comment, comment),
+		"follow sources":  slices.Concat(head, []byte{0, 0, 0}, huge, []byte{2, 0, 4, 0}),
+		"one follow list": slices.Concat(head, []byte{0, 0, 0, 1, 2}, huge, []byte{4, 6, 8}),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSnapshot(claim)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("2^40 %s in %d bytes: err = %v, want io.ErrUnexpectedEOF", what, len(claim), err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 256<<10 {
+			t.Errorf("2^40 %s in %d bytes: allocated %d bytes", what, len(claim), n)
+		}
+	}
+}
+
+// TestFromCheckpointReencodes is the oracle for the restore path: the
+// (1/512, seed 33) corpus decoded by ReadSnapshot and rebuilt by
+// FromCheckpoint — whose New builds its indexes on goroutines of their
+// own — re-encodes to the snapshot it came from, and its trends and
+// leaderboard views, rebuilt side by side, rank exactly as the source
+// store's do. Run it under -race -count=10 after touching either.
+func TestFromCheckpointReencodes(t *testing.T) {
+	src := synth.Generate(synth.NewConfig(1.0/512, 33)).DB
+	enc := EncodeSnapshot(src.Checkpoint())
+	cp, err := ReadSnapshot(iotest.HalfReader(bytes.NewReader(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := platform.FromCheckpoint(cp)
+	if !bytes.Equal(EncodeSnapshot(restored.Checkpoint()), enc) {
+		t.Fatal("FromCheckpoint(ReadSnapshot(s)) does not re-encode to s")
+	}
+	for _, v := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+		if !reflect.DeepEqual(restored.TopTrends(v[0], v[1]), src.TopTrends(v[0], v[1])) {
+			t.Errorf("trends (nsfw %v, offensive %v) differ after the restore", v[0], v[1])
+		}
+	}
+	if !reflect.DeepEqual(restored.Leaderboard(), src.Leaderboard()) {
+		t.Error("the leaderboard differs after the restore")
 	}
 }
 

@@ -11,7 +11,6 @@
 package hatespeech
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 
@@ -199,17 +198,4 @@ func (g *tweetGen) neither() string {
 	}
 	g.rng.Shuffle(len(words), func(i, j int) { words[i], words[j] = words[j], words[i] })
 	return strings.Join(words, " ")
-}
-
-// ParseLabel converts a string to a Label.
-func ParseLabel(s string) (Label, error) {
-	switch s {
-	case "hate":
-		return Hate, nil
-	case "offensive":
-		return Offensive, nil
-	case "neither":
-		return Neither, nil
-	}
-	return 0, fmt.Errorf("hatespeech: unknown label %q", s)
 }

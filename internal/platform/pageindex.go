@@ -114,7 +114,7 @@ type pageIndex struct {
 }
 
 func newPageIndex() *pageIndex {
-	return &pageIndex{pages: newShardedMap[ids.ObjectID, *urlPage](hashObjectID)}
+	return &pageIndex{pages: newShardedMap[ids.ObjectID, *urlPage](hashObjectID, 0)}
 }
 
 // Apply implements View (events.go). Only comment inserts move page

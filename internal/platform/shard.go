@@ -30,10 +30,12 @@ type shardedMap[K comparable, V any] struct {
 	}
 }
 
-func newShardedMap[K comparable, V any](hash func(K) uint64) *shardedMap[K, V] {
+// newShardedMap returns an empty map with room for about size entries
+// (each shard is sized for its share), so a bulk build never rehashes.
+func newShardedMap[K comparable, V any](hash func(K) uint64, size int) *shardedMap[K, V] {
 	s := &shardedMap[K, V]{hash: hash}
 	for i := range s.shards {
-		s.shards[i].m = make(map[K]V)
+		s.shards[i].m = make(map[K]V, size/numShards)
 	}
 	return s
 }

@@ -107,68 +107,109 @@ type voteDelta struct {
 // the grouped indexes — append everything, sort each list once —
 // instead of going through the insert paths, which would search each
 // comment listing per comment and cost O(k²) on the largest follower
-// list.
+// list. The base indexes do not read one another, so each is built on
+// a goroutine of its own into shard maps sized up front; the trends and
+// leaderboard views read only those, so they are rebuilt side by side
+// once all are done.
 func New(users []*User, urls []*CommentURL, comments []*Comment, follows map[ids.GabID][]ids.GabID) *DB {
 	db := &DB{
-		users:            users,
-		urls:             urls,
-		comments:         comments,
-		byGabID:          newShardedMap[ids.GabID, *User](hashGabID),
-		byUsername:       newShardedMap[string, *User](hashString),
-		byAuthor:         newShardedMap[ids.ObjectID, *User](hashObjectID),
-		urlByID:          newShardedMap[ids.ObjectID, *CommentURL](hashObjectID),
-		urlByURL:         newShardedMap[string, *CommentURL](hashString),
-		commentByID:      newShardedMap[ids.ObjectID, *Comment](hashObjectID),
-		commentsByURL:    newShardedMap[ids.ObjectID, []*Comment](hashObjectID),
-		commentsByAuthor: newShardedMap[ids.ObjectID, []*Comment](hashObjectID),
-		following:        newShardedMap[ids.GabID, []ids.GabID](hashGabID),
-		followersOf:      newShardedMap[ids.GabID, []ids.GabID](hashGabID),
-		votes:            newShardedMap[ids.ObjectID, voteDelta](hashObjectID),
-		trends:           newTrendIndex(),
-		leaders:          newVoteIndex(),
-		pages:            newPageIndex(),
+		users:    users,
+		urls:     urls,
+		comments: comments,
+		votes:    newShardedMap[ids.ObjectID, voteDelta](hashObjectID, 0),
+		trends:   newTrendIndex(),
+		leaders:  newVoteIndex(),
+		pages:    newPageIndex(),
+		seeded:   len(users) > 0 || len(urls) > 0 || len(comments) > 0 || len(follows) > 0,
 	}
-	db.seeded = len(users) > 0 || len(urls) > 0 || len(comments) > 0 || len(follows) > 0
-	for _, u := range users {
-		db.indexUser(u)
-	}
-	for _, cu := range urls {
-		db.urlByID.set(cu.ID, cu)
-		db.urlByURL.set(cu.URL, cu)
-	}
-	byURL := make(map[ids.ObjectID][]*Comment)
-	byAuthor := make(map[ids.ObjectID][]*Comment)
-	for _, c := range comments {
-		db.commentByID.set(c.ID, c)
-		byURL[c.URLID] = append(byURL[c.URLID], c)
-		byAuthor[c.AuthorID] = append(byAuthor[c.AuthorID], c)
-	}
-	for id, list := range byURL {
-		sort.Slice(list, func(i, j int) bool { return list[i].ID.Before(list[j].ID) })
-		db.commentsByURL.set(id, list)
-	}
-	for id, list := range byAuthor {
-		sort.Slice(list, func(i, j int) bool { return list[i].ID.Before(list[j].ID) })
-		db.commentsByAuthor.set(id, list)
-	}
-	followers := make(map[ids.GabID][]ids.GabID)
-	for from, tos := range follows {
-		db.following.set(from, tos)
-		for _, to := range tos {
-			followers[to] = append(followers[to], from)
-		}
-	}
-	for id, list := range followers {
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		db.followersOf.set(id, list)
-	}
-	// The built-in views attach through the same public seam any
-	// consumer would: RegisterView derives each one's state from the
-	// just-built base indexes via its Rebuild hook.
-	db.RegisterView(db.trends)
-	db.RegisterView(db.leaders)
-	db.RegisterView(db.pages)
+	parallel(
+		func() {
+			authors := 0
+			for _, u := range users {
+				if u.HasDissenter {
+					authors++
+				}
+			}
+			db.byGabID = newShardedMap[ids.GabID, *User](hashGabID, len(users))
+			db.byUsername = newShardedMap[string, *User](hashString, len(users))
+			db.byAuthor = newShardedMap[ids.ObjectID, *User](hashObjectID, authors)
+			for _, u := range users {
+				db.indexUser(u)
+			}
+		},
+		func() {
+			db.urlByID = newShardedMap[ids.ObjectID, *CommentURL](hashObjectID, len(urls))
+			db.urlByURL = newShardedMap[string, *CommentURL](hashString, len(urls))
+			for _, cu := range urls {
+				db.urlByID.set(cu.ID, cu)
+				db.urlByURL.set(cu.URL, cu)
+			}
+		},
+		func() {
+			db.commentByID = newShardedMap[ids.ObjectID, *Comment](hashObjectID, len(comments))
+			for _, c := range comments {
+				db.commentByID.set(c.ID, c)
+			}
+		},
+		func() {
+			db.commentsByURL = groupComments(comments, func(c *Comment) ids.ObjectID { return c.URLID })
+		},
+		func() {
+			db.commentsByAuthor = groupComments(comments, func(c *Comment) ids.ObjectID { return c.AuthorID })
+		},
+		func() {
+			db.following = newShardedMap[ids.GabID, []ids.GabID](hashGabID, len(follows))
+			followers := make(map[ids.GabID][]ids.GabID)
+			for from, tos := range follows {
+				db.following.set(from, tos)
+				for _, to := range tos {
+					followers[to] = append(followers[to], from)
+				}
+			}
+			db.followersOf = newShardedMap[ids.GabID, []ids.GabID](hashGabID, len(followers))
+			for id, list := range followers {
+				sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
+				db.followersOf.set(id, list)
+			}
+		},
+	)
+	// The built-in views are attached before any write can dispatch, and
+	// each derives its state from the just-built base indexes through
+	// the Rebuild hook RegisterView would call. The page view is lazy
+	// and starts empty.
+	db.views = []View{db.trends, db.leaders, db.pages}
+	parallel(func() { db.trends.Rebuild(db) }, func() { db.leaders.Rebuild(db) })
 	return db
+}
+
+// parallel runs each f on a goroutine of its own and returns once all
+// have returned.
+func parallel(fs ...func()) {
+	var wg sync.WaitGroup
+	wg.Add(len(fs))
+	for _, f := range fs {
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	wg.Wait()
+}
+
+// groupComments builds a listing index: every comment under its key,
+// each list sorted once into ID (creation) order.
+func groupComments(comments []*Comment, key func(*Comment) ids.ObjectID) *shardedMap[ids.ObjectID, []*Comment] {
+	groups := make(map[ids.ObjectID][]*Comment)
+	for _, c := range comments {
+		k := key(c)
+		groups[k] = append(groups[k], c)
+	}
+	m := newShardedMap[ids.ObjectID, []*Comment](hashObjectID, len(groups))
+	for k, list := range groups {
+		sort.Slice(list, func(i, j int) bool { return list[i].ID.Before(list[j].ID) })
+		m.set(k, list)
+	}
+	return m
 }
 
 // Seeded reports whether the store was built from construction-time

@@ -133,7 +133,7 @@ type trendIndex struct {
 
 func newTrendIndex() *trendIndex {
 	ix := &trendIndex{
-		counts: newShardedMap[ids.ObjectID, classCounts](hashObjectID),
+		counts: newShardedMap[ids.ObjectID, classCounts](hashObjectID, 0),
 	}
 	for v := range ix.views {
 		ix.views[v].top = rankheap.New[ids.ObjectID, TrendEntry](TrendLimit, betterTrend)

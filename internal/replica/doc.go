@@ -43,10 +43,14 @@
 // client marks boot=1 — "my since=0 is a bootstrapped snapshot of
 // your seed, not an empty store"), or the requested point is past the
 // primary's head (a primary that crashed and lost its unsynced
-// tail). 410 tells the replica to bootstrap:
-// fetch /snapshot, rebuild from the checkpoint, wipe and restart its
-// local persistence at the snapshot's sequence point, and resume the
-// stream from there.
+// tail). 410 tells the replica to bootstrap: fetch /snapshot, decode
+// it as it arrives (eventlog.ReadSnapshot checks its checksum before
+// any of it reaches FromCheckpoint), rebuild from the checkpoint, wipe
+// and restart its local persistence at the snapshot's sequence point,
+// and — in the same attempt, with no reconnect wait — open /events
+// from there. A bootstrap is progress; a 410 on the stream it earned
+// is an ordinary failure and backs off like one, so a primary that
+// compacts past every snapshot it serves cannot make a replica spin.
 //
 // Durability. The replica runs its own eventlog.Persister over its
 // own directory, so a killed replica restarts from its local
@@ -68,8 +72,9 @@
 // Degradation. Reconnects back off exponentially with jitter — waits
 // double from Options.ReconnectWait up to 32 times it, spread
 // over [d/2, d] so a replica fleet cut by the same fault doesn't
-// reconnect in lockstep — and any progress (an applied event or a
-// clean stream close) resets the wait to base. Status reports the
+// reconnect in lockstep — and any progress (a cursor advanced by
+// applied events or a bootstrap, or a clean stream close) resets the
+// wait to base. Status reports the
 // connection state, applied/durable cursors, last-seen primary head
 // (from the stream's X-Replication-Head header), and time since
 // disconnect; Ready folds those into a single readiness verdict

@@ -267,10 +267,13 @@ func jitter(d time.Duration) time.Duration {
 // stream, apply, reconnect on failure, bootstrap from a snapshot when
 // the primary answers 410 Gone. It returns the context's error and
 // never gives up on transient failures — a replica's job is to be
-// caught up whenever the primary is reachable. Repeated failures
-// without progress back off exponentially (jittered, capped at
-// maxBackoff x Options.ReconnectWait); any applied event or clean
-// stream close resets the backoff. One Run at a time.
+// caught up whenever the primary is reachable. A bootstrap is progress,
+// not a stream end: the attempt that made it opens the stream at once.
+// Between attempts Run waits a jittered Options.ReconnectWait; repeated
+// failures without progress double the wait (capped at maxBackoff x
+// Options.ReconnectWait), and any progress — a cursor advanced by
+// applied events or a bootstrap, or a clean stream close — resets it to
+// the base. One Run at a time.
 func (r *Replica) Run(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -306,37 +309,29 @@ func (r *Replica) Run(ctx context.Context) error {
 }
 
 // streamOnce opens one /events connection at the current cursor and
-// applies frames until the stream ends. A clean server-side close
-// returns nil (reconnect); a sequence gap or decode failure returns an
-// error (reconnect resumes at the applied cursor, so nothing is lost
-// and duplicates are dropped by sequence comparison).
+// applies frames until the stream ends. A 410 bootstraps from the
+// snapshot and the same attempt opens /events again at the snapshot's
+// sequence point at once; a 410 on that second request is an error
+// like any other. A clean server-side close returns nil (reconnect); a
+// sequence gap or decode failure returns an error (reconnect resumes at
+// the applied cursor, so nothing is lost and duplicates are dropped by
+// sequence comparison).
 func (r *Replica) streamOnce(ctx context.Context) error {
 	db := r.DB()
-	cur := db.EventSeq()
-	// A seeded replica store got its entities from a snapshot (New's
-	// construction path or FromCheckpoint), so a since of 0 already
-	// covers the primary's seed: say so, or a seeded-but-idle primary
-	// would answer 410 and force a bootstrap ping-pong.
-	u := fmt.Sprintf("%s/events?since=%d", r.primary, cur)
-	if db.Seeded() {
-		u += "&boot=1"
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		// fall through to the stream
-	case http.StatusGone:
+	resp, err := r.openEvents(ctx, db)
+	if err == nil && resp.StatusCode == http.StatusGone {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		return r.bootstrap(ctx)
-	default:
+		if err := r.bootstrap(ctx); err != nil {
+			return err
+		}
+		db = r.DB()
+		resp, err = r.openEvents(ctx, db)
+	}
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		return fmt.Errorf("replica: /events: unexpected status %s", resp.Status)
@@ -357,6 +352,7 @@ func (r *Replica) streamOnce(ctx context.Context) error {
 		r.mu.Unlock()
 	}()
 
+	cur := db.EventSeq()
 	dec := eventlog.NewDecoder(resp.Body)
 	skipped := 0
 	for {
@@ -383,6 +379,23 @@ func (r *Replica) streamOnce(ctx context.Context) error {
 		db.ApplyEvent(rec.Event)
 		cur = rec.Seq
 	}
+}
+
+// openEvents requests the event stream after db's cursor.
+func (r *Replica) openEvents(ctx context.Context, db *platform.DB) (*http.Response, error) {
+	// A seeded replica store got its entities from a snapshot (New's
+	// construction path or FromCheckpoint), so a since of 0 already
+	// covers the primary's seed: say so, or a seeded-but-idle primary
+	// would answer 410 and force a bootstrap ping-pong.
+	u := fmt.Sprintf("%s/events?since=%d", r.primary, db.EventSeq())
+	if db.Seeded() {
+		u += "&boot=1"
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	return r.client.Do(req)
 }
 
 // bootstrap rebuilds the replica from the primary's snapshot: fetch

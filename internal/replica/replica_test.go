@@ -2,8 +2,11 @@ package replica
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
+	"path"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -122,7 +125,15 @@ func TestReplicaCatchUp(t *testing.T) {
 // with construction-time entities (which the event stream cannot
 // reproduce) forces the replica through the snapshot bootstrap, after
 // which live streaming proceeds from the snapshot's sequence point.
-func TestReplicaSnapshotBootstrap(t *testing.T) {
+func TestReplicaSnapshotBootstrap(t *testing.T) { testSnapshotBootstrap(t, 0) }
+
+// TestReplicaBootstrapStreamsAtOnce is the same path with a reconnect
+// wait far past waitSeq's deadline: a bootstrap is progress, so the
+// attempt that made it opens the stream at once instead of sleeping
+// out the wait before it.
+func TestReplicaBootstrapStreamsAtOnce(t *testing.T) { testSnapshotBootstrap(t, time.Minute) }
+
+func testSnapshotBootstrap(t *testing.T, reconnectWait time.Duration) {
 	gen := ids.NewGenerator(0x5EED)
 	base := time.Unix(1_581_100_000, 0).UTC()
 	seedUser := &platform.User{GabID: 900, Username: "seeded-user", HasDissenter: true, AuthorID: gen.NewAt(base), CreatedAt: base}
@@ -141,16 +152,10 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 	var states []*platform.DB
 	var mu sync.Mutex
 	rep := startReplica(t, t.TempDir(), srv.URL, Options{
-		OnState: func(db *platform.DB) { mu.Lock(); states = append(states, db); mu.Unlock() },
+		ReconnectWait: reconnectWait,
+		OnState:       func(db *platform.DB) { mu.Lock(); states = append(states, db); mu.Unlock() },
 	})
-	urls := corpus(t, primary, 3, 10)
-	waitSeq(t, rep, primary.EventSeq())
-	repDB := rep.DB()
-	assertConverged(t, primary, repDB, append(urls, seedURL.ID))
-	if repDB.UserByUsername("seeded-user") == nil {
-		t.Fatal("bootstrap lost the seeded user")
-	}
-	// OnState must have rebound to the live store: once during Open,
+	// OnState must rebind to the bootstrapped store: once during Open,
 	// once per bootstrap. Poll — the swap and the callback are not one
 	// atomic step with the test's rep.DB() read.
 	deadline := time.Now().Add(5 * time.Second)
@@ -165,6 +170,15 @@ func TestReplicaSnapshotBootstrap(t *testing.T) {
 			t.Fatalf("OnState called %d times, last state is not the live DB", n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	// Written after the bootstrap, so these reach the replica only over
+	// the stream it opens from the snapshot's sequence point.
+	urls := corpus(t, primary, 3, 10)
+	waitSeq(t, rep, primary.EventSeq())
+	repDB := rep.DB()
+	assertConverged(t, primary, repDB, append(urls, seedURL.ID))
+	if repDB.UserByUsername("seeded-user") == nil {
+		t.Fatal("bootstrap lost the seeded user")
 	}
 }
 
@@ -232,4 +246,29 @@ func TestReplicaCompactionForcesBootstrap(t *testing.T) {
 	rep := startReplica(t, t.TempDir(), srv.URL, Options{})
 	waitSeq(t, rep, primary.EventSeq())
 	assertConverged(t, primary, rep.DB(), urls)
+}
+
+// TestReplicaBootstrapLoopBacksOff pins the other half of "a bootstrap
+// streams at once": a primary that answers 410 even to the stream a
+// bootstrap just earned (one compacting past every snapshot it serves)
+// makes the replica back off between attempts, not spin on snapshots.
+func TestReplicaBootstrapLoopBacksOff(t *testing.T) {
+	seeded := platform.New([]*platform.User{{GabID: 1, Username: "seeded"}}, nil, nil, nil)
+	var snapshots atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if path.Base(r.URL.Path) == "snapshot" {
+			snapshots.Add(1)
+			eventlog.WriteSnapshot(w, seeded.Checkpoint())
+			return
+		}
+		http.Error(w, "compacted", http.StatusGone)
+	}))
+	t.Cleanup(srv.Close)
+	startReplica(t, t.TempDir(), srv.URL, Options{ReconnectWait: 20 * time.Millisecond})
+	time.Sleep(400 * time.Millisecond)
+	// Jittered waits of at least 10, 20, 40, 80, 160 ms fit five attempts
+	// in the window; a loop that did not wait would make hundreds.
+	if n := snapshots.Load(); n < 2 || n > 8 {
+		t.Fatalf("%d snapshot fetches in 400ms, want 2-8: the bootstrap loop does not back off", n)
+	}
 }
