@@ -172,7 +172,7 @@ type snapDecoder struct {
 }
 
 func (d *snapDecoder) fail(err error) {
-	if err == nil || err == io.EOF {
+	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
 	}
 	d.err = fmt.Errorf("eventlog: snapshot: %w", err)
