@@ -62,6 +62,7 @@ import (
 	"dissenter/internal/pushshift"
 	"dissenter/internal/replica"
 	"dissenter/internal/synth"
+	"dissenter/internal/youtube"
 )
 
 func main() {
@@ -135,8 +136,9 @@ func main() {
 	for _, pattern := range dissenterweb.Mounts {
 		mux.Handle(pattern, web)
 	}
-	mux.Handle("/watch", out.YouTube)
-	mux.Handle("/channel/", out.YouTube)
+	for _, pattern := range youtube.Mounts {
+		mux.Handle(pattern, out.YouTube)
+	}
 	mux.Handle("/v1/comments:analyze", perspective.Handler())
 	mux.Handle("/reddit/", reddit)
 	mux.Handle("/api/user/", reddit)

@@ -67,9 +67,17 @@ func NewSite(videos []Video, ownerTotals map[string]int) *Site {
 	return s
 }
 
+// Mounts lists the http.ServeMux patterns that cover every path
+// pathKey produces — the site's route table, written once. A process
+// serving the site beside the Dissenter app mounts it under exactly
+// these, which is why a user homepage is keyed /user-yt/ and not
+// YouTube's own /user/: that prefix is Dissenter's profile route.
+var Mounts = []string{"/watch", "/channel/", "/user-yt/"}
+
 // pathKey canonicalizes a YouTube URL to its path+query so that
 // https://www.youtube.com/watch?v=x, http://youtube.com/watch?v=x and
-// https://youtu.be/x resolve consistently.
+// https://youtu.be/x resolve consistently. The site's keys and the
+// crawler's request paths both come from here, so they cannot disagree.
 func pathKey(raw string) string {
 	s := raw
 	for _, prefix := range []string{"https://", "http://"} {
@@ -77,6 +85,9 @@ func pathKey(raw string) string {
 	}
 	for _, host := range []string{"www.youtube.com", "m.youtube.com", "youtube.com"} {
 		if rest, ok := strings.CutPrefix(s, host); ok {
+			if name, ok := strings.CutPrefix(rest, "/user/"); ok {
+				return "/user-yt/" + name
+			}
 			return rest
 		}
 	}
