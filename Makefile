@@ -11,7 +11,9 @@ GO ?= go
 # replica cover the durability/replication layer (WAL group commit,
 # streaming apply, snapshot bootstrap); faultinject/httpguard/chaos
 # cover the fault seams and the degradation machinery they exercise;
-# gateway covers the fleet front door (probing, failover, breakers).
+# gateway covers the fleet front door (probing, failover, breakers);
+# deployment covers the one simulator mux every crawl shares (its route
+# test drives all five simulators through one server).
 RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
             ./internal/rankheap/... \
             ./internal/eventlog/... ./internal/replica/... \
@@ -19,7 +21,7 @@ RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
             ./internal/gateway/... ./internal/chaos/... \
             ./internal/gabapi/... ./internal/dissenterweb/... \
             ./internal/crawlkit/... ./internal/dissentercrawl/... \
-            ./internal/youtube/...
+            ./internal/youtube/... ./internal/deployment/...
 
 # Allocation budgets. The three miss budgets count the objects of one
 # cache-miss serve of a write-maintained page — trends, leaderboard, a

@@ -17,7 +17,8 @@
 // the run that created the directory, so the auxiliary simulators
 // (YouTube, Reddit) describe the same world.
 //
-// Routes:
+// Routes (internal/deployment's route test requests one page of each
+// simulator through the same mux):
 //
 //	/api/v1/accounts/...        Gab API (enumeration, relations)
 //	/user/... /discussion /comment/...   Dissenter web app
@@ -25,27 +26,30 @@
 //	/discussion/vote                     up/down voting on a comment page
 //	/discussion/comment                  live comment posting (POST, session-authenticated)
 //	/leaderboard                         net-vote leaderboard (Figure 5's ordering)
-//	/watch /channel/... /user-yt/...     YouTube simulator
+//	/watch /channel/... /user-yt/...     YouTube simulator (youtube.com/user/<name> is /user-yt/<name>)
 //	/v1/comments:analyze        Perspective-style scoring
 //	/reddit/... /api/user/...   Pushshift-style Reddit API
+//	/                           census banner
 //	/replication/events         replication stream (internal/replica.Publisher)
 //	/replication/snapshot       replication bootstrap snapshot
 //	/replication-status         fleet lag shape (replica.StatusJSON, role "primary")
 //	/healthz /readyz            liveness / traffic-steering readiness
 //	/debug/pprof/...            runtime profiling (only with -pprof)
 //
-// Operations: this file builds the simulator mux and hands it to
-// replica.PrimaryRoot, which wires the process as the fleet's primary
-// (readiness = the persister's health, the replication and status
-// mounts outside admission control, the WAL flush after the drain);
-// httpguard.Root.Run is its life and its exit status. Past
-// -max-inflight concurrent requests the mux's routes are shed with
-// 503 + Retry-After rather than queued.
+// Operations: the simulator mux is deployment.Mux — the one the
+// reproduction, examples/live-crawl and the crawl tests serve too; this
+// file adds the banner and hands it to replica.PrimaryRoot, which wires
+// the process as the fleet's primary (readiness = the persister's
+// health, the replication and status mounts outside admission control,
+// the WAL flush after the drain); httpguard.Root.Run is its life and
+// its exit status. Past -max-inflight concurrent requests the mux's
+// routes are shed with 503 + Retry-After rather than queued.
 //
-// Three sessions are pre-registered: "nsfw-probe" (NSFW view enabled)
-// and "off-probe" (offensive view enabled) for the differential crawl,
-// and "writer" (bound to an active Dissenter account) for posting
-// through POST /discussion/comment; send any as a "session" cookie.
+// deployment.Mux pre-registers three sessions: "nsfw-probe" (NSFW view
+// enabled) and "off-probe" (offensive view enabled) for the
+// differential crawl, and "writer" (bound to an active Dissenter
+// account) for posting through POST /discussion/comment; send any as a
+// "session" cookie.
 package main
 
 import (
@@ -53,16 +57,14 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sort"
+	"time"
 
+	"dissenter/internal/deployment"
 	"dissenter/internal/dissenterweb"
 	"dissenter/internal/eventlog"
 	"dissenter/internal/gabapi"
-	"dissenter/internal/perspective"
-	"dissenter/internal/pushshift"
 	"dissenter/internal/replica"
 	"dissenter/internal/synth"
-	"dissenter/internal/youtube"
 )
 
 func main() {
@@ -104,44 +106,13 @@ func main() {
 	log.Printf("generated: %d Gab users, %d Dissenter users, %d comments on %d URLs",
 		census.GabUsers, census.DissenterUsers, census.Comments, census.URLs)
 
-	var gabOpts []gabapi.Option
-	if *gabLimit > 0 {
-		gabOpts = append(gabOpts, gabapi.WithRateLimit(*gabLimit, 5*60*1e9))
-	} else {
-		gabOpts = append(gabOpts, gabapi.WithRateLimit(0, 0))
-	}
-	gab := gabapi.NewServer(db, gabOpts...)
-
-	var webOpts []dissenterweb.Option
-	if *urlLimit >= 0 {
-		webOpts = append(webOpts, dissenterweb.WithURLRateLimit(*urlLimit, 60*1e9))
-	}
-	web := dissenterweb.NewServer(db, webOpts...)
-	web.RegisterProbeSessions()
+	mux := deployment.Mux(out.YouTube, db, *seed,
+		[]gabapi.Option{gabapi.WithRateLimit(*gabLimit, 5*time.Minute)},
+		[]dissenterweb.Option{dissenterweb.WithURLRateLimit(*urlLimit, time.Minute)})
 	sessionBanner := "sessions: nsfw-probe, off-probe"
 	if active := db.ActiveUsers(); len(active) > 0 {
-		web.RegisterSession("writer", dissenterweb.Session{Username: active[0].Username})
 		sessionBanner += fmt.Sprintf(", writer (posts as @%s)", active[0].Username)
 	}
-
-	var names []string
-	for _, u := range db.DissenterUsers() {
-		names = append(names, u.Username)
-	}
-	sort.Strings(names)
-	reddit := pushshift.NewSim(names, *seed+1)
-
-	mux := http.NewServeMux()
-	mux.Handle("/api/v1/accounts/", gab)
-	for _, pattern := range dissenterweb.Mounts {
-		mux.Handle(pattern, web)
-	}
-	for _, pattern := range youtube.Mounts {
-		mux.Handle(pattern, out.YouTube)
-	}
-	mux.Handle("/v1/comments:analyze", perspective.Handler())
-	mux.Handle("/reddit/", reddit)
-	mux.Handle("/api/user/", reddit)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)

@@ -1,8 +1,10 @@
-// Live crawl: the client/server pieces wired up by hand over real TCP —
-// what cmd/dissenter-platform and cmd/dissenter-crawl do, in one process
-// so you can read the whole flow top to bottom. Also demonstrates the
-// politeness machinery: the Gab API runs WITH a rate limit here, and the
-// crawler paces itself off the X-RateLimit headers.
+// Live crawl: what cmd/dissenter-platform and cmd/dissenter-crawl do,
+// in one process over real TCP so you can read the whole flow top to
+// bottom — the deployment's one mux (internal/deployment) behind the
+// primary's Root on one port, and the measurement campaign crawling it.
+// Also demonstrates the politeness machinery: the Gab API runs WITH a
+// rate limit here, and the crawler paces itself off the X-RateLimit
+// headers.
 //
 // This example also reproduces the paper's moving-target condition
 // (§3.2): a background poster writes comments through the live
@@ -17,14 +19,14 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"time"
 
+	"dissenter/internal/deployment"
 	"dissenter/internal/dissentercrawl"
-	"dissenter/internal/dissenterweb"
 	"dissenter/internal/gabapi"
 	"dissenter/internal/gabcrawl"
 	"dissenter/internal/platform"
+	"dissenter/internal/replica"
 	"dissenter/internal/synth"
 )
 
@@ -35,16 +37,21 @@ func main() {
 	fmt.Printf("platform: %d Gab users (%d on Dissenter), %d comments\n",
 		census.GabUsers, census.DissenterUsers, census.Comments)
 
-	// 2. Serve the Gab API (rate-limited!) and the Dissenter web app.
-	gabAddr := listen(gabapi.NewServer(out.DB,
-		gabapi.WithRateLimit(5000, 2*time.Second)))
-	web := dissenterweb.NewServer(out.DB, dissenterweb.WithURLRateLimit(0, 0))
-	web.RegisterSession("nsfw", dissenterweb.Session{ShowNSFW: true})
-	web.RegisterSession("off", dissenterweb.Session{ShowOffensive: true})
-	writer := out.DB.ActiveUsers()[0]
-	web.RegisterSession("writer", dissenterweb.Session{Username: writer.Username})
-	webAddr := listen(web)
-	fmt.Printf("serving gab api on %s, dissenter app on %s\n", gabAddr, webAddr)
+	// 2. Serve the whole deployment — dissenter-platform's mux, with the
+	// Gab API rate-limited — behind the primary's Root on one port.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		log.Fatal(err)
+	}
+	mux := deployment.Mux(out.YouTube, out.DB, 3,
+		[]gabapi.Option{gabapi.WithRateLimit(5000, 2*time.Second)}, nil)
+	go func() {
+		if err := replica.PrimaryRoot(out.DB, nil, mux).Serve(context.Background(), ln); err != nil {
+			log.Print(err)
+		}
+	}()
+	base := "http://" + ln.Addr().String()
+	fmt.Printf("serving the deployment on %s\n", base)
 
 	// 3. Start the background poster: live comments through
 	// POST /discussion/comment while the crawl is underway, including a
@@ -55,7 +62,7 @@ func main() {
 		return len(targets) < 5
 	})
 	poster := &dissentercrawl.Poster{
-		Web:         dissentercrawl.New("http://"+webAddr, nil, dissentercrawl.WithSession("writer")),
+		Web:         dissentercrawl.New(base, nil, dissentercrawl.WithSession("writer")),
 		URLs:        targets,
 		FreshURLs:   []string{"https://live.example/breaking/mid-crawl-story"},
 		N:           40,
@@ -71,11 +78,11 @@ func main() {
 	// poster first makes the fixpoint meaningful; stabilizing under an
 	// active writer can only ever converge by luck.
 	campaign := &dissentercrawl.Campaign{
-		Gab:          gabcrawl.New("http://"+gabAddr, nil),
+		Gab:          gabcrawl.New(base, nil),
 		MaxGabID:     out.DB.MaxGabID(),
-		Web:          dissentercrawl.New("http://"+webAddr, nil),
-		NSFWWeb:      dissentercrawl.New("http://"+webAddr, nil, dissentercrawl.WithSession("nsfw")),
-		OffensiveWeb: dissentercrawl.New("http://"+webAddr, nil, dissentercrawl.WithSession("off")),
+		Web:          dissentercrawl.New(base, nil),
+		NSFWWeb:      dissentercrawl.New(base, nil, dissentercrawl.WithSession("nsfw-probe")),
+		OffensiveWeb: dissentercrawl.New(base, nil, dissentercrawl.WithSession("off-probe")),
 		Workers:      8,
 	}
 	start := time.Now()
@@ -110,18 +117,4 @@ func main() {
 	}
 	fmt.Printf("          %d NSFW / %d truth, %d offensive / %d truth (inferred differentially)\n",
 		nsfw, final.NSFWComments, off, final.OffensiveComments)
-}
-
-// listen starts an HTTP server on a loopback port and returns its addr.
-func listen(h http.Handler) string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() {
-		if err := http.Serve(ln, h); err != nil && err != http.ErrServerClosed {
-			log.Print(err)
-		}
-	}()
-	return ln.Addr().String()
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -9,9 +10,8 @@ import (
 	"dissenter/internal/allsides"
 	"dissenter/internal/baselines"
 	"dissenter/internal/corpus"
+	"dissenter/internal/deployment"
 	"dissenter/internal/dissentercrawl"
-	"dissenter/internal/dissenterweb"
-	"dissenter/internal/gabapi"
 	"dissenter/internal/gabcrawl"
 	"dissenter/internal/graph"
 	"dissenter/internal/perspective"
@@ -21,11 +21,12 @@ import (
 )
 
 // The test fixture runs the entire §3 pipeline once (generation →
-// simulators → crawl) and shares the resulting Study across all §4
-// experiment tests.
+// the deployment dissenter-platform serves → crawl) and shares the
+// resulting Study across all §4 experiment tests.
 
 var (
 	fixtureOut   *synth.Output
+	fixtureMux   http.Handler
 	fixtureDS    *corpus.Dataset
 	fixtureStudy *Study
 	fixtureAccts []gabcrawl.Account
@@ -39,33 +40,23 @@ func study(t *testing.T) *Study {
 	}
 	fixtureCfg = synth.NewConfig(1.0/512, 21)
 	fixtureOut = synth.Generate(fixtureCfg)
+	fixtureMux = deployment.Mux(fixtureOut.YouTube, fixtureOut.DB, fixtureCfg.Seed, nil, nil)
+	srv := httptest.NewServer(fixtureMux)
+	t.Cleanup(srv.Close)
 
-	gabSrv := httptest.NewServer(gabapi.NewServer(fixtureOut.DB, gabapi.WithRateLimit(0, 0)))
-	t.Cleanup(gabSrv.Close)
-	web := dissenterweb.NewServer(fixtureOut.DB, dissenterweb.WithURLRateLimit(0, 0))
-	web.RegisterSession("nsfw", dissenterweb.Session{ShowNSFW: true})
-	web.RegisterSession("off", dissenterweb.Session{ShowOffensive: true})
-	webSrv := httptest.NewServer(web)
-	t.Cleanup(webSrv.Close)
-
-	gab := gabcrawl.New(gabSrv.URL, gabSrv.Client())
 	campaign := &dissentercrawl.Campaign{
-		Gab:          gab,
+		Gab:          gabcrawl.New(srv.URL, srv.Client()),
 		MaxGabID:     fixtureOut.DB.MaxGabID(),
-		Web:          dissentercrawl.New(webSrv.URL, webSrv.Client()),
-		NSFWWeb:      dissentercrawl.New(webSrv.URL, webSrv.Client(), dissentercrawl.WithSession("nsfw")),
-		OffensiveWeb: dissentercrawl.New(webSrv.URL, webSrv.Client(), dissentercrawl.WithSession("off")),
+		Web:          dissentercrawl.New(srv.URL, srv.Client()),
+		NSFWWeb:      dissentercrawl.New(srv.URL, srv.Client(), dissentercrawl.WithSession("nsfw-probe")),
+		OffensiveWeb: dissentercrawl.New(srv.URL, srv.Client(), dissentercrawl.WithSession("off-probe")),
 		Workers:      16,
 	}
 	ds, err := campaign.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	accounts, err := gab.Enumerate(context.Background(), fixtureOut.DB.MaxGabID(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixtureAccts = accounts
+	fixtureAccts = campaign.Accounts()
 	fixtureDS = ds
 	fixtureStudy = NewStudy(ds)
 	return fixtureStudy
@@ -497,7 +488,7 @@ func TestYouTubeBreakdown(t *testing.T) {
 	if len(urls) == 0 {
 		t.Fatal("no YouTube URLs in corpus")
 	}
-	ytSrv := httptest.NewServer(fixtureOut.YouTube)
+	ytSrv := httptest.NewServer(fixtureMux)
 	t.Cleanup(ytSrv.Close)
 	// URLs that merely mention YouTube are not YouTube URLs: the corpus
 	// with two such decoys added selects exactly the same set.

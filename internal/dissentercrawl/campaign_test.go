@@ -2,41 +2,50 @@ package dissentercrawl
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"dissenter/internal/corpus"
-	"dissenter/internal/dissenterweb"
-	"dissenter/internal/gabapi"
+	"dissenter/internal/deployment"
 	"dissenter/internal/gabcrawl"
 	"dissenter/internal/ids"
 	"dissenter/internal/synth"
 )
 
 // The campaign tests run the entire §3 pipeline over live HTTP against
-// the simulators and compare the mirror against ground truth.
+// the deployment dissenter-platform serves and compare the mirror
+// against ground truth.
 
-var out = synth.Generate(synth.NewConfig(1.0/512, 11))
+const outSeed = 11
+
+var out = synth.Generate(synth.NewConfig(1.0/512, outSeed))
+
+// serve serves h for the life of the test.
+func serve(t *testing.T, h http.Handler) *httptest.Server {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// campaignOn is a campaign crawling every simulator at srv, its
+// differential passes under the probe sessions deployment.Mux registers.
+func campaignOn(srv *httptest.Server, maxGabID ids.GabID, workers int) *Campaign {
+	return &Campaign{
+		Gab:          gabcrawl.New(srv.URL, srv.Client()),
+		MaxGabID:     maxGabID,
+		Web:          New(srv.URL, srv.Client()),
+		NSFWWeb:      New(srv.URL, srv.Client(), WithSession("nsfw-probe")),
+		OffensiveWeb: New(srv.URL, srv.Client(), WithSession("off-probe")),
+		Workers:      workers,
+	}
+}
 
 func newCampaign(t *testing.T) *Campaign {
 	t.Helper()
-	gabSrv := httptest.NewServer(gabapi.NewServer(out.DB, gabapi.WithRateLimit(0, 0)))
-	t.Cleanup(gabSrv.Close)
-
-	web := dissenterweb.NewServer(out.DB, dissenterweb.WithURLRateLimit(0, 0))
-	web.RegisterSession("nsfw-probe", dissenterweb.Session{Username: "probe-nsfw", ShowNSFW: true})
-	web.RegisterSession("off-probe", dissenterweb.Session{Username: "probe-off", ShowOffensive: true})
-	webSrv := httptest.NewServer(web)
-	t.Cleanup(webSrv.Close)
-
-	return &Campaign{
-		Gab:          gabcrawl.New(gabSrv.URL, gabSrv.Client()),
-		MaxGabID:     out.DB.MaxGabID(),
-		Web:          New(webSrv.URL, webSrv.Client()),
-		NSFWWeb:      New(webSrv.URL, webSrv.Client(), WithSession("nsfw-probe")),
-		OffensiveWeb: New(webSrv.URL, webSrv.Client(), WithSession("off-probe")),
-		Workers:      16,
-	}
+	srv := serve(t, deployment.Mux(out.YouTube, out.DB, outSeed, nil, nil))
+	return campaignOn(srv, out.DB.MaxGabID(), 16)
 }
 
 // runCampaign caches the crawl result across tests (it is deterministic:
@@ -114,7 +123,11 @@ func TestCampaignCommentTextFidelity(t *testing.T) {
 	ds := runCampaign(t)
 	checked := 0
 	for _, c := range ds.Comments {
-		truth := out.DB.CommentByID(ids.MustParse(c.ID))
+		id, err := ids.Parse(c.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := out.DB.CommentByID(id)
 		if truth == nil {
 			t.Fatalf("mirrored comment %s not in ground truth", c.ID)
 		}

@@ -3,15 +3,12 @@ package dissentercrawl
 import (
 	"bytes"
 	"context"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"dissenter/internal/dissenterweb"
-	"dissenter/internal/gabapi"
-	"dissenter/internal/gabcrawl"
+	"dissenter/internal/deployment"
 	"dissenter/internal/ids"
 	"dissenter/internal/synth"
 )
@@ -26,29 +23,11 @@ import (
 // reading stale pages and this test failing.
 func TestLiveGrowthCampaignConverges(t *testing.T) {
 	priv := synth.Generate(synth.NewConfig(1.0/1024, 17))
-	gabSrv := httptest.NewServer(gabapi.NewServer(priv.DB, gabapi.WithRateLimit(0, 0)))
-	t.Cleanup(gabSrv.Close)
-
-	web := dissenterweb.NewServer(priv.DB, dissenterweb.WithURLRateLimit(0, 0))
-	web.RegisterSession("nsfw-probe", dissenterweb.Session{Username: "probe-nsfw", ShowNSFW: true})
-	web.RegisterSession("off-probe", dissenterweb.Session{Username: "probe-off", ShowOffensive: true})
-	writers := priv.DB.ActiveUsers()
-	if len(writers) == 0 {
-		t.Fatal("fixture has no active users")
+	if len(priv.DB.ActiveUsers()) == 0 {
+		t.Fatal("fixture has no active users: no writer session")
 	}
-	writer := writers[len(writers)/2]
-	web.RegisterSession("writer", dissenterweb.Session{Username: writer.Username})
-	webSrv := httptest.NewServer(web)
-	t.Cleanup(webSrv.Close)
-
-	campaign := &Campaign{
-		Gab:          gabcrawl.New(gabSrv.URL, gabSrv.Client()),
-		MaxGabID:     priv.DB.MaxGabID(),
-		Web:          New(webSrv.URL, webSrv.Client()),
-		NSFWWeb:      New(webSrv.URL, webSrv.Client(), WithSession("nsfw-probe")),
-		OffensiveWeb: New(webSrv.URL, webSrv.Client(), WithSession("off-probe")),
-		Workers:      8,
-	}
+	srv := serve(t, deployment.Mux(priv.YouTube, priv.DB, 17, nil, nil))
+	campaign := campaignOn(srv, priv.DB.MaxGabID(), 8)
 
 	var targets []string
 	for _, cu := range allURLs(priv.DB) {
@@ -60,7 +39,7 @@ func TestLiveGrowthCampaignConverges(t *testing.T) {
 		}
 	}
 	poster := &Poster{
-		Web:  New(webSrv.URL, webSrv.Client(), WithSession("writer")),
+		Web:  New(srv.URL, srv.Client(), WithSession("writer")),
 		URLs: targets,
 		FreshURLs: []string{
 			"https://live.example/growth/0",
@@ -128,7 +107,11 @@ func TestLiveGrowthCampaignConverges(t *testing.T) {
 		t.Errorf("mirror holds %d comments, ground truth has %d reachable", len(ds.Comments), reachable)
 	}
 	for _, cm := range ds.Comments {
-		truth := priv.DB.CommentByID(ids.MustParse(cm.ID))
+		id, err := ids.Parse(cm.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := priv.DB.CommentByID(id)
 		if truth == nil {
 			t.Fatalf("mirrored comment %s not in ground truth", cm.ID)
 		}

@@ -3,13 +3,10 @@ package dissentercrawl
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 
-	"dissenter/internal/dissenterweb"
-	"dissenter/internal/gabapi"
-	"dissenter/internal/gabcrawl"
+	"dissenter/internal/deployment"
 	"dissenter/internal/synth"
 )
 
@@ -32,26 +29,8 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func TestCampaignSurvivesFlakyServers(t *testing.T) {
 	gen := synth.Generate(synth.NewConfig(1.0/2048, 13))
-
-	gabSrv := httptest.NewServer(&flaky{
-		inner: gabapi.NewServer(gen.DB, gabapi.WithRateLimit(0, 0)), n: 13})
-	t.Cleanup(gabSrv.Close)
-
-	web := dissenterweb.NewServer(gen.DB, dissenterweb.WithURLRateLimit(0, 0))
-	web.RegisterSession("nsfw", dissenterweb.Session{ShowNSFW: true})
-	web.RegisterSession("off", dissenterweb.Session{ShowOffensive: true})
-	webSrv := httptest.NewServer(&flaky{inner: web, n: 11})
-	t.Cleanup(webSrv.Close)
-
-	campaign := &Campaign{
-		Gab:          gabcrawl.New(gabSrv.URL, gabSrv.Client()),
-		MaxGabID:     gen.DB.MaxGabID(),
-		Web:          New(webSrv.URL, webSrv.Client()),
-		NSFWWeb:      New(webSrv.URL, webSrv.Client(), WithSession("nsfw")),
-		OffensiveWeb: New(webSrv.URL, webSrv.Client(), WithSession("off")),
-		Workers:      8,
-	}
-	ds, err := campaign.Run(context.Background())
+	srv := serve(t, &flaky{inner: deployment.Mux(gen.YouTube, gen.DB, 13, nil, nil), n: 11})
+	ds, err := campaignOn(srv, gen.DB.MaxGabID(), 8).Run(context.Background())
 	if err != nil {
 		t.Fatalf("campaign failed under fault injection: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dissenter/internal/deployment"
 	"dissenter/internal/gabapi"
 	"dissenter/internal/ids"
 	"dissenter/internal/synth"
@@ -13,12 +14,11 @@ import (
 
 var out = synth.Generate(synth.NewConfig(1.0/512, 9))
 
+// newClient crawls the deployment dissenter-platform serves, its Gab
+// API configured by opts (unthrottled without any).
 func newClient(t *testing.T, opts ...gabapi.Option) *Client {
 	t.Helper()
-	if len(opts) == 0 {
-		opts = []gabapi.Option{gabapi.WithRateLimit(0, 0)}
-	}
-	srv := httptest.NewServer(gabapi.NewServer(out.DB, opts...))
+	srv := httptest.NewServer(deployment.Mux(out.YouTube, out.DB, 9, opts, nil))
 	t.Cleanup(srv.Close)
 	return New(srv.URL, srv.Client())
 }
@@ -73,9 +73,7 @@ func TestEnumerateComplete(t *testing.T) {
 func TestEnumerateHonorsRateLimit(t *testing.T) {
 	// A tight limit forces the client into the header-driven pause path;
 	// the enumeration must still complete.
-	srv := httptest.NewServer(gabapi.NewServer(out.DB, gabapi.WithRateLimit(50, 150*time.Millisecond)))
-	t.Cleanup(srv.Close)
-	c := New(srv.URL, srv.Client())
+	c := newClient(t, gabapi.WithRateLimit(50, 150*time.Millisecond))
 	accounts, err := c.Enumerate(context.Background(), 60, 4)
 	if err != nil {
 		t.Fatal(err)

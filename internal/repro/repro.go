@@ -1,28 +1,28 @@
 // Package repro is the one-shot reproduction harness: it generates a
-// synthetic deployment at a chosen scale, serves it over loopback HTTP,
-// runs the full §3 measurement campaign against it, gathers the baseline
-// datasets, and computes every table and figure of §4. The
-// dissenter-repro binary and the bench suite are thin wrappers around
-// it.
+// synthetic deployment at a chosen scale, serves it over loopback HTTP
+// exactly as dissenter-platform does (internal/deployment's mux behind
+// replica.PrimaryRoot, on one listener), runs the full §3 measurement
+// campaign, the YouTube crawl and the Reddit matching against it,
+// gathers the baseline datasets, and computes every table and figure of
+// §4. The dissenter-repro binary is a thin wrapper around it.
 package repro
 
 import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sort"
 	"time"
 
 	"dissenter/internal/analysis"
 	"dissenter/internal/baselines"
 	"dissenter/internal/corpus"
+	"dissenter/internal/deployment"
 	"dissenter/internal/dissentercrawl"
-	"dissenter/internal/dissenterweb"
-	"dissenter/internal/gabapi"
 	"dissenter/internal/gabcrawl"
 	"dissenter/internal/graph"
 	"dissenter/internal/pushshift"
+	"dissenter/internal/replica"
 	"dissenter/internal/synth"
 	"dissenter/internal/youtube"
 )
@@ -60,24 +60,11 @@ type Options struct {
 	Workers int // 0 = 16
 }
 
-// serve starts an http.Server on a loopback listener and returns its
-// base URL and a shutdown func.
-func serve(h http.Handler) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, fmt.Errorf("repro: listen: %w", err)
-	}
-	srv := &http.Server{Handler: h}
-	go func() { _ = srv.Serve(ln) }()
-	stop := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}
-	return "http://" + ln.Addr().String(), stop, nil
-}
-
-// Run executes the full pipeline.
+// Run executes the full pipeline. The deployment is served the way
+// dissenter-platform serves it — deployment.Mux behind
+// replica.PrimaryRoot, admission control and drain included — on one
+// loopback listener, and every client of the crawl takes its one base
+// URL.
 func Run(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 16
@@ -85,30 +72,23 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	cfg := synth.NewConfig(opts.Scale, opts.Seed)
 	out := synth.Generate(cfg)
 
-	gabURL, stopGab, err := serve(gabapi.NewServer(out.DB, gabapi.WithRateLimit(0, 0)))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repro: listen: %w", err)
 	}
-	defer stopGab()
-	web := dissenterweb.NewServer(out.DB, dissenterweb.WithURLRateLimit(0, 0))
-	web.RegisterProbeSessions()
-	webURL, stopWeb, err := serve(web)
-	if err != nil {
-		return nil, err
-	}
-	defer stopWeb()
-	ytURL, stopYT, err := serve(out.YouTube)
-	if err != nil {
-		return nil, err
-	}
-	defer stopYT()
+	root := replica.PrimaryRoot(out.DB, nil, deployment.Mux(out.YouTube, out.DB, opts.Seed, nil, nil))
+	serveCtx, drain := context.WithCancel(ctx)
+	served := make(chan error, 1)
+	go func() { served <- root.Serve(serveCtx, ln) }()
+	defer func() { drain(); <-served }()
+	base := "http://" + ln.Addr().String()
 
 	campaign := &dissentercrawl.Campaign{
-		Gab:          gabcrawl.New(gabURL, nil),
+		Gab:          gabcrawl.New(base, nil),
 		MaxGabID:     out.DB.MaxGabID(),
-		Web:          dissentercrawl.New(webURL, nil),
-		NSFWWeb:      dissentercrawl.New(webURL, nil, dissentercrawl.WithSession("nsfw-probe")),
-		OffensiveWeb: dissentercrawl.New(webURL, nil, dissentercrawl.WithSession("off-probe")),
+		Web:          dissentercrawl.New(base, nil),
+		NSFWWeb:      dissentercrawl.New(base, nil, dissentercrawl.WithSession("nsfw-probe")),
+		OffensiveWeb: dissentercrawl.New(base, nil, dissentercrawl.WithSession("off-probe")),
 		Workers:      opts.Workers,
 	}
 	start := time.Now()
@@ -133,23 +113,18 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	}
 
 	// YouTube crawl (§3.3).
-	res.YTSummary, err = youtube.NewCrawler(ytURL, nil).CrawlAll(ctx, res.Study.YouTubeURLs(), opts.Workers)
+	res.YTSummary, err = youtube.NewCrawler(base, nil).CrawlAll(ctx, res.Study.YouTubeURLs(), opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: youtube: %w", err)
 	}
 
-	// Reddit matching (§4.4.1) over a served Pushshift simulator.
+	// Reddit matching (§4.4.1) of every crawled username.
 	var names []string
 	for i := range ds.Users {
 		names = append(names, ds.Users[i].Username)
 	}
 	sort.Strings(names)
-	psURL, stopPS, err := serve(pushshift.NewSim(names, opts.Seed+1))
-	if err != nil {
-		return nil, err
-	}
-	defer stopPS()
-	res.Matches, err = pushshift.NewClient(psURL, nil).MatchUsers(ctx, names, opts.Workers)
+	res.Matches, err = pushshift.NewClient(base, nil).MatchUsers(ctx, names, opts.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: pushshift: %w", err)
 	}
