@@ -91,16 +91,6 @@ func Parse(s string) (ObjectID, error) {
 	return id, nil
 }
 
-// MustParse is Parse for identifiers known to be valid; it panics on error.
-// It is intended for tests and static tables.
-func MustParse(s string) ObjectID {
-	id, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 // String renders the identifier as 24 lowercase hexadecimal digits, the
 // representation used throughout Dissenter HTML and URLs.
 func (id ObjectID) String() string { return hex.EncodeToString(id[:]) }

@@ -57,15 +57,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse on bad input did not panic")
-		}
-	}()
-	MustParse("nope")
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	a := NewGenerator(7)
 	b := NewGenerator(7)

@@ -177,13 +177,6 @@ func (c *Classifier) Classify(text string) Result {
 	return Result{Lang: best.lang, Confidence: 1 / z}
 }
 
-// Languages returns the supported language codes in sorted order.
-func (c *Classifier) Languages() []Language {
-	out := make([]Language, len(c.langs))
-	copy(out, c.langs)
-	return out
-}
-
 // Distribution classifies every comment and returns the per-language
 // fractions — the aggregate the paper reports (94% English, 2% German).
 func (c *Classifier) Distribution(comments []string) map[Language]float64 {
