@@ -73,7 +73,9 @@
 // role is wired as a server once, as an httpguard.Root:
 // replica.PrimaryRoot, (*replica.Replica).Root and
 // (*gateway.Gateway).Root are what the three binaries run and what
-// every test rig serves.
+// every test rig serves; the primary's simulators are one mux,
+// internal/deployment.Mux, which the reproduction and every crawl test
+// serve too.
 //
 // The hot read path never scans the store; two rankings and one
 // content view are write-maintained over that event stream. The Gab

@@ -45,11 +45,8 @@ func main() {
 	}
 	mux := deployment.Mux(out.YouTube, out.DB, 3,
 		[]gabapi.Option{gabapi.WithRateLimit(5000, 2*time.Second)}, nil)
-	go func() {
-		if err := replica.PrimaryRoot(out.DB, nil, mux).Serve(context.Background(), ln); err != nil {
-			log.Print(err)
-		}
-	}()
+	// Serve returns before its context ends only on a serve error.
+	go func() { log.Fatal(replica.PrimaryRoot(out.DB, nil, mux).Serve(context.Background(), ln)) }()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("serving the deployment on %s\n", base)
 

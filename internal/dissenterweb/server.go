@@ -223,6 +223,9 @@ func NewServer(db *platform.DB, opts ...Option) *Server {
 		o(s)
 	}
 	s.cache = respcache.New[page](s.cacheSize, s.cacheTTL)
+	// No window lapses before one has passed; a sweep started by the
+	// first request could otherwise swap the map and restart counts.
+	s.lastSweep.Store(time.Now().UnixNano())
 	db.RegisterView(s.EventInvalidator())
 	return s
 }
