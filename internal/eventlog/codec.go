@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 
 	"dissenter/internal/ids"
@@ -407,11 +408,8 @@ func (d *Decoder) Next() (Record, error) {
 		if length > maxFrame {
 			return Record{}, fmt.Errorf("eventlog: frame length %d exceeds limit", length)
 		}
-		if uint32(cap(d.buf)) < length {
-			d.buf = make([]byte, length)
-		}
-		payload := d.buf[:length]
-		if _, err := io.ReadFull(d.r, payload); err != nil {
+		payload, err := d.payload(int(length))
+		if err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
@@ -430,4 +428,33 @@ func (d *Decoder) Next() (Record, error) {
 		}
 		return rec, nil
 	}
+}
+
+// frameChunk is how far past the buffer in hand a frame's length field
+// may allocate before its bytes arrive.
+const frameChunk = 64 << 10
+
+// payload reads the next n bytes. A frame the buffer already holds
+// reads in place; a longer one grows the buffer (doubling from
+// frameChunk) as the bytes arrive, so a torn or hostile length costs
+// what was delivered, not what it claimed.
+func (d *Decoder) payload(n int) ([]byte, error) {
+	if n <= max(cap(d.buf), frameChunk) {
+		if n > cap(d.buf) {
+			d.buf = make([]byte, n)
+		}
+		_, err := io.ReadFull(d.r, d.buf[:n])
+		return d.buf[:n], err
+	}
+	d.buf = d.buf[:0]
+	for len(d.buf) < n {
+		k := min(n-len(d.buf), max(len(d.buf), frameChunk))
+		d.buf = slices.Grow(d.buf, k)
+		got, err := io.ReadFull(d.r, d.buf[len(d.buf):len(d.buf)+k])
+		d.buf = d.buf[:len(d.buf)+got]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return d.buf, nil
 }

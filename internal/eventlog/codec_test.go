@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -226,6 +227,44 @@ func TestDecoderChecksum(t *testing.T) {
 	buf[len(buf)-1] ^= 0x40
 	if _, err := NewDecoder(bytes.NewReader(buf)).Next(); err != ErrChecksum {
 		t.Fatalf("corrupted frame decoded with err=%v, want ErrChecksum", err)
+	}
+}
+
+// TestDecoderLengthCostsItsBytes pins that a frame's length field
+// bounds a read, not an allocation: a header claiming maxFrame and then
+// EOF — a torn stream, or a torn WAL length — fails with
+// io.ErrUnexpectedEOF having allocated about what arrived, whether the
+// bytes come whole or one per Read. A real frame longer than the
+// decoder's first chunk still decodes both ways.
+func TestDecoderLengthCostsItsBytes(t *testing.T) {
+	torn := binary.BigEndian.AppendUint32(nil, maxFrame)
+	torn = binary.BigEndian.AppendUint32(torn, 0)
+	long := Record{Seq: 1, Event: platform.CommentAdded{Comment: &platform.Comment{Text: string(bytes.Repeat([]byte("long "), 100_000))}}}
+	frame, err := AppendRecord(nil, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, wrap := range map[string]func(io.Reader) io.Reader{
+		"whole":             func(r io.Reader) io.Reader { return r },
+		"one byte per read": iotest.OneByteReader,
+	} {
+		dec := NewDecoder(wrap(bytes.NewReader(torn)))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := dec.Next()
+		runtime.ReadMemStats(&after)
+		if err != io.ErrUnexpectedEOF {
+			t.Errorf("%s: a header claiming %d bytes, then EOF: err = %v, want io.ErrUnexpectedEOF", name, maxFrame, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("%s: a header claiming %d bytes, then EOF: allocated %d bytes", name, maxFrame, n)
+		}
+
+		rec, err := NewDecoder(wrap(bytes.NewReader(frame))).Next()
+		if err != nil {
+			t.Fatalf("%s: a %d-byte frame: %v", name, len(frame), err)
+		}
+		assertRecordsEqual(t, []Record{long}, []Record{rec})
 	}
 }
 
