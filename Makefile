@@ -150,13 +150,15 @@ lint:
 
 # Actually execute the fuzzers for a few seconds each (the plain test
 # run only replays the seed corpus): the codec's round trip, the
-# snapshot decoder whole and one byte per read, and respcache's
+# snapshot decoder whole and one byte per read, the WAL opener's
+# torn-tail truncation over arbitrary appended bytes, and respcache's
 # fixed-Huffman deflate kernel against the standard library's
 # inflater. Ten seconds is a smoke pass, not a campaign; run longer
 # locally when touching any of them.
 fuzz-smoke:
 	$(GO) test -run '^FuzzRoundTrip$$' -fuzz '^FuzzRoundTrip$$' -fuzztime=10s ./internal/eventlog/
 	$(GO) test -run '^FuzzSnapshotDecode$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime=10s ./internal/eventlog/
+	$(GO) test -run '^FuzzWALOpen$$' -fuzz '^FuzzWALOpen$$' -fuzztime=10s ./internal/eventlog/
 	$(GO) test -run '^FuzzFixedDeflate$$' -fuzz '^FuzzFixedDeflate$$' -fuzztime=10s ./internal/respcache/
 
 fmt:
@@ -176,7 +178,7 @@ loc:
 # Design weight is budgeted like allocations: loc-budget fails when
 # `make loc`'s total exceeds this. A PR that needs more raises the
 # constant in its own diff, where a reviewer sees it.
-LOC_BUDGET = 21547
+LOC_BUDGET = 21545
 
 loc-budget:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -31,9 +31,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrChecksum reports a frame whose payload does not match its CRC.
 var ErrChecksum = errors.New("eventlog: frame checksum mismatch")
 
-// errMalformed reports a payload cut mid-field or with an invalid
-// varint — corruption, not version skew (see the compatibility rule in
-// the package documentation).
+// errMalformed reports a frame length past maxFrame, or a payload cut
+// mid-field or with an invalid varint — corruption, not version skew
+// (see the compatibility rule in the package documentation).
 var errMalformed = errors.New("eventlog: malformed payload")
 
 // Record is one sequenced event: what a WAL stores and a replication
@@ -371,18 +371,19 @@ func decodePayload(payload []byte) (rec Record, known bool, err error) {
 	return rec, true, nil
 }
 
-// Decoder reads frames from a stream: the replication response body
-// (WAL recovery does not come through here — OpenWALFS walks the file
-// it has read whole with its own frame loop). It skips records it
-// cannot understand (unknown wire name or newer codec version),
-// counting them, and fails on corruption (bad checksum, malformed
-// body, implausible length). Next returns io.EOF at a clean end of
-// stream and io.ErrUnexpectedEOF on a frame cut short.
+// Decoder reads frames from a stream: a replication response body, or
+// a WAL file past its header (OpenWALFS). It skips records it cannot
+// understand (unknown wire name or newer codec version), counting
+// them, and fails on corruption (bad checksum, malformed body,
+// implausible length). Next returns io.EOF at a clean end of stream
+// and io.ErrUnexpectedEOF on a frame cut short; any other error is the
+// underlying reader's.
 type Decoder struct {
 	r       *bufio.Reader
 	hdr     [8]byte
 	buf     []byte
 	skipped int
+	off     int64 // stream offset past the last whole frame consumed, skipped ones included
 }
 
 // NewDecoder returns a Decoder reading frames from r.
@@ -398,15 +399,12 @@ func (d *Decoder) Skipped() int { return d.skipped }
 func (d *Decoder) Next() (Record, error) {
 	for {
 		if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
-			if err == io.ErrUnexpectedEOF {
-				return Record{}, io.ErrUnexpectedEOF
-			}
 			return Record{}, err // io.EOF only at a frame boundary
 		}
 		length := binary.BigEndian.Uint32(d.hdr[:4])
 		sum := binary.BigEndian.Uint32(d.hdr[4:])
 		if length > maxFrame {
-			return Record{}, fmt.Errorf("eventlog: frame length %d exceeds limit", length)
+			return Record{}, fmt.Errorf("%w: frame length %d exceeds limit", errMalformed, length)
 		}
 		payload, err := d.payload(int(length))
 		if err != nil {
@@ -422,6 +420,7 @@ func (d *Decoder) Next() (Record, error) {
 		if err != nil {
 			return Record{}, err
 		}
+		d.off += 8 + int64(length)
 		if !known {
 			d.skipped++
 			continue
@@ -430,25 +429,13 @@ func (d *Decoder) Next() (Record, error) {
 	}
 }
 
-// frameChunk is how far past the buffer in hand a frame's length field
-// may allocate before its bytes arrive.
-const frameChunk = 64 << 10
-
-// payload reads the next n bytes. A frame the buffer already holds
-// reads in place; a longer one grows the buffer (doubling from
-// frameChunk) as the bytes arrive, so a torn or hostile length costs
-// what was delivered, not what it claimed.
+// payload reads the next n bytes into the decoder's buffer, growing it
+// (doubling from 64 kB) only as the bytes arrive, so a torn or hostile
+// length costs what was delivered, not what it claimed.
 func (d *Decoder) payload(n int) ([]byte, error) {
-	if n <= max(cap(d.buf), frameChunk) {
-		if n > cap(d.buf) {
-			d.buf = make([]byte, n)
-		}
-		_, err := io.ReadFull(d.r, d.buf[:n])
-		return d.buf[:n], err
-	}
 	d.buf = d.buf[:0]
 	for len(d.buf) < n {
-		k := min(n-len(d.buf), max(len(d.buf), frameChunk))
+		k := min(n-len(d.buf), max(len(d.buf), 64<<10))
 		d.buf = slices.Grow(d.buf, k)
 		got, err := io.ReadFull(d.r, d.buf[len(d.buf):len(d.buf)+k])
 		d.buf = d.buf[:len(d.buf)+got]

@@ -291,9 +291,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	cp := src.Checkpoint()
 	enc := EncodeSnapshot(cp)
 
-	cp2, err := DecodeSnapshot(enc)
+	cp2, err := ReadSnapshot(bytes.NewReader(enc))
 	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	if cp2.Seq != cp.Seq {
 		t.Fatalf("seq %d, want %d", cp2.Seq, cp.Seq)
@@ -313,7 +313,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Corruption is detected.
 	bad := append([]byte(nil), enc...)
 	bad[len(bad)/2] ^= 0x10
-	if _, err := DecodeSnapshot(bad); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(bad)); err == nil {
 		t.Fatal("corrupted snapshot decoded without error")
 	}
 }

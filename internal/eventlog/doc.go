@@ -42,8 +42,11 @@
 // Corruption is different from unfamiliarity: a frame whose checksum
 // mismatches, whose length field is implausible, or whose body is cut
 // mid-field is an error, because the transport (disk, TCP) promised
-// integrity. The WAL opener treats such a frame as a torn tail write
-// and truncates at the last whole record.
+// integrity. The WAL opener and the replication stream share one
+// reader (Decoder) and differ only in what they do with a bad frame: a
+// replica drops the stream and resumes at its cursor, the WAL opener
+// truncates at the last whole record (a torn tail write). A read error
+// is neither: it fails the open.
 //
 // # Snapshot format (snapshot.go)
 //
@@ -63,11 +66,11 @@
 // O(1) objects per snapshot. ReadSnapshot is the only decoder, its
 // mirror image: it parses entity by entity from a buffered reader as
 // the bytes arrive, so a bootstrapping replica decodes while the
-// primary encodes, and returns nothing until the checksum and the end
-// of the stream are verified. Counts on the wire bound loops, not
-// allocations — records land in arrays allocated as they arrive — so
-// a corrupt or hostile header costs what its bytes cost.
-// DecodeSnapshot (RestoreDir's path) is ReadSnapshot over memory.
+// primary encodes, and RestoreDir streams a snapshot file through it
+// alike; it returns nothing until the checksum and the end of the
+// stream are verified. Counts on the wire bound loops, not allocations
+// — records, like a frame's payload, land in buffers grown as the bytes
+// arrive — so a corrupt or hostile header costs what its bytes cost.
 //
 // # Files on disk (wal.go, persist.go)
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -275,6 +276,34 @@ func TestRotationFaultDegradesNotFatal(t *testing.T) {
 // WAL's tail past it — losing that tail would drop acked, durable
 // events.
 func TestDegradedRotationRestore(t *testing.T) {
+	dir, db, url := degradedDir(t)
+	// Every acked event survives: snapshot + old-WAL tail.
+	assertRestoredEqual(t, dir, db)
+
+	// And StartPersister heals the degraded directory back to steady
+	// state: one snapshot, one WAL at the head.
+	restored, _, err := RestoreDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := StartPersister(restored, dir, Options{})
+	if err != nil {
+		t.Fatalf("StartPersister on degraded dir: %v", err)
+	}
+	restored.Vote(url, 1, 0)
+	waitDurable(t, p2, restored.EventSeq())
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertRestoredEqual(t, dir, restored)
+}
+
+// degradedDir persists a faultStore whose rotations each make their
+// snapshot durable and then fail to create the fresh WAL, and returns
+// the directory: the initial snapshot, at least one newer one, and the
+// original WAL holding every event past the first.
+func degradedDir(t *testing.T) (string, *platform.DB, ids.ObjectID) {
+	t.Helper()
 	dir := t.TempDir()
 	db, url := faultStore(t)
 	boom := errors.New("create refused")
@@ -309,25 +338,92 @@ func TestDegradedRotationRestore(t *testing.T) {
 	if err != nil || len(wals) != 1 || wals[0] != db.EventBase() {
 		t.Fatalf("want only the original WAL at base %d, got %v (%v)", db.EventBase(), wals, err)
 	}
-	// Every acked event survives: snapshot + old-WAL tail.
-	assertRestoredEqual(t, dir, db)
+	return dir, db, url
+}
 
-	// And StartPersister heals the degraded directory back to steady
-	// state: one snapshot, one WAL at the head.
-	restored, _, err := RestoreDir(dir)
+// TestRestoreWALReadError pins that a read error is never taken for a
+// torn tail: a fault on the WAL's first read (its header) or on a later
+// one (mid-frame, past the reader's first buffer) makes RestoreDirFS
+// return the error and leaves the WAL byte for byte as it was, where a
+// torn-tail verdict would have truncated acked events away.
+func TestRestoreWALReadError(t *testing.T) {
+	dir := t.TempDir()
+	db, url := faultStore(t)
+	p, err := StartPersister(db, dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := StartPersister(restored, dir, Options{})
-	if err != nil {
-		t.Fatalf("StartPersister on degraded dir: %v", err)
+	for i := 0; i < 200; i++ { // about 7 kB of frames
+		db.Vote(url, 1, 0)
 	}
-	restored.Vote(url, 1, 0)
-	waitDurable(t, p2, restored.EventSeq())
-	if err := p2.Close(); err != nil {
+	waitDurable(t, p, db.EventSeq())
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	assertRestoredEqual(t, dir, restored)
+	wal := walPath(dir, db.EventBase())
+	before, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("read fault")
+	for _, after := range []int{0, 1} {
+		inj := faultinject.NewInjector(faultinject.Rule{Op: faultinject.OpRead, Path: "wal-", After: after, Err: boom})
+		restored, _, err := RestoreDirFS(inj.FS(nil), dir)
+		if !errors.Is(err, boom) || restored != nil {
+			t.Fatalf("read %d of the WAL failing: RestoreDirFS returned a store: %v, error %v; want only the fault", after+1, restored != nil, err)
+		}
+		if inj.FireCount(faultinject.OpRead) == 0 {
+			t.Fatalf("read %d of the WAL: the fault never fired", after+1)
+		}
+		if now, err := os.ReadFile(wal); err != nil || !bytes.Equal(now, before) {
+			t.Fatalf("read %d of the WAL failing changed the file: %d bytes, was %d (%v)", after+1, len(now), len(before), err)
+		}
+	}
+	assertRestoredEqual(t, dir, db)
+}
+
+// TestRestoreSnapshotReadError pins restore's fallback on a snapshot it
+// cannot read: with an older snapshot beside it, restore takes that one
+// and the WAL tail past it and still equals the store; with none,
+// restore fails instead of returning an empty store.
+func TestRestoreSnapshotReadError(t *testing.T) {
+	boom := errors.New("read fault")
+	dir, db, _ := degradedDir(t)
+	snaps, err := listSeqs(faultinject.OS, dir, "snap-", ".snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := filepath.Base(snapPath(dir, snaps[len(snaps)-1]))
+	inj := faultinject.NewInjector(faultinject.Rule{Op: faultinject.OpRead, Path: newest, Err: boom})
+	restored, _, err := RestoreDirFS(inj.FS(nil), dir)
+	if err != nil || restored == nil {
+		t.Fatalf("RestoreDirFS with %s unreadable: %v; want the older snapshot's store", newest, err)
+	}
+	if inj.FireCount(faultinject.OpRead) == 0 {
+		t.Fatal("the fault on the newest snapshot never fired")
+	}
+	if got, want := EncodeSnapshot(restored.Checkpoint()), EncodeSnapshot(db.Checkpoint()); !bytes.Equal(got, want) {
+		t.Fatalf("restored from the older snapshot: seq %d, want %d", restored.EventSeq(), db.EventSeq())
+	}
+
+	dir = t.TempDir()
+	db, url := faultStore(t)
+	p, err := StartPersister(db, dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Vote(url, 1, 0)
+	waitDurable(t, p, db.EventSeq())
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	inj = faultinject.NewInjector(faultinject.Rule{Op: faultinject.OpRead, Path: ".snap", Err: boom})
+	if restored, _, err := RestoreDirFS(inj.FS(nil), dir); !errors.Is(err, boom) || restored != nil {
+		t.Fatalf("RestoreDirFS with its one snapshot unreadable returned a store: %v, error %v; want only the fault", restored != nil, err)
+	}
+	if inj.FireCount(faultinject.OpRead) == 0 {
+		t.Fatal("the fault on the only snapshot never fired")
+	}
 }
 
 // TestRestoreSkipsTornCreateWAL pins header-tear tolerance: a crash

@@ -97,13 +97,23 @@ func writeSnapshotFile(fsys faultinject.FS, dir string, cp platform.Checkpoint) 
 	return size, syncDir(fsys, dir)
 }
 
+// readSnapshotFile streams one snapshot file through ReadSnapshot.
+func readSnapshotFile(fsys faultinject.FS, path string) (platform.Checkpoint, error) {
+	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
+	if err != nil {
+		return platform.Checkpoint{}, err
+	}
+	defer f.Close()
+	return ReadSnapshot(f)
+}
+
 // RestoreDir rebuilds a store from a persistence directory: the newest
 // readable snapshot (FromCheckpoint), then the WAL tail past it
 // replayed through the normal write paths (DB.ApplyEvent), with any
-// torn tail truncated. A directory with no state (or that does not
-// exist) returns (nil, 0, nil) — the caller starts from whatever seed
-// it has. skipped counts WAL records dropped because their event type
-// or codec version is unknown.
+// torn tail truncated; a WAL read error fails it. A directory with no
+// state (or that does not exist) returns (nil, 0, nil) — the caller
+// starts from whatever seed it has. skipped counts WAL records dropped
+// because their event type or codec version is unknown.
 func RestoreDir(dir string) (db *platform.DB, skipped int, err error) {
 	return RestoreDirFS(faultinject.OS, dir)
 }
@@ -120,23 +130,18 @@ func RestoreDirFS(fsys faultinject.FS, dir string) (db *platform.DB, skipped int
 
 	// Newest readable snapshot wins; older ones are the fallback if the
 	// newest was half-written without its rename (which tmp+rename
-	// prevents) or the disk corrupted it.
+	// prevents), the disk corrupted it or a read of it failed.
 	var base uint64
-	for i := len(snaps) - 1; i >= 0; i-- {
-		b, rerr := fsys.ReadFile(snapPath(dir, snaps[i]))
-		if rerr != nil {
-			continue
+	var rerr error
+	for i := len(snaps) - 1; i >= 0 && db == nil; i-- {
+		var cp platform.Checkpoint
+		if cp, rerr = readSnapshotFile(fsys, snapPath(dir, snaps[i])); rerr == nil {
+			db = platform.FromCheckpoint(cp)
+			base = cp.Seq
 		}
-		cp, derr := DecodeSnapshot(b)
-		if derr != nil {
-			continue
-		}
-		db = platform.FromCheckpoint(cp)
-		base = cp.Seq
-		break
 	}
 	if db == nil && len(snaps) > 0 {
-		return nil, 0, fmt.Errorf("eventlog: %s: no readable snapshot among %d", dir, len(snaps))
+		return nil, 0, fmt.Errorf("eventlog: %s: no readable snapshot among %d: %w", dir, len(snaps), rerr)
 	}
 
 	// Pick the newest WAL starting at or before the snapshot. At steady

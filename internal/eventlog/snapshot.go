@@ -148,11 +148,6 @@ func ReadSnapshot(r io.Reader) (platform.Checkpoint, error) {
 	return cp, nil
 }
 
-// DecodeSnapshot is ReadSnapshot over an encoded snapshot in memory.
-func DecodeSnapshot(b []byte) (platform.Checkpoint, error) {
-	return ReadSnapshot(bytes.NewReader(b))
-}
-
 // maxRecordChunk caps the arrays ReadSnapshot decodes records into.
 // They start small and double up to it as records arrive, so a store
 // costs about one allocation per 4096 records and a short or hostile

@@ -113,7 +113,7 @@ func TestReadSnapshotRejects(t *testing.T) {
 	body := enc[:len(enc)-4]
 	reject := func(what string, b []byte) {
 		t.Helper()
-		if _, err := DecodeSnapshot(b); err == nil {
+		if _, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
 			t.Errorf("%s: accepted", what)
 		}
 	}
@@ -142,7 +142,7 @@ func TestReadSnapshotRejects(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := DecodeSnapshot(claim)
+		_, err := ReadSnapshot(bytes.NewReader(claim))
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("2^40 %s in %d bytes: err = %v, want io.ErrUnexpectedEOF", what, len(claim), err)

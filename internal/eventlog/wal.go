@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 
 	"dissenter/internal/faultinject"
@@ -71,86 +71,75 @@ func CreateWALFS(fsys faultinject.FS, path string, base uint64) (*WAL, error) {
 
 // OpenWALFS opens an existing WAL through fsys, replaying every
 // decodable record (in sequence order, contiguity enforced) through
-// apply, and truncating any torn tail — a partial frame or one failing
-// its checksum — at the last whole record, which is where a crashed
-// append stopped. The returned WAL is positioned for appending. apply
-// may be nil (scan without replay: the Persister resuming a log the
-// store already restored). Records whose event type or codec version
-// is unknown advance the sequence cursor but are not applied; the
-// second result reports how many.
-func OpenWALFS(fsys faultinject.FS, path string, apply func(Record) error) (*WAL, int, error) {
-	b, err := fsys.ReadFile(path)
+// apply, and truncating any torn tail — a frame cut short, failing its
+// checksum, too long or malformed — at the last whole record, which is
+// where a crashed append stopped. Any other read error fails the open
+// and truncates nothing. The returned WAL is positioned for appending.
+// apply may be nil (scan without replay: the Persister resuming a log
+// the store already restored). Records whose event type or codec
+// version is unknown advance the sequence cursor but are not applied;
+// the second result reports how many.
+func OpenWALFS(fsys faultinject.FS, path string, apply func(Record) error) (w *WAL, skipped int, err error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, 0, err
 	}
-	hdr := walHeader(0)
-	if len(b) < len(hdr)-1 || [4]byte(b[:4]) != walMagic {
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	// The header is read through the frames' Decoder; Peek answers a
+	// file shorter than it asks for with what there is and io.EOF.
+	dec := NewDecoder(f)
+	hdr, err := dec.r.Peek(len(walMagic) + 1 + binary.MaxVarintLen64)
+	if err != nil && err != io.EOF {
+		return nil, 0, fmt.Errorf("eventlog: opening %s: %w", path, err)
+	}
+	if len(hdr) <= len(walMagic) || [4]byte(hdr) != walMagic {
 		return nil, 0, fmt.Errorf("eventlog: %s: not a WAL file: %w", path, errBadWALHeader)
 	}
-	if ver := b[4]; ver == 0 || ver > WALVersion {
+	if ver := hdr[4]; ver == 0 || ver > WALVersion {
 		return nil, 0, fmt.Errorf("eventlog: %s: unknown WAL version %d", path, ver)
 	}
-	base, n := binary.Uvarint(b[5:])
+	base, n := binary.Uvarint(hdr[5:])
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("eventlog: %s: malformed WAL header: %w", path, errBadWALHeader)
 	}
-	off := 5 + n
+	dec.r.Discard(5 + n)
+	dec.off = int64(5 + n)
 
-	last := base
-	skipped := 0
-	good := off // end of the last whole, valid record
-	for off < len(b) {
-		if len(b)-off < 8 {
-			break // torn frame header
+	// A skipped record advances the cursor as it does for a replica.
+	var applied uint64
+	rec, err := dec.Next()
+	for ; err == nil; rec, err = dec.Next() {
+		if cur := base + applied + uint64(dec.Skipped()); rec.Seq != cur+1 {
+			return nil, 0, fmt.Errorf("eventlog: %s: sequence gap: record %d after %d", path, rec.Seq, cur)
 		}
-		length := binary.BigEndian.Uint32(b[off:])
-		sum := binary.BigEndian.Uint32(b[off+4:])
-		if length > maxFrame || len(b)-off-8 < int(length) {
-			break // implausible or torn payload
-		}
-		payload := b[off+8 : off+8+int(length)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			break // torn write caught by the checksum
-		}
-		rec, known, err := decodePayload(payload)
-		if err != nil {
-			break // checksummed-but-malformed: treat as tail corruption
-		}
-		if rec.Seq != last+1 {
-			return nil, skipped, fmt.Errorf("eventlog: %s: sequence gap: record %d after %d", path, rec.Seq, last)
-		}
-		if known && apply != nil {
+		if apply != nil {
 			if err := apply(rec); err != nil {
-				return nil, skipped, err
+				return nil, 0, err
 			}
 		}
-		if !known {
-			skipped++
-		}
-		last = rec.Seq
-		off += 8 + int(length)
-		good = off
+		applied++
 	}
-
-	f, err := fsys.OpenFile(path, os.O_RDWR, 0o644)
+	switch {
+	case err == io.EOF:
+		err = nil
+	case err == io.ErrUnexpectedEOF || err == ErrChecksum || errors.Is(err, errMalformed):
+		// A torn tail; any other error is the disk's, not a crash's.
+		if err = f.Truncate(dec.off); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err == nil {
+		_, err = f.Seek(dec.off, io.SeekStart)
+	}
 	if err != nil {
-		return nil, skipped, err
+		return nil, 0, fmt.Errorf("eventlog: opening %s: %w", path, err)
 	}
-	if good < len(b) {
-		if err := f.Truncate(int64(good)); err != nil {
-			f.Close()
-			return nil, skipped, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, skipped, err
-		}
-	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
-		f.Close()
-		return nil, skipped, err
-	}
-	return &WAL{path: path, f: f, w: bufio.NewWriter(f), base: base, last: last, size: int64(good)}, skipped, nil
+	skipped = dec.Skipped()
+	return &WAL{path: path, f: f, w: bufio.NewWriter(f), base: base, last: base + applied + uint64(skipped), size: dec.off}, skipped, nil
 }
 
 // Base returns the sequence point the WAL starts after.

@@ -1,8 +1,13 @@
 package eventlog
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"dissenter/internal/faultinject"
@@ -179,4 +184,80 @@ func TestWALSkipsUnknownRecords(t *testing.T) {
 	if w2.LastSeq() != 3 {
 		t.Fatalf("LastSeq = %d, want 3", w2.LastSeq())
 	}
+}
+
+// FuzzWALOpen opens a WAL of the golden records with arbitrary bytes
+// appended — where FuzzDecoder sees only a verdict, this sees where a
+// torn tail is cut. Unless the bytes hold a sequence gap, the open must
+// replay the golden records first and leave the file ending on a frame
+// boundary; a second open must replay the same records, reach the same
+// sequence point and truncate nothing; and the log must take the next
+// append.
+func FuzzWALOpen(f *testing.F) {
+	recs := goldenRecords()
+	golden := mustEncodeAll(recs)
+	next, err := AppendRecord(nil, Record{Seq: 7, Event: recs[4].Event})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte{})
+	f.Add(next)
+	f.Add(next[:len(next)-3])
+	f.Add(append(appendRawFrame(nil, encodePayload(CodecVersion, "user-promoted", 7, nil)), 0, 0))
+	f.Add(binary.BigEndian.AppendUint64(nil, (maxFrame+1)<<32))
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		path := filepath.Join(t.TempDir(), "wal-0.wal")
+		if err := os.WriteFile(path, slices.Concat(walHeader(0), golden, tail), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		open := func() (*WAL, []Record, error) {
+			var back []Record
+			w, _, err := OpenWALFS(faultinject.OS, path, func(rec Record) error {
+				back = append(back, rec)
+				return nil
+			})
+			return w, back, err
+		}
+		w, first, err := open()
+		if err != nil {
+			if strings.Contains(err.Error(), "sequence gap") {
+				return
+			}
+			t.Fatalf("OpenWALFS: %v", err)
+		}
+		if len(first) < len(recs) {
+			t.Fatalf("replayed %d records, want the %d golden ones first", len(first), len(recs))
+		}
+		assertRecordsEqual(t, recs, first[:len(recs)])
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(b)) != w.Size() {
+			t.Fatalf("the file holds %d bytes, the WAL counts %d", len(b), w.Size())
+		}
+		dec := NewDecoder(bytes.NewReader(b[len(walHeader(0)):]))
+		for err == nil {
+			_, err = dec.Next()
+		}
+		if err != io.EOF {
+			t.Fatalf("the opened file does not end on a frame boundary: %v", err)
+		}
+
+		w2, second, err := open()
+		if err != nil {
+			t.Fatalf("second open: %v", err)
+		}
+		defer w2.Close()
+		if w2.Size() != w.Size() || w2.LastSeq() != w.LastSeq() {
+			t.Fatalf("second open: %d bytes through seq %d, the first left %d through %d", w2.Size(), w2.LastSeq(), w.Size(), w.LastSeq())
+		}
+		assertRecordsEqual(t, first, second)
+		if err := w2.Append(Record{Seq: w2.LastSeq() + 1, Event: recs[4].Event}); err != nil {
+			t.Fatalf("append at %d: %v", w2.LastSeq()+1, err)
+		}
+	})
 }

@@ -22,12 +22,13 @@
 //
 // # The two seams
 //
-//   - FS / File: the filesystem surface eventlog writes through.
-//     Injector.FS wraps any FS (usually OS) and can fail or delay
-//     OpenFile/ReadFile/ReadDir/Stat (OpOpen), Read, Write (including
-//     short writes: half the buffer lands, then the error — a torn
-//     frame on disk), Sync (the fsync barrier), Rename, Remove, and
-//     Truncate. ErrNoSpace is the conventional disk-full error.
+//   - FS / File: the filesystem surface eventlog writes and restores
+//     through. Injector.FS wraps any FS (usually OS) and can fail or
+//     delay OpenFile/ReadDir/Stat (OpOpen), Read (OpRead: every byte
+//     WAL replay and snapshot restore read), Write (including short
+//     writes: half the buffer lands, then the error — a torn frame on
+//     disk), Sync (the fsync barrier), Rename, Remove, and Truncate.
+//     ErrNoSpace is the conventional disk-full error.
 //
 //   - Transport / Listener: the HTTP surface replication streams
 //     over. Injector.Transport wraps an http.RoundTripper and can

@@ -11,7 +11,7 @@ type Op uint8
 
 const (
 	// Filesystem seam (Injector.FS).
-	OpOpen     Op = iota // OpenFile, ReadFile, ReadDir, Stat
+	OpOpen     Op = iota // OpenFile, ReadDir, Stat
 	OpRead               // File.Read
 	OpWrite              // File.Write (ShortWrite applies here)
 	OpSync               // File.Sync — the fsync barrier

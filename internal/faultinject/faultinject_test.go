@@ -114,9 +114,14 @@ func TestFSPassthrough(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := fsys.ReadFile(name)
+	f, err = fsys.OpenFile(name, os.O_RDONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(f)
+	f.Close()
 	if err != nil || string(b) != "hello" {
-		t.Fatalf("ReadFile = %q, %v", b, err)
+		t.Fatalf("read back %q, %v", b, err)
 	}
 	if err := fsys.Rename(name, name+"2"); err != nil {
 		t.Fatal(err)

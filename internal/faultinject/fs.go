@@ -30,7 +30,6 @@ type File interface {
 // schedule.
 type FS interface {
 	OpenFile(name string, flag int, perm iofs.FileMode) (File, error)
-	ReadFile(name string) ([]byte, error)
 	ReadDir(name string) ([]iofs.DirEntry, error)
 	Stat(name string) (iofs.FileInfo, error)
 	Rename(oldpath, newpath string) error
@@ -47,7 +46,6 @@ type osFS struct{}
 func (osFS) OpenFile(name string, flag int, perm iofs.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
-func (osFS) ReadFile(name string) ([]byte, error)           { return os.ReadFile(name) }
 func (osFS) ReadDir(name string) ([]iofs.DirEntry, error)   { return os.ReadDir(name) }
 func (osFS) Stat(name string) (iofs.FileInfo, error)        { return os.Stat(name) }
 func (osFS) Rename(oldpath, newpath string) error           { return os.Rename(oldpath, newpath) }
@@ -80,13 +78,6 @@ func (f *faultFS) OpenFile(name string, flag int, perm iofs.FileMode) (File, err
 		return nil, err
 	}
 	return &faultFile{inj: f.inj, name: name, f: file}, nil
-}
-
-func (f *faultFS) ReadFile(name string) ([]byte, error) {
-	if err := f.inj.gate(OpOpen, name); err != nil {
-		return nil, err
-	}
-	return f.base.ReadFile(name)
 }
 
 func (f *faultFS) ReadDir(name string) ([]iofs.DirEntry, error) {
