@@ -480,9 +480,10 @@ func TestRestoreSkipsTornCreateWAL(t *testing.T) {
 func TestCompactionBehindPersisterIsImmediatelySticky(t *testing.T) {
 	dir := t.TempDir()
 	db, url := faultStore(t)
-	// Block the first commit sync forever so we can compact the log
-	// under the persister's feet... simpler: use a latched sync fault
-	// so durable never advances, then compact past it.
+	// Once the first vote is durable, a latched WAL write fault keeps
+	// durable from advancing, so the compaction below always lands
+	// behind it (without the fault, a persister that commits both votes
+	// first never sees the gap).
 	inj := faultinject.NewInjector()
 	log := &errLog{}
 	p, err := StartPersister(db, dir, Options{
@@ -493,6 +494,7 @@ func TestCompactionBehindPersisterIsImmediatelySticky(t *testing.T) {
 	}
 	db.Vote(url, 1, 0)
 	waitDurable(t, p, db.EventSeq())
+	inj.SetRules(faultinject.Rule{Op: faultinject.OpWrite, Path: "wal-", Err: faultinject.ErrNoSpace})
 	// Compact beyond what the persister will see next: the next batch
 	// finds its prefix gone and must fail sticky despite the generous
 	// retry budget.
