@@ -85,12 +85,22 @@ func AppendCommentRow(dst []byte, class string, c *Comment, withParent bool) []b
 // "comment" row with an empty parent attribute: the markup and two IDs.
 var rowOverhead = len(AppendCommentRow(nil, "comment", &Comment{}, true))
 
-// rowSize is the size of c's row when nothing in its text needs
-// escaping. rebuildLocked sizes a stream with it.
+// rowSize is the size of c's row, escaping included: html.EscapeString
+// writes "&amp;", "&#39;" and "&#34;" for one byte each and "&lt;" and
+// "&gt;" for one. rebuildLocked sizes a stream with it, so one escaped
+// row cannot make the stream's last append copy the whole page.
 func rowSize(c *Comment) int {
 	n := rowOverhead + len(c.Text)
 	if !c.ParentID.IsZero() {
 		n += 2 * len(c.ParentID) // in hex
+	}
+	for i := 0; i < len(c.Text); i++ {
+		switch c.Text[i] {
+		case '&', '\'', '"':
+			n += 4
+		case '<', '>':
+			n += 3
+		}
 	}
 	return n
 }

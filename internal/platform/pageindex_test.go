@@ -308,7 +308,7 @@ func TestViewsAliasUntilARowIsHidden(t *testing.T) {
 }
 
 // TestRowSizeIsExact: the size rebuildLocked reserves per row is the
-// size AppendCommentRow writes, short only by what escaping adds.
+// size AppendCommentRow writes, escaping included.
 func TestRowSizeIsExact(t *testing.T) {
 	gen := ids.NewGenerator(7)
 	c := &Comment{ID: gen.New(), AuthorID: gen.New(), Text: "plain text"}
@@ -318,9 +318,35 @@ func TestRowSizeIsExact(t *testing.T) {
 			t.Errorf("parent %v: a row is %d bytes, rowSize says %d", parent, got, rowSize(c))
 		}
 	}
-	c.Text = "a < b"
-	if got := len(AppendCommentRow(nil, "comment", c, true)); got <= rowSize(c) {
-		t.Errorf("an escaped row is %d bytes, rowSize %d: the estimate must be the floor", got, rowSize(c))
+	for _, text := range []string{"a < b", `Tom & "Jerry" aren't > 'x'`} {
+		c.Text = text
+		if got := len(AppendCommentRow(nil, "comment", c, true)); got != rowSize(c) {
+			t.Errorf("%q: an escaped row is %d bytes, rowSize says %d", text, got, rowSize(c))
+		}
+	}
+}
+
+// TestEscapedRowKeepsStreamExact: a page holding a row whose text needs
+// escaping is built into a stream of exactly its size. An estimate that
+// ignored escaping made the last append copy the whole stream into an
+// array about 1.25× as large, and the page kept it.
+func TestEscapedRowKeepsStreamExact(t *testing.T) {
+	gen := ids.NewGenerator(0xE5C)
+	base := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
+	user := &User{GabID: 1, Username: "escaper", HasDissenter: true, AuthorID: gen.NewAt(base)}
+	cu := &CommentURL{ID: gen.NewAt(base), URL: "https://escape.example/", FirstSeen: base}
+	var comments []*Comment
+	for i, text := range []string{"plain", "plain again", `a <b> & "c" isn't d`} {
+		comments = append(comments, &Comment{
+			ID: gen.NewAt(base.Add(time.Duration(i+1) * time.Hour)), URLID: cu.ID,
+			AuthorID: user.AuthorID, Text: text,
+		})
+	}
+	db := New([]*User{user}, []*CommentURL{cu}, comments, nil)
+	db.CommentStream(cu.ID, false, false)
+	s := db.pages.page(db, cu.ID).views[allRows]
+	if len(s) != cap(s) {
+		t.Fatalf("the stream of a page with an escaped row is %d bytes in an array of %d", len(s), cap(s))
 	}
 }
 
