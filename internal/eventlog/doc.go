@@ -94,4 +94,14 @@
 // rotation that fails (a full disk) is attempted again a record floor
 // later, never per batch. RestoreDir inverts the layout: newest valid
 // snapshot, then WAL replay through DB.ApplyEvent.
+//
+// The group commit is paced (commitGap in persist.go, 2 ms): a commit
+// starts no sooner than commitGap after the previous one started, so
+// under load each fsync covers every event dispatched in the last
+// commitGap instead of the few that arrived during the previous fsync,
+// and a write that reaches an idle persister commits at once. Close
+// never waits on the pace. Writes are acknowledged before they are
+// durable either way; the pacing widens that window by at most
+// commitGap. A replica's persister runs the same loop, so it paces too;
+// the Publisher streams from memory and does not.
 package eventlog

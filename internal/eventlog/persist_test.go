@@ -1,9 +1,14 @@
 package eventlog
 
 import (
+	"os"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dissenter/internal/faultinject"
 	"dissenter/internal/ids"
 	"dissenter/internal/platform"
 	"dissenter/internal/synth"
@@ -146,6 +151,78 @@ func TestPersisterRotationCompacts(t *testing.T) {
 
 func userName(i int) string {
 	return "rot-" + string(rune('a'+i/26/26%26)) + string(rune('a'+i/26%26)) + string(rune('a'+i%26))
+}
+
+// walSyncFS counts Sync calls on WAL files.
+type walSyncFS struct {
+	faultinject.FS
+	syncs atomic.Int64
+}
+
+func (fs *walSyncFS) OpenFile(name string, flag int, perm os.FileMode) (faultinject.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasSuffix(name, ".wal") {
+		return f, err
+	}
+	return walSyncFile{f, &fs.syncs}, nil
+}
+
+type walSyncFile struct {
+	faultinject.File
+	syncs *atomic.Int64
+}
+
+func (f walSyncFile) Sync() error {
+	f.syncs.Add(1)
+	return f.File.Sync()
+}
+
+// TestPersisterPacesCommits: under a burst of writes the group commit
+// starts no sooner than commitGap after the previous one, so the WAL is
+// synced at most once per commitGap (plus the first commit and Close's
+// drain) — a bound that holds by construction on any machine — each
+// fsync covers many events, and Close right after the burst still
+// leaves every event durable.
+func TestPersisterPacesCommits(t *testing.T) {
+	db := testStore(t)
+	fs := &walSyncFS{FS: faultinject.OS}
+	p, err := StartPersister(db, t.TempDir(), Options{FS: fs, RotateEvery: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var urls []ids.ObjectID
+	db.RangeURLs(func(cu *platform.CommentURL) bool {
+		urls = append(urls, cu.ID)
+		return true
+	})
+	fs.syncs.Store(0)
+	seq0 := db.EventSeq()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; time.Since(start) < 100*time.Millisecond; i++ {
+				db.Vote(urls[(w+i)%len(urls)], 1, 0)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if p.Durable() != db.EventSeq() {
+		t.Fatalf("Close after the burst left durable %d, head %d", p.Durable(), db.EventSeq())
+	}
+	syncs, events := fs.syncs.Load(), int64(db.EventSeq()-seq0)
+	if limit := int64(elapsed/commitGap) + 2; syncs > limit {
+		t.Errorf("%d WAL syncs in %v, want at most %d: commits are not paced", syncs, elapsed, limit)
+	}
+	if syncs >= events/2 {
+		t.Errorf("%d WAL syncs for %d events: a commit does not group", syncs, events)
+	}
 }
 
 // TestRestoreDirEmpty pins the cold-start contract.

@@ -180,6 +180,26 @@ func TestFromCheckpointReencodes(t *testing.T) {
 	}
 }
 
+// TestEncodeSnapshotAllocatesOnce: an in-memory snapshot of the 1/64
+// corpus allocates at most 2.1× its length — the encoder's flushes and
+// the one array of the final size they are copied into. A buffer grown
+// by doubling allocated about 3×, and that garbage set the GC target of
+// whatever ran next.
+func TestEncodeSnapshotAllocatesOnce(t *testing.T) {
+	cp := synth.Generate(synth.NewConfig(synth.DefaultScale, 1)).DB.Checkpoint()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	enc := EncodeSnapshot(cp)
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; float64(n) > 2.1*float64(len(enc)) {
+		t.Errorf("EncodeSnapshot allocated %d bytes for a %d-byte snapshot (%.2f×), want at most 2.1×",
+			n, len(enc), float64(n)/float64(len(enc)))
+	}
+	if len(enc) != cap(enc) {
+		t.Errorf("the snapshot is %d bytes in an array of %d", len(enc), cap(enc))
+	}
+}
+
 var snapshotSink int64
 
 // BenchmarkWriteSnapshot streams the default-scale corpus to a writer
