@@ -21,20 +21,28 @@
 package dissenter_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dissenter/internal/benchkit"
 	"dissenter/internal/dissenterweb"
+	"dissenter/internal/eventlog"
 	"dissenter/internal/ids"
 	"dissenter/internal/platform"
+	"dissenter/internal/replica"
+	"dissenter/internal/synth"
 )
 
 // storeScale is one benchmark store size.
@@ -312,4 +320,108 @@ func BenchmarkDiscussionHit304(b *testing.B) {
 		b.Fatalf("304 carried %d body bytes", rec.Body.Len())
 	}
 	benchmarkHit(b, s, req)
+}
+
+// BenchmarkResidentPerComment is the memory ledger of the write path:
+// resident bytes per posted comment on a durable primary at the
+// default (1/64) scale with a replica tailing it through a Publisher.
+// An op posts residentPosts comments through Server.ServeHTTP over the
+// 200 most-commented URLs, one in twenty to a URL nobody has seen, waits
+// until the replica has applied them and both WALs are durable, then
+// reads every page that got a post once on each node — what the
+// ledger's after-run check does after comment_storm. The growth of
+// HeapInuse over a forced collection, per comment, is resident-B/comment
+// (BENCH_RESIDENT_MAX_BYTES). Garbage and GC headroom are not in it: the
+// gap between it and comment_storm's peak RSS per op is the collector's.
+func BenchmarkResidentPerComment(b *testing.B) {
+	const residentPosts, hotURLs = 20_000, 200
+	primary := synth.Generate(synth.NewConfig(synth.DefaultScale, 1)).DB
+	pers, err := eventlog.StartPersister(primary, filepath.Join(b.TempDir(), "primary"), eventlog.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pers.Close()
+	web := dissenterweb.NewServer(primary, dissenterweb.WithURLRateLimit(0, time.Minute))
+	writers := primary.ActiveUsers()[:64]
+	for i, u := range writers {
+		web.RegisterSession(fmt.Sprintf("w%d", i), dissenterweb.Session{Username: u.Username})
+	}
+	pub := httptest.NewServer(&replica.Publisher{DB: primary})
+	defer pub.Close()
+	var repWeb atomic.Pointer[dissenterweb.Server]
+	var binds atomic.Int32
+	rep, err := replica.Open(filepath.Join(b.TempDir(), "replica"), pub.URL, replica.Options{OnState: func(db *platform.DB) {
+		repWeb.Store(dissenterweb.NewServer(db, dissenterweb.ReadOnly(), dissenterweb.WithURLRateLimit(0, time.Minute)))
+		binds.Add(1)
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rep.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go rep.Run(ctx)
+	caughtUp := func() bool {
+		head := primary.EventSeq()
+		return binds.Load() >= 2 && rep.Status().Connected && rep.Seq() == head &&
+			pers.Durable() == head && rep.Durable() == head
+	}
+	for !caughtUp() {
+		time.Sleep(time.Millisecond)
+	}
+
+	counts := map[ids.ObjectID]int{}
+	primary.RangeComments(func(c *platform.Comment) bool {
+		counts[c.URLID]++
+		return true
+	})
+	var urls []*platform.CommentURL
+	primary.RangeURLs(func(cu *platform.CommentURL) bool {
+		urls = append(urls, cu)
+		return true
+	})
+	slices.SortStableFunc(urls, func(x, y *platform.CommentURL) int { return counts[y.ID] - counts[x.ID] })
+	hot := make([]string, hotURLs)
+	for i := range hot {
+		hot[i] = urls[i].URL
+	}
+
+	w := newDiscardRW()
+	var ms0, ms1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for op := 0; op < b.N; op++ {
+		posted := map[string]bool{}
+		for i := 0; i < residentPosts; i++ {
+			raw := hot[(i*7919+op)%hotURLs]
+			if i%20 == 0 {
+				raw = fmt.Sprintf("https://resident.example/%d/%d", op, i)
+			}
+			posted[raw] = true
+			form := url.Values{"url": {raw}, "text": {fmt.Sprintf("resident comment %d: about the length the generated corpus posts, give or take a clause", i)}}
+			req := httptest.NewRequest(http.MethodPost, "/discussion/comment", strings.NewReader(form.Encode()))
+			req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+			req.Header.Set("Cookie", fmt.Sprintf("session=w%d", i%len(writers)))
+			web.ServeHTTP(w, req)
+		}
+		for !caughtUp() {
+			time.Sleep(time.Millisecond)
+		}
+		for _, s := range []*dissenterweb.Server{web, repWeb.Load()} {
+			for raw := range posted {
+				req := httptest.NewRequest(http.MethodGet, "/discussion?url="+url.QueryEscape(raw), nil)
+				req.Header.Set("Accept-Encoding", "gzip")
+				s.ServeHTTP(w, req)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&ms1)
+	perComment := (float64(ms1.HeapInuse) - float64(ms0.HeapInuse)) / float64(residentPosts*b.N)
+	b.ReportMetric(perComment, "resident-B/comment")
+	if max, ok := benchkit.EnvBudget(b, "BENCH_RESIDENT_MAX_BYTES"); ok && perComment > max {
+		b.Fatalf("a posted comment keeps %.0f resident bytes across primary and replica, budget %v", perComment, max)
+	}
 }
