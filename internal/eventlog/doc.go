@@ -95,7 +95,7 @@
 // later, never per batch. RestoreDir inverts the layout: newest valid
 // snapshot, then WAL replay through DB.ApplyEvent.
 //
-// The group commit is paced (commitGap in persist.go, 2 ms): a commit
+// The group commit is paced (commitGap in persist.go, 1 ms): a commit
 // starts no sooner than commitGap after the previous one started, so
 // under load each fsync covers every event dispatched in the last
 // commitGap instead of the few that arrived during the previous fsync,

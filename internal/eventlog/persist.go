@@ -247,7 +247,7 @@ const rotateDiv = 4
 // it, and since a write is acknowledged before it is durable it costs no
 // ack latency: the ack-to-durable window grows by at most commitGap.
 // Like rotateDiv it is a constant: nothing needs a second value.
-const commitGap = 2 * time.Millisecond
+const commitGap = time.Millisecond
 
 // errLogCompacted means the in-memory log no longer reaches back to
 // the durable point — unrecoverable by retrying, since the events are
