@@ -65,8 +65,8 @@ RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
 # BenchmarkResidentPerComment: 20k comments posted to a durable 1/64
 # primary with a tailing replica, every posted-to page then read once on
 # each node, HeapInuse growth over a forced collection per comment.
-# Measured 1,810-1,870 (the record and its listings, the event log, the
-# materialized pages and cache entries, on two nodes); the budget is
+# Measured 1,700-1,810 (mostly the posted-to pages' escaped streams and
+# gzip members, then the comment records, on both nodes); the budget is
 # that plus 25%.
 TRENDS_ALLOC_BUDGET = 64
 LEADER_ALLOC_BUDGET = 64
@@ -75,7 +75,7 @@ HIT_ALLOC_BUDGET = 0
 FILL_BYTES_BUDGET = 8192
 PATCH_BYTES_BUDGET = 131072
 SNAPSHOT_ALLOCS_BUDGET = 16
-RESIDENT_BYTES_BUDGET = 2300
+RESIDENT_BYTES_BUDGET = 2250
 
 .PHONY: build test race chaos crash-recovery bench bench-budget ledger-smoke lint fuzz-smoke fmt loc loc-budget ci ab
 
@@ -202,7 +202,7 @@ loc:
 # Design weight is budgeted like allocations: loc-budget fails when
 # `make loc`'s total exceeds this. A PR that needs more raises the
 # constant in its own diff, where a reviewer sees it.
-LOC_BUDGET = 21612
+LOC_BUDGET = 21656
 
 loc-budget:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

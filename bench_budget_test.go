@@ -1,8 +1,9 @@
-// The serving path's allocation budgets: the five root benchmarks
-// `make bench-budget` gates (the sixth budget, the snapshot encoder's,
-// lives in internal/eventlog). Each runs one request shape in a single
-// goroutine, so the MemStats delta is that request's own, and with its
-// BENCH_* variable set fails past the budget the Makefile states.
+// The serving path's allocation and memory budgets: the six root
+// benchmarks `make bench-budget` gates (the snapshot encoder's budget
+// lives in internal/eventlog). The request-shape ones run one request
+// shape in a single goroutine, so the MemStats delta is that request's
+// own; each, with its BENCH_* variable set, fails past the budget the
+// Makefile states.
 //
 //   - TrendsRenderMiss / LeaderboardRenderMiss / DiscussionRenderMiss: a
 //     cache miss — render, compose (gzip included), fill — must allocate
@@ -14,6 +15,8 @@
 //   - DiscussionHit / DiscussionHit304: a hit allocates nothing, whether
 //     it shovels the gzip member, the identity parts of a segmented
 //     page, or a bodyless 304.
+//   - ResidentPerComment: the heap a posted comment keeps on a durable
+//     primary and its replica once its page has been read on both.
 //
 // Latency and throughput under load are not measured here: the four
 // BENCHMARK.json workloads (`bash bench/run.sh`) do that against the

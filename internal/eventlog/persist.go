@@ -261,12 +261,11 @@ var errLogCompacted = errors.New("eventlog: event log compacted past the durable
 // and the in-memory log stay within a fixed fraction of the snapshot
 // and a write costs what it adds. Write-behind means a write is
 // acknowledged to HTTP clients before it is durable (the pacing widens
-// that window by at most commitGap); a primary crash can lose the unsynced tail —
-// the replication design accepts this
-// (the paper's workload is a measurement simulation, not a bank), and
-// a REPLICA never loses anything, because its source of truth is the
-// primary's stream, which it re-fetches from its durable offset on
-// restart.
+// that window by at most commitGap); a primary crash can lose the
+// unsynced tail — the replication design accepts this (the paper's
+// workload is a measurement simulation, not a bank), and a REPLICA
+// never loses anything, because its source of truth is the primary's
+// stream, which it re-fetches from its durable offset on restart.
 //
 // Transient I/O errors do not kill the loop: a failed group commit is
 // retried up to Options.RetryLimit times with capped exponential

@@ -45,11 +45,11 @@ import (
 // hides a row — a viral page read anonymously — is built as that view
 // alone, and gets a show-everything stream only when some other view is
 // read. A page costs one copy of its HTML, plus one per other view read
-// that hides a row, and a post appends to as many streams. The handshake is sound under write concurrency: a
-// comment's base-index insert happens-before its event dispatch, so an
-// apply either observes the materialized page (and folds the comment
-// in) or the builder's index snapshot already contains the comment —
-// never neither.
+// that hides a row, and a post appends to as many streams. The
+// handshake is sound under write concurrency: a comment's base-index
+// insert happens-before its event dispatch, so an apply either observes
+// the materialized page (and folds the comment in) or the builder's
+// index snapshot already contains the comment — never neither.
 //
 // Ordering: streams list comments in ID order, matching CommentsOnURL.
 // Events for one URL can arrive out of ID order under write

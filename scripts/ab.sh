@@ -1,14 +1,14 @@
 #!/bin/sh
 # ab.sh runs the benchmark's A/B protocol: two clean `git archive`
-# copies, PARENT and HEAD, run `bench/run.sh --trace 0` on one workload
-# in PAIRS alternated pairs (the parent first in odd pairs, HEAD first
-# in even ones), seeds SEED0, SEED0+1, ... It prints each run's six
-# end-to-end metrics, then per metric each side's quartiles (Python's
-# statistics.quantiles(n=4), which bench/compare.go matches from four
-# values up), how many
-# pairs HEAD won and a verdict:
+# copies, PARENT and the committed HEAD, run `bench/run.sh --trace 0` on
+# one workload in PAIRS alternated pairs (the parent first in odd pairs,
+# HEAD first in even ones), seeds SEED0, SEED0+1, ... It prints each
+# run's six end-to-end metrics, then per metric each side's quartiles
+# (Python's statistics.quantiles(n=4), which bench/compare.go matches
+# from four values up), how many pairs HEAD won and a verdict:
 #
-#   unresolved  either side's IQR/median is wider than the metric's bound
+#   unresolved  either side's IQR/median is wider than the metric's bound,
+#               unless every HEAD run is better than every parent run
 #   worse       HEAD's median is worse than the parent's by more than the
 #               bound in BENCHMARK.json
 #   claimable   HEAD won at least 9 in 10 of the pairs and its median is
@@ -33,7 +33,8 @@ root=$(git rev-parse --show-toplevel)
 head=$(git rev-parse HEAD)
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/ab.XXXXXX")
-trap 'rm -rf "$work"' EXIT INT TERM
+trap 'rm -rf "$work"' EXIT
+trap 'exit 130' INT TERM
 for side in parent head; do
 	rev=$parent
 	[ "$side" = head ] && rev=$head
@@ -113,7 +114,10 @@ END {
 		quartiles(A, n); pq1 = Q[1]; pm = Q[2]; pq3 = Q[3]
 		quartiles(B, n); hq1 = Q[1]; hm = Q[2]; hq3 = Q[3]
 		change = pm == 0 ? 0 : sign * (hm - pm) / pm
-		if ((pm != 0 && (pq3 - pq1) / pm > bound[m]) || (hm != 0 && (hq3 - hq1) / hm > bound[m])) verdict = "unresolved"
+		# quartiles() sorted A and B; apart: every HEAD run beats every parent run.
+		apart = sign > 0 ? B[n] < A[1] : B[1] > A[n]
+		wide = (pm != 0 && (pq3 - pq1) / pm > bound[m]) || (hm != 0 && (hq3 - hq1) / hm > bound[m])
+		if (wide && !apart) verdict = "unresolved"
 		else if (change > bound[m]) verdict = "worse"
 		else if (won >= 0.9 * n && sign * (pm - hm) > pq3 - pq1) verdict = "claimable"
 		else verdict = "same"
