@@ -62,8 +62,9 @@
 // WriteSnapshot is the only encoder: it streams entity by entity
 // through a buffered writer under a running checksum, so the
 // rotation's file, the replication bootstrap response and
-// EncodeSnapshot's in-memory form are one code path that allocates
-// O(1) objects per snapshot. ReadSnapshot is the only decoder, its
+// EncodeSnapshot's in-memory form are one code path, which allocates
+// O(1) objects per snapshot (EncodeSnapshot adds a copy of each 64 kB
+// flush and the result they are joined into). ReadSnapshot is the only decoder, its
 // mirror image: it parses entity by entity from a buffered reader as
 // the bytes arrive, so a bootstrapping replica decodes while the
 // primary encodes, and RestoreDir streams a snapshot file through it

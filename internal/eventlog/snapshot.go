@@ -74,9 +74,8 @@ func WriteSnapshot(w io.Writer, cp platform.Checkpoint) (int64, error) {
 
 // EncodeSnapshot is WriteSnapshot into memory. It keeps the encoder's
 // flushes as they come and copies them into one array of the final
-// size, so a snapshot costs about twice its length in allocation; a
-// buffer grown by doubling cost three times (67.7 MB for the 22.7 MB
-// snapshot of the ledger's corpus).
+// size, so a snapshot costs about twice its length in allocation, not
+// the three times a buffer grown by doubling would.
 func EncodeSnapshot(cp platform.Checkpoint) []byte {
 	var parts flushes
 	n, _ := WriteSnapshot(&parts, cp) // a flushes write cannot fail
