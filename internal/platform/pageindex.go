@@ -88,22 +88,20 @@ func AppendCommentRow(dst []byte, class string, c *Comment, withParent bool) []b
 // "comment" row with an empty parent attribute: the markup and two IDs.
 var rowOverhead = len(AppendCommentRow(nil, "comment", &Comment{}, true))
 
-// rowSize is the size of c's row, escaping included: html.EscapeString
-// writes "&amp;", "&#39;" and "&#34;" for one byte each and "&lt;" and
-// "&gt;" for one. rebuildLocked sizes a stream with it, so one escaped
-// row cannot make the stream's last append copy the whole page.
+// escapeGrowth is what html.EscapeString adds for each byte: "&amp;",
+// "&#39;" and "&#34;" for one byte each, "&lt;" and "&gt;" for one.
+var escapeGrowth = [256]uint8{'&': 4, '\'': 4, '"': 4, '<': 3, '>': 3}
+
+// rowSize is the size of c's row, escaping included. rebuildLocked
+// sizes a stream with it, so one escaped row cannot make the stream's
+// last append copy the whole page.
 func rowSize(c *Comment) int {
 	n := rowOverhead + len(c.Text)
 	if !c.ParentID.IsZero() {
 		n += 2 * len(c.ParentID) // in hex
 	}
 	for i := 0; i < len(c.Text); i++ {
-		switch c.Text[i] {
-		case '&', '\'', '"':
-			n += 4
-		case '<', '>':
-			n += 3
-		}
+		n += int(escapeGrowth[c.Text[i]])
 	}
 	return n
 }
@@ -257,17 +255,20 @@ func (p *urlPage) builtView() int {
 func (p *urlPage) rebuildLocked(db *DB, v int) {
 	cs, _ := db.commentsByURL.get(p.urlID)
 	var counts classCounts
+	size, shown := 0, 0 // the bytes of every row, of the rows v shows
 	for _, c := range cs {
-		counts[commentClass(c)]++
+		cls := commentClass(c)
+		counts[cls]++
+		n := rowSize(c)
+		size += n
+		if cls&^v == 0 {
+			shown += n
+		}
 	}
 	if visibleCount(counts, v) == len(cs) {
 		v = allRows
-	}
-	size := 0
-	for _, c := range cs {
-		if commentClass(c)&^v == 0 {
-			size += rowSize(c)
-		}
+	} else {
+		size = shown
 	}
 	var rowEnd []int
 	var rowClass []uint8
