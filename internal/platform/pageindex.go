@@ -255,27 +255,25 @@ func (p *urlPage) builtView() int {
 func (p *urlPage) rebuildLocked(db *DB, v int) {
 	cs, _ := db.commentsByURL.get(p.urlID)
 	var counts classCounts
-	size, shown := 0, 0 // the bytes of every row, of the rows v shows
+	size := 0
 	for _, c := range cs {
-		cls := commentClass(c)
-		counts[cls]++
-		n := rowSize(c)
-		size += n
-		if cls&^v == 0 {
-			shown += n
-		}
+		counts[commentClass(c)]++
+		size += rowSize(c)
 	}
 	if visibleCount(counts, v) == len(cs) {
 		v = allRows
-	} else {
-		size = shown
 	}
 	var rowEnd []int
 	var rowClass []uint8
 	if v == allRows {
 		rowEnd, rowClass = make([]int, 0, len(cs)), make([]uint8, 0, len(cs))
 	}
-	s := make([]byte, 0, size) // non-nil: materialized, however empty
+	// Sized for every row: exact for the show-everything stream, and for
+	// a view that hides some, what it hides is its room to grow, as a
+	// cut's is (an append past the capacity moves the stream to a new
+	// array, which the response cache recompresses whole). Non-nil:
+	// materialized, however empty.
+	s := make([]byte, 0, size)
 	var lastID ids.ObjectID
 	for _, c := range cs {
 		cls := commentClass(c)
