@@ -309,8 +309,9 @@ func TestViewsAliasUntilARowIsHidden(t *testing.T) {
 
 // TestHidingViewBuildsAlone: a page whose first reader hides one of its
 // rows — a viral page read anonymously — is built as that view alone,
-// one stream and no show-everything copy to cut it from, and stays so
-// through posts it shows and posts it hides. The first read of another
+// one stream and no show-everything copy to cut it from, with the rows
+// it hides as room to grow, and stays so through posts it shows and
+// posts it hides. The first read of another
 // view gives the page its show-everything stream, and every view keeps
 // the oracle's bytes throughout.
 func TestHidingViewBuildsAlone(t *testing.T) {
@@ -335,7 +336,14 @@ func TestHidingViewBuildsAlone(t *testing.T) {
 	if p.views[allRows] != nil || p.views[0] == nil || p.rowEnd != nil {
 		t.Fatal("an anonymous read of a page with a hidden row materialized the show-everything stream")
 	}
+	// The rows the view hides are its room to grow: a post it shows
+	// extends the same array, so the response cache patches the page
+	// instead of recompressing it.
+	before, _ := db.CommentStream(cu.ID, false, false)
 	post("shown & appended", false)
+	if after, _ := db.CommentStream(cu.ID, false, false); &after[0] != &before[0] {
+		t.Fatal("the first post after the build moved the stream to a new array")
+	}
 	post("hidden again", true)
 	check("after two posts", false)
 	if p.views[allRows] != nil {
