@@ -48,7 +48,7 @@ import (
 // that hides a row, and a post appends to as many streams. The
 // handshake is sound under write concurrency: a comment's base-index
 // insert happens-before its event dispatch, so an apply either observes
-// the materialized page (and folds the comment in) or the builder's
+// the materialized page (and folds the comment in) or the build's
 // index snapshot already contains the comment — never neither.
 //
 // Ordering: streams list comments in ID order, matching CommentsOnURL.
