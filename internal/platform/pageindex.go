@@ -34,22 +34,19 @@ import (
 // been rendered: the first CommentStream call for a URL builds its
 // page from the sorted base index inside the pages shard write lock,
 // and from then on the event stream (events.go) maintains it. And a
-// page pins only the views that differ. The build escapes, once each,
-// the rows of the view that asked: when that view hides no row of the
-// page — the paper labels 0.6% of comments NSFW and 0.5% offensive, so
-// that is almost every view of almost every page — every row, into the
-// show-everything stream (which the other three are subsets of), and a
-// view that hides no row IS that stream. A view that does hide one is
-// filtered out of it, a copy and no escaping, the first time a session
-// with those settings reads the page. A page first read by a view that
-// hides a row — a viral page read anonymously — is built as that view
-// alone, and gets a show-everything stream only when some other view is
-// read. A page costs one copy of its HTML, plus one per other view read
-// that hides a row, and a post appends to as many streams. The
-// handshake is sound under write concurrency: a comment's base-index
-// insert happens-before its event dispatch, so an apply either observes
-// the materialized page (and folds the comment in) or the build's
-// index snapshot already contains the comment — never neither.
+// page pins only the views that differ: the build escapes every row
+// once into the show-everything stream (which the other three are
+// subsets of), a view that hides no row of the page IS that stream —
+// the paper labels 0.6% of comments NSFW and 0.5% offensive, so that is
+// almost every view of almost every page — and a view that does hide
+// one is filtered out of it, a copy and no escaping, the first time a
+// session with those settings reads the page. A page costs one copy of
+// its HTML, plus one per view read that hides a row, and a post appends
+// to as many streams. The handshake is sound under write concurrency: a
+// comment's base-index insert happens-before its event dispatch, so an
+// apply either observes the materialized page (and folds the comment
+// in) or the builder's index snapshot already contains the comment —
+// never neither.
 //
 // Ordering: streams list comments in ID order, matching CommentsOnURL.
 // Events for one URL can arrive out of ID order under write
@@ -149,15 +146,15 @@ func (ix *pageIndex) Rebuild(db *DB) {
 }
 
 // page returns the URL's materialized page state, building it from the
-// sorted comment index for view v on first use (inside the pages shard
-// write lock; see the handshake note above).
-func (ix *pageIndex) page(db *DB, urlID ids.ObjectID, v int) *urlPage {
+// sorted comment index on first use (inside the pages shard write
+// lock; see the handshake note above).
+func (ix *pageIndex) page(db *DB, urlID ids.ObjectID) *urlPage {
 	if p, ok := ix.pages.get(urlID); ok {
 		return p
 	}
 	p, created := ix.pages.getOrCreate(urlID, func() *urlPage {
-		np := &urlPage{urlID: urlID}
-		np.rebuildLocked(db, v)
+		np := &urlPage{}
+		np.rebuildLocked(db, urlID)
 		return np
 	})
 	// Past the bound, drop the whole materialized set. The page just
@@ -177,7 +174,6 @@ const allRows = classNSFW | classOffensive
 // urlPage is one materialized discussion page: the view streams and
 // the class counters they are counted by, under one short mutex.
 type urlPage struct {
-	urlID  ids.ObjectID
 	mu     sync.Mutex
 	counts classCounts
 	// lastID is the largest comment ID folded into the streams; n is
@@ -189,16 +185,12 @@ type urlPage struct {
 	// views[v] is the ID-ordered concatenation of the rows visible
 	// under view mask v, or nil while no reader has asked for v or v
 	// hides no row (viewLocked then answers with views[allRows]).
-	// views[allRows] exists unless the page was built for a view that
-	// hides one of its rows and no reader has asked for another view
-	// since — a page read only anonymously keeps one stream, not two —
-	// and then that view is the only one. While views[allRows] exists,
-	// rowEnd[i] is where row i ends in it and rowClass[i] its visibility
-	// class, which is all viewLocked needs to cut another view out of
-	// it. Streams are append-only between rebuilds; readers snapshot
-	// with the capacity clipped to the length, so an append into spare
-	// capacity never races a held snapshot (the same discipline as the
-	// store's entity slices).
+	// views[allRows] always exists; rowEnd[i] is where row i ends in it
+	// and rowClass[i] its visibility class, which is all viewLocked
+	// needs to cut another view out of it. Streams are append-only
+	// between rebuilds; readers snapshot with the capacity clipped to
+	// the length, so an append into spare capacity never races a held
+	// snapshot (the same discipline as the store's entity slices).
 	views    [4][]byte
 	rowEnd   []int
 	rowClass []uint8
@@ -215,7 +207,7 @@ func (p *urlPage) add(db *DB, c *Comment) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.n > 0 && !p.lastID.Before(c.ID) {
-		p.rebuildLocked(db, p.builtView())
+		p.rebuildLocked(db, c.URLID)
 		return
 	}
 	p.counts[cls]++
@@ -226,69 +218,36 @@ func (p *urlPage) add(db *DB, c *Comment) {
 			p.views[v] = append(p.views[v], row...)
 		}
 	}
-	if p.views[allRows] != nil {
-		p.rowEnd = append(p.rowEnd, len(p.views[allRows]))
-		p.rowClass = append(p.rowClass, uint8(cls))
-	}
-}
-
-// builtView is the view a rebuild of the page escapes again: every row
-// while the show-everything stream exists, else the one view the page
-// was built for.
-func (p *urlPage) builtView() int {
-	if p.views[allRows] == nil {
-		for v, s := range p.views {
-			if s != nil {
-				return v
-			}
-		}
-	}
-	return allRows
+	p.rowEnd = append(p.rowEnd, len(p.views[allRows]))
+	p.rowClass = append(p.rowClass, uint8(cls))
 }
 
 // rebuildLocked recomputes the whole page state from the sorted
-// per-URL comment index and escapes, once each, the rows view v shows
-// into v's stream — into the show-everything stream when v hides none
-// of them. Every other view is dropped and comes back when next read.
-// Callers hold p.mu, except the materializing constructor, whose page
-// is not yet shared.
-func (p *urlPage) rebuildLocked(db *DB, v int) {
-	cs, _ := db.commentsByURL.get(p.urlID)
+// per-URL comment index, escaping each row once into the
+// show-everything stream. The other views are dropped and come back,
+// filtered from the new stream, when next read. Callers hold p.mu,
+// except the materializing constructor, whose page is not yet shared.
+func (p *urlPage) rebuildLocked(db *DB, urlID ids.ObjectID) {
+	cs, _ := db.commentsByURL.get(urlID)
 	var counts classCounts
+	var lastID ids.ObjectID
 	size := 0
 	for _, c := range cs {
-		counts[commentClass(c)]++
 		size += rowSize(c)
 	}
-	if visibleCount(counts, v) == len(cs) {
-		v = allRows
-	}
-	var rowEnd []int
-	var rowClass []uint8
-	if v == allRows {
-		rowEnd, rowClass = make([]int, 0, len(cs)), make([]uint8, 0, len(cs))
-	}
-	// Sized for every row: exact for the show-everything stream, and for
-	// a view that hides some, what it hides is its room to grow, as a
-	// cut's is (an append past the capacity moves the stream to a new
-	// array, which the response cache recompresses whole). Non-nil:
-	// materialized, however empty.
-	s := make([]byte, 0, size)
-	var lastID ids.ObjectID
+	all := make([]byte, 0, size) // non-nil: materialized, however empty
+	rowEnd := make([]int, 0, len(cs))
+	rowClass := make([]uint8, 0, len(cs))
 	for _, c := range cs {
+		all = AppendCommentRow(all, "comment", c, true)
 		cls := commentClass(c)
-		if cls&^v == 0 {
-			s = AppendCommentRow(s, "comment", c, true)
-		}
-		if v == allRows {
-			rowEnd = append(rowEnd, len(s))
-			rowClass = append(rowClass, uint8(cls))
-		}
+		counts[cls]++
+		rowEnd = append(rowEnd, len(all))
+		rowClass = append(rowClass, uint8(cls))
 		lastID = c.ID
 	}
 	p.counts, p.lastID, p.n = counts, lastID, len(cs)
-	p.views = [4][]byte{}
-	p.views[v] = s
+	p.views = [4][]byte{allRows: all}
 	p.rowEnd, p.rowClass = rowEnd, rowClass
 }
 
@@ -296,16 +255,11 @@ func (p *urlPage) rebuildLocked(db *DB, v int) {
 // that is the show-everything stream itself, the same array. The first
 // read after a row v hides cuts v's own stream out of it: the rows whose
 // class v exposes, copied in order (a new array, so a reader holding the
-// old snapshot sees a non-extension and starts over, once). A page built
-// for another view that hides a row has no show-everything stream to
-// answer with or cut from, and is rebuilt with one first. Callers hold
-// p.mu.
-func (p *urlPage) viewLocked(db *DB, v int) []byte {
+// old snapshot sees a non-extension and starts over, once). Callers
+// hold p.mu.
+func (p *urlPage) viewLocked(v int) []byte {
 	if p.views[v] != nil {
 		return p.views[v]
-	}
-	if p.views[allRows] == nil {
-		p.rebuildLocked(db, allRows)
 	}
 	all := p.views[allRows]
 	if visibleCount(p.counts, v) == p.n {
@@ -335,9 +289,9 @@ func (p *urlPage) viewLocked(db *DB, v int) []byte {
 // O(row).
 func (db *DB) CommentStream(urlID ids.ObjectID, showNSFW, showOffensive bool) (stream []byte, visible int) {
 	v := viewMask(showNSFW, showOffensive)
-	p := db.pages.page(db, urlID, v)
+	p := db.pages.page(db, urlID)
 	p.mu.Lock()
-	s := p.viewLocked(db, v)
+	s := p.viewLocked(v)
 	n := visibleCount(p.counts, v)
 	p.mu.Unlock()
 	return s[:len(s):len(s)], n
