@@ -65,10 +65,10 @@ RACE_PKGS = ./internal/platform/... ./internal/respcache/... \
 # BenchmarkResidentPerComment: 20k comments posted to a durable 1/64
 # primary with a tailing replica, every posted-to page then read once on
 # each node, HeapInuse growth over a forced collection per comment.
-# Measured 1,700-1,810 (mostly the posted-to pages' escaped streams and
+# Measured 1,876-1,894 (mostly the posted-to pages' escaped streams and
 # gzip members, then the comment records, on both nodes); the budget is
 # that plus 25%. `make bench`, which runs it after the root package's
-# other benchmarks in one process, reads about 2,120.
+# other benchmarks in one process, reads about 2,200.
 TRENDS_ALLOC_BUDGET = 64
 LEADER_ALLOC_BUDGET = 64
 DISC_ALLOC_BUDGET = 64
@@ -76,7 +76,7 @@ HIT_ALLOC_BUDGET = 0
 FILL_BYTES_BUDGET = 8192
 PATCH_BYTES_BUDGET = 131072
 SNAPSHOT_ALLOCS_BUDGET = 16
-RESIDENT_BYTES_BUDGET = 2250
+RESIDENT_BYTES_BUDGET = 2360
 
 .PHONY: build test race chaos crash-recovery bench bench-budget ledger-smoke lint fuzz-smoke fmt loc loc-budget ci ab
 
@@ -203,7 +203,7 @@ loc:
 # Design weight is budgeted like allocations: loc-budget fails when
 # `make loc`'s total exceeds this. A PR that needs more raises the
 # constant in its own diff, where a reviewer sees it.
-LOC_BUDGET = 21655
+LOC_BUDGET = 21609
 
 loc-budget:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
